@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .cardinality import (  # noqa: F401
     BoundKind,
-    CardRequest,
     Scheme,
     VarAllocator,
     encode_at_least,
@@ -33,7 +32,6 @@ from .encoder import (  # noqa: F401
     VarMap,
     encode,
     encode_with_families,
-    explain_var,
 )
 from .model import (  # noqa: F401
     Instance,

@@ -18,7 +18,6 @@ variables extends to a model of the emitted clauses iff the bound holds.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from enum import Enum
 
 
@@ -52,34 +51,9 @@ class VarAllocator:
         return v
 
 
-@dataclass(frozen=True)
-class CardRequest:
-    bound_kind: BoundKind
-    k: int
-    literals: tuple[int, ...]
-    scheme: Scheme | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "literals", tuple(int(l) for l in self.literals))
-        _check_literals(self.k, self.literals)
-        if self.k > len(self.literals) and self.bound_kind is not BoundKind.AT_MOST:
-            raise CardinalityError(
-                f"bound {self.k} exceeds {len(self.literals)} literals"
-            )
-
-
 def default_scheme(k: int, n: int) -> Scheme:
     """Pairwise for at-most-one over few literals, totalizer otherwise."""
     return Scheme.PAIRWISE if k == 1 and n <= 8 else Scheme.TOTALIZER
-
-
-def encode(request: CardRequest, alloc) -> tuple[list[tuple[int, ...]], list[int]]:
-    fn = {
-        BoundKind.AT_MOST: encode_at_most,
-        BoundKind.AT_LEAST: encode_at_least,
-        BoundKind.EXACTLY: encode_exactly,
-    }[request.bound_kind]
-    return fn(request.k, request.literals, request.scheme, alloc)
 
 
 def encode_at_most(k, literals, scheme=None, alloc=None):

@@ -17,6 +17,7 @@ from . import __version__
 from .cardinality import Scheme
 from .cnf import CnfError, parse_dimacs, write_dimacs
 from .decode import (
+    DecodeError,
     TimetableFormatError,
     check_hard,
     compute_cost,
@@ -35,6 +36,7 @@ from .model import (
 )
 from .sample import sample_text
 from .solver import (
+    ExternalSolverError,
     MaxSatStatus,
     SolverConfig,
     SolverError,
@@ -102,6 +104,46 @@ def _write_wcnf(formula, varmap, out_path: str, instance_text: str) -> None:
             handle.write(f"var {var} {varmap.explain(var)}\n")
 
 
+def _print_no_optimum(result) -> int | None:
+    """Print the result lines of a run without an optimum and return its
+    exit code; None when the result is an optimum."""
+    if result.status is MaxSatStatus.HARD_UNSAT:
+        print("s UNSATISFIABLE")
+        return EXIT_HARD_UNSAT
+    if result.status is MaxSatStatus.INDETERMINATE:
+        lower, upper = result.bounds or (0, None)
+        print("s UNKNOWN")
+        print(f"c bounds {lower} {upper if upper is not None else '?'}")
+        return EXIT_INDETERMINATE
+    return None
+
+
+def _solve_portfolio(formula, builtin_cfg, external_cfg):
+    """Run the builtin and the external solver concurrently.
+
+    A side that gives up (builtin INDETERMINATE, or ExternalSolverError)
+    defers to the other side's answer, which the caller then checks; two
+    conclusive answers that differ raise SolverInternalError.
+    """
+    with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
+        fut_b = pool.submit(solve_maxsat, formula, builtin_cfg)
+        fut_e = pool.submit(solve_external, formula, external_cfg)
+        builtin = fut_b.result()
+        try:
+            external = fut_e.result()
+        except ExternalSolverError as exc:
+            print(f"warning: external solver undecided: {exc}", file=sys.stderr)
+            return builtin
+    if builtin.status is MaxSatStatus.INDETERMINATE:
+        return external
+    if builtin.status is not external.status or builtin.cost != external.cost:
+        raise SolverInternalError(
+            f"portfolio disagreement: builtin {builtin.status.value}/{builtin.cost} "
+            f"vs external {external.status.value}/{external.cost}"
+        )
+    return builtin
+
+
 def cmd_encode(args) -> int:
     instance, text = _load_instance(args.instance)
     formula, varmap = encode(instance, _encode_options(args))
@@ -128,36 +170,17 @@ def cmd_solve(args) -> int:
                  "(use --external-cmd or TTSAT_EXTERNAL_SOLVER)")
             return EXIT_INPUT
 
-    builtin_cfg = _solver_config(args)
     if args.portfolio:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
-            fut_b = pool.submit(solve_maxsat, formula, builtin_cfg)
-            fut_e = pool.submit(
-                solve_external, formula, _solver_config(args, external_cmd)
-            )
-            result = fut_b.result()
-            ext_result = fut_e.result()
-        if result.status != ext_result.status or (
-            result.status is MaxSatStatus.OPTIMUM and result.cost != ext_result.cost
-        ):
-            _err(
-                f"portfolio disagreement: builtin {result.status.value}/{result.cost} "
-                f"vs external {ext_result.status.value}/{ext_result.cost}"
-            )
-            return EXIT_INTERNAL
+        result = _solve_portfolio(
+            formula, _solver_config(args), _solver_config(args, external_cmd)
+        )
     elif args.solver == "external":
         result = solve_external(formula, _solver_config(args, external_cmd))
     else:
-        result = solve_maxsat(formula, builtin_cfg)
-
-    if result.status is MaxSatStatus.HARD_UNSAT:
-        print("s UNSATISFIABLE")
-        return EXIT_HARD_UNSAT
-    if result.status is MaxSatStatus.INDETERMINATE:
-        lower, upper = result.bounds or (0, None)
-        print("s UNKNOWN")
-        print(f"c bounds {lower} {upper if upper is not None else '?'}")
-        return EXIT_INDETERMINATE
+        result = solve_maxsat(formula, _solver_config(args))
+    code = _print_no_optimum(result)
+    if code is not None:
+        return code
 
     timetable = decode_timetable(result.model, varmap, instance)
     report = compute_cost(timetable, instance, opts)
@@ -238,12 +261,9 @@ def cmd_solve_wcnf(args) -> int:
     except OSError as exc:
         raise InstanceError(str(exc)) from None
     result = solve_maxsat(formula, SolverConfig(seed=args.seed, timeout=args.timeout))
-    if result.status is MaxSatStatus.HARD_UNSAT:
-        print("s UNSATISFIABLE")
-        return EXIT_HARD_UNSAT
-    if result.status is MaxSatStatus.INDETERMINATE:
-        print("s UNKNOWN")
-        return EXIT_INDETERMINATE
+    code = _print_no_optimum(result)
+    if code is not None:
+        return code
     print(f"o {result.cost}")
     print("s OPTIMUM FOUND")
     lits = [v if result.model.assignment[v] else -v for v in sorted(result.model.assignment)]
@@ -335,12 +355,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except (SolverInternalError, UntrustedSolverError, DecodeError) as exc:
+        # DecodeError is a ValueError, but a model that does not decode is
+        # an encoder or solver bug, not an input error
+        _err(str(exc))
+        return EXIT_INTERNAL
     except (InstanceError, CnfError, EncodeError, TimetableFormatError, ValueError) as exc:
         _err(str(exc))
         return EXIT_INPUT
-    except (SolverInternalError, UntrustedSolverError) as exc:
-        _err(str(exc))
-        return EXIT_INTERNAL
     except SolverError as exc:
         _err(str(exc))
         return EXIT_INPUT

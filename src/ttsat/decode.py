@@ -104,16 +104,15 @@ def decode_timetable(model, varmap: VarMap, instance: Instance) -> Timetable:
                 raise DecodeError(
                     f"session '{label}': day variable for '{d.label}' contradicts its timeslot"
                 )
-    if varmap.emit_kt:
-        for k in instance.curricula:
-            members = instance.sessions_by_curriculum[k.id]
-            for t in instance.timeslots:
-                expected = any(placements[s][0] == t.id for s in members)
-                if assign[varmap.kt(k.id, t.id)] != expected:
-                    raise DecodeError(
-                        f"curriculum '{k.label}' timeslot variable for "
-                        f"'{t.label}' contradicts the session placements"
-                    )
+    for k in instance.curricula:
+        members = instance.sessions_by_curriculum[k.id]
+        for t in instance.timeslots:
+            expected = any(placements[s][0] == t.id for s in members)
+            if assign[varmap.kt(k.id, t.id)] != expected:
+                raise DecodeError(
+                    f"curriculum '{k.label}' timeslot variable for "
+                    f"'{t.label}' contradicts the session placements"
+                )
     return Timetable(placements)
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from enum import Enum
 
 from .cardinality import Scheme, default_scheme, encode_exactly
 from .cnf import Clause, WcnfFormula
@@ -35,55 +34,42 @@ class EncodeError(ValueError):
     """Instance cannot be encoded (invalid or structurally infeasible)."""
 
 
-class RegistrationWeight(Enum):
-    UNIT = "unit"
-    STUDENT_COUNT = "students"
-
-
-class CapacityWeight(Enum):
-    UNIT = "unit"
-    OVERFLOW_COUNT = "overflow"
+UNAVAILABILITY_WEIGHT = 10  # the paper's price of a forbidden timeslot
 
 
 @dataclass(frozen=True)
 class EncodeOptions:
     """Knobs for the encoding.
 
-    ``weighted=False`` is the plain partial mode: every soft clause gets
-    weight 1 and the mode fields are ignored.
+    * ``weighted``: the paper's weights (registered students per clashing
+      registration, 10 per forbidden timeslot, seats short per capacity
+      overflow); ``False`` is the plain partial mode, every soft clause
+      weight 1.
+    * ``card_scheme``: the exactly-one encoding; ``None`` picks pairwise
+      for tiny constraints and the totalizer otherwise.
+
+    The weight methods are the single weighting policy, shared by the
+    encoder and by ``decode.compute_cost``.
     """
 
     weighted: bool = True
-    card_scheme: Scheme | None = None  # None: pairwise for tiny at-most-one, else totalizer
-    unavailability_weight: int = 10
-    registration_weight_mode: RegistrationWeight = RegistrationWeight.STUDENT_COUNT
-    capacity_weight_mode: CapacityWeight = CapacityWeight.OVERFLOW_COUNT
-    emit_kt: bool = True
-
-    def __post_init__(self):
-        if self.unavailability_weight < 1:
-            raise EncodeError("unavailability_weight must be positive")
+    card_scheme: Scheme | None = None
 
     def registration_weight(self, students: int) -> int:
-        if not self.weighted or self.registration_weight_mode is RegistrationWeight.UNIT:
-            return 1
-        return students
+        return students if self.weighted else 1
 
     def unavailability_soft_weight(self) -> int:
-        return self.unavailability_weight if self.weighted else 1
+        return UNAVAILABILITY_WEIGHT if self.weighted else 1
 
     def capacity_weight(self, overflow: int) -> int:
-        if not self.weighted or self.capacity_weight_mode is CapacityWeight.UNIT:
-            return 1
-        return overflow
+        return overflow if self.weighted else 1
 
 
 class VarMap:
     """Bijection between semantic variables and CNF indices 1..N."""
 
-    def __init__(self, instance: Instance, emit_kt: bool = True):
+    def __init__(self, instance: Instance):
         self.instance = instance
-        self.emit_kt = emit_kt
         S = len(instance.sessions)
         T = len(instance.timeslots)
         D = len(instance.days)
@@ -94,7 +80,7 @@ class VarMap:
         self._cd0 = self._ct0 + S * T
         self._cr0 = self._cd0 + S * D
         self._kt0 = self._cr0 + S * R
-        self._aux0 = self._kt0 + (K * T if emit_kt else 0)
+        self._aux0 = self._kt0 + K * T
         self._aux_tags: list[tuple[str, int]] = []  # (tag, ordinal within tag)
         self._aux_counts: dict[str, int] = {}
 
@@ -108,8 +94,6 @@ class VarMap:
         return self._cr0 + session * self._R + room
 
     def kt(self, curriculum: int, timeslot: int) -> int:
-        if not self.emit_kt:
-            raise EncodeError("kt variables are disabled for this encoding")
         return self._kt0 + curriculum * self._T + timeslot
 
     @property
@@ -119,10 +103,6 @@ class VarMap:
     @property
     def num_vars(self) -> int:
         return self._aux0 - 1 + len(self._aux_tags)
-
-    @property
-    def aux_tags(self) -> tuple[tuple[str, int], ...]:
-        return tuple(self._aux_tags)
 
     def new_aux(self, tag: str) -> int:
         ordinal = self._aux_counts.get(tag, 0) + 1
@@ -156,10 +136,6 @@ class VarMap:
             return f"kt({inst.curricula[k].label}, {inst.timeslots[t].label})"
         tag, ordinal = self._aux_tags[var - self._aux0]
         return f"aux({tag} #{ordinal})"
-
-
-def explain_var(var: int, varmap: VarMap) -> str:
-    return varmap.explain(var)
 
 
 FAMILY_ORDER = (
@@ -227,11 +203,6 @@ def _pair_clash_clauses(instance, varmap, pairs):
         for t in instance.timeslots:
             out.append(Clause((-varmap.ct(a, t.id), -varmap.ct(b, t.id))))
     return out
-
-
-def curriculum_clashes(instance: Instance, varmap: VarMap) -> list[Clause]:
-    """Sessions of one curriculum (including a course's own pair) never share a slot."""
-    return _pair_clash_clauses(instance, varmap, _curriculum_session_pairs(instance))
 
 
 def teacher_clashes(instance: Instance, varmap: VarMap) -> list[Clause]:
@@ -355,7 +326,7 @@ def encode_with_families(
     if not instance.sessions:
         raise EncodeError("instance has no sessions to schedule")
 
-    varmap = VarMap(instance, emit_kt=opts.emit_kt)
+    varmap = VarMap(instance)
     clauses: list[Clause] = []
     families: dict[str, list[int]] = {name: [] for name in FAMILY_ORDER}
 
@@ -366,8 +337,7 @@ def encode_with_families(
 
     for s in instance.sessions:
         emit("link_ct_cd", link_ct_cd(instance, s.id, varmap))
-    if opts.emit_kt:
-        emit("link_ct_kt", link_ct_kt(instance, varmap))
+    emit("link_ct_kt", link_ct_kt(instance, varmap))
 
     staff_pairs = set(_staff_session_pairs(instance))
     for a, b in _curriculum_session_pairs(instance):

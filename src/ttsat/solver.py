@@ -5,12 +5,9 @@ first-UIP learning with cheap self-subsumption minimization, activity-based
 branching with decay, phase saving, Luby restarts, and MiniSat-style
 assumption handling with failed-assumption cores.
 
-Two exact optimizers sit on top of it:
-
-* core-guided: stratified relax-and-split over unsatisfiable cores of soft
-  clause selectors, splitting weights at each core (the default), and
-* branch-and-bound: depth-first search over the formula extended with one
-  relaxation variable per soft clause.
+One exact optimizer sits on top of it: stratified core-guided
+relax-and-split over unsatisfiable cores of soft clause selectors, splitting
+weights at each core.
 
 ``brute_force_maxsat`` is an independent enumeration oracle for small
 formulas, and ``solve_external`` shells out to any solver speaking DIMACS
@@ -69,26 +66,16 @@ class MaxSatStatus(Enum):
     INDETERMINATE = "indeterminate"
 
 
-class Optimizer(Enum):
-    CORE_GUIDED = "core-guided"
-    BRANCH_AND_BOUND = "branch-and-bound"
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     seed: int = 0
     conflict_limit: int | None = None
-    var_decay: float = 0.99
-    restart_base: int = 128
-    optimizer: Optimizer = Optimizer.CORE_GUIDED
     external_cmd: str | None = None
     timeout: float | None = None
 
     def __post_init__(self):
         if self.conflict_limit is not None and self.conflict_limit < 0:
             raise ValueError("conflict_limit must be nonnegative")
-        if not 0.0 < self.var_decay <= 1.0:
-            raise ValueError("var_decay must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -120,6 +107,8 @@ def _luby(x: int) -> int:
 
 
 _UNASSIGNED = 2
+VAR_DECAY = 0.99  # activity decay per conflict
+RESTART_BASE = 128  # conflicts per Luby restart unit
 
 
 class CdclSolver:
@@ -129,8 +118,7 @@ class CdclSolver:
     Everything is deterministic for a fixed seed and call sequence.
     """
 
-    def __init__(self, num_vars: int = 0, clauses=(), *, seed: int = 0,
-                 var_decay: float = 0.99, restart_base: int = 128):
+    def __init__(self, num_vars: int = 0, clauses=(), *, seed: int = 0):
         self.nvars = 0
         self.ok = True
         # literal-indexed arrays use python's negative indexing: index l is
@@ -147,8 +135,8 @@ class CdclSolver:
         self.qhead = 0
         self.heap: list[tuple[float, int]] = []
         self.var_inc = 1.0
-        self.var_decay = var_decay
-        self.restart_base = restart_base
+        self.var_decay = VAR_DECAY
+        self.restart_base = RESTART_BASE
         self.total_conflicts = 0
         self.orig_clauses: list[list[int]] = []
         self.learned: list[list[int]] = []
@@ -534,8 +522,7 @@ def solve_sat(clauses, assumptions=(), cfg: SolverConfig | None = None) -> SatRe
             num_vars = max(num_vars, abs(l))
     for a in assumptions:
         num_vars = max(num_vars, abs(int(a)))
-    solver = CdclSolver(num_vars, clause_lists, seed=cfg.seed,
-                        var_decay=cfg.var_decay, restart_base=cfg.restart_base)
+    solver = CdclSolver(num_vars, clause_lists, seed=cfg.seed)
     deadline = time.monotonic() + cfg.timeout if cfg.timeout is not None else None
     res = solver.solve(assumptions, cfg.conflict_limit, deadline)
     if res.status is SatStatus.SAT:
@@ -577,14 +564,6 @@ def brute_force_maxsat(formula: WcnfFormula) -> MaxSatResult:
     return MaxSatResult(MaxSatStatus.OPTIMUM, best_cost, Model(assignment, best_cost))
 
 
-def solve_maxsat(formula: WcnfFormula, cfg: SolverConfig | None = None) -> MaxSatResult:
-    """Exact weighted partial Max-SAT: minimize falsified soft weight."""
-    cfg = cfg or SolverConfig()
-    if cfg.optimizer is Optimizer.BRANCH_AND_BOUND:
-        return _branch_and_bound(formula, cfg)
-    return _core_guided(formula, cfg)
-
-
 def _restrict(model: dict[int, bool], n: int) -> dict[int, bool]:
     return {v: model[v] for v in range(1, n + 1)}
 
@@ -623,10 +602,12 @@ def _shrink_core(solver: CdclSolver, core, deadline) -> tuple[int, ...]:
     return tuple(core)
 
 
-def _core_guided(formula: WcnfFormula, cfg: SolverConfig) -> MaxSatResult:
+def solve_maxsat(formula: WcnfFormula, cfg: SolverConfig | None = None) -> MaxSatResult:
+    """Exact weighted partial Max-SAT: minimize falsified soft weight by
+    stratified core-guided relax-and-split."""
+    cfg = cfg or SolverConfig()
     base_n = formula.num_vars
-    solver = CdclSolver(base_n, seed=cfg.seed, var_decay=cfg.var_decay,
-                        restart_base=cfg.restart_base)
+    solver = CdclSolver(base_n, seed=cfg.seed)
     deadline = time.monotonic() + cfg.timeout if cfg.timeout is not None else None
 
     for c in formula.clauses:
@@ -726,110 +707,6 @@ def _core_guided(formula: WcnfFormula, cfg: SolverConfig) -> MaxSatResult:
             )
             for cl in one_of:
                 solver.add_clause(cl)
-
-
-def _branch_and_bound(formula: WcnfFormula, cfg: SolverConfig) -> MaxSatResult:
-    """Exact DFS over the formula with one relaxation variable per soft clause."""
-    clauses: list[list[int]] = []
-    relax_weight: dict[int, int] = {}
-    next_var = formula.num_vars + 1
-    for c in formula.clauses:
-        if c.is_hard:
-            clauses.append(list(c.literals))
-        else:
-            r = next_var
-            next_var += 1
-            relax_weight[r] = c.weight
-            clauses.append(list(c.literals) + [r])
-    n_all = next_var - 1
-
-    occurrence = {v: 0 for v in range(1, formula.num_vars + 1)}
-    for c in clauses:
-        for l in c:
-            if abs(l) <= formula.num_vars:
-                occurrence[abs(l)] += 1
-    order = sorted(occurrence, key=lambda v: (-occurrence[v], v))
-    order += sorted(relax_weight)
-
-    vals = [_UNASSIGNED] * (n_all + 1)
-    best_cost: int | None = None
-    best: list[int] | None = None
-    node_limit = cfg.conflict_limit
-    deadline = time.monotonic() + cfg.timeout if cfg.timeout is not None else None
-    nodes = 0
-
-    class _Budget(Exception):
-        pass
-
-    def propagate(trail: list[int]) -> bool:
-        changed = True
-        while changed:
-            changed = False
-            for c in clauses:
-                unassigned = 0
-                last = 0
-                satisfied = False
-                for l in c:
-                    v = vals[abs(l)]
-                    if v == _UNASSIGNED:
-                        unassigned += 1
-                        last = l
-                    elif v == (1 if l > 0 else 0):
-                        satisfied = True
-                        break
-                if satisfied:
-                    continue
-                if unassigned == 0:
-                    return False
-                if unassigned == 1:
-                    vals[abs(last)] = 1 if last > 0 else 0
-                    trail.append(abs(last))
-                    changed = True
-        return True
-
-    def current_cost() -> int:
-        return sum(w for r, w in relax_weight.items() if vals[r] == 1)
-
-    def dfs() -> None:
-        nonlocal best_cost, best, nodes
-        nodes += 1
-        if node_limit is not None and nodes > node_limit:
-            raise _Budget
-        if deadline is not None and nodes % 256 == 0 and time.monotonic() > deadline:
-            raise _Budget
-        trail: list[int] = []
-        if propagate(trail):
-            cost = current_cost()
-            if best_cost is None or cost < best_cost:
-                branch_var = 0
-                for v in order:
-                    if vals[v] == _UNASSIGNED:
-                        branch_var = v
-                        break
-                if branch_var == 0:
-                    best_cost = cost
-                    best = vals.copy()
-                else:
-                    for value in (0, 1):
-                        vals[branch_var] = value
-                        dfs()
-                    vals[branch_var] = _UNASSIGNED
-        for v in trail:
-            vals[v] = _UNASSIGNED
-
-    try:
-        dfs()
-    except _Budget:
-        return MaxSatResult(MaxSatStatus.INDETERMINATE, bounds=(0, best_cost))
-    if best_cost is None:
-        return MaxSatResult(MaxSatStatus.HARD_UNSAT)
-    assignment = {v: best[v] == 1 for v in range(1, formula.num_vars + 1)}
-    true_cost = formula.falsified_weight(assignment)
-    if true_cost != best_cost:
-        raise SolverInternalError(
-            f"branch-and-bound bound {best_cost} disagrees with model cost {true_cost}"
-        )
-    return MaxSatResult(MaxSatStatus.OPTIMUM, best_cost, Model(assignment, best_cost))
 
 
 def solve_external(formula: WcnfFormula, cfg: SolverConfig) -> MaxSatResult:

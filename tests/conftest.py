@@ -1,4 +1,6 @@
+import os
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,16 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in acceptance.REPORT_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def child_pythonpath():
+    """The external-solver tests run `python -m ttsat` in a child process,
+    which does not see the `pythonpath` that pytest gives this one."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", src, prepend=os.pathsep)
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -132,11 +132,10 @@ def assignment_for_placement(instance, varmap, placements):
         assignment[varmap.ct(sid, t)] = True
         assignment[varmap.cr(sid, r)] = True
         assignment[varmap.cd(sid, instance.timeslots[t].day)] = True
-    if varmap.emit_kt:
-        for k in instance.curricula:
-            members = instance.sessions_by_curriculum[k.id]
-            for t in instance.timeslots:
-                assignment[varmap.kt(k.id, t.id)] = any(
-                    sid in placements and placements[sid][0] == t.id for sid in members
-                )
+    for k in instance.curricula:
+        members = instance.sessions_by_curriculum[k.id]
+        for t in instance.timeslots:
+            assignment[varmap.kt(k.id, t.id)] = any(
+                sid in placements and placements[sid][0] == t.id for sid in members
+            )
     return assignment

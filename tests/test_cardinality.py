@@ -6,11 +6,9 @@ from helpers import projected_models
 from ttsat.cardinality import (
     BoundKind,
     CardinalityError,
-    CardRequest,
     Scheme,
     VarAllocator,
     default_scheme,
-    encode,
     encode_at_least,
     encode_at_most,
     encode_exactly,
@@ -106,10 +104,6 @@ class TestErrors:
         with pytest.raises(CardinalityError):
             encode_at_most(2, [1, 2, 3, 4], Scheme.TOTALIZER)
 
-    def test_request_validation(self):
-        with pytest.raises(CardinalityError):
-            CardRequest(BoundKind.EXACTLY, 4, (1, 2, 3))
-
 
 class TestProjection:
     def test_sequential_at_most_two_of_four_has_11_models(self):
@@ -172,8 +166,3 @@ class TestDefaults:
         assert default_scheme(1, 5) is Scheme.PAIRWISE
         assert default_scheme(1, 9) is Scheme.TOTALIZER
         assert default_scheme(2, 4) is Scheme.TOTALIZER
-
-    def test_request_dispatch(self):
-        req = CardRequest(BoundKind.AT_MOST, 1, (1, 2, 3), Scheme.PAIRWISE)
-        clauses, _ = encode(req, None)
-        assert len(clauses) == 3

@@ -3,11 +3,16 @@ import sys
 
 import pytest
 
+from ttsat import cli
 from ttsat.cli import main
 from ttsat.cnf import parse_dimacs
+from ttsat.decode import DecodeError
 from ttsat.sample import sample_text
+from ttsat.solver import MaxSatResult, MaxSatStatus
 
 EXTERNAL_SELF = f"{sys.executable} -m ttsat solve-wcnf {{input}}"
+EXTERNAL_UNKNOWN = f"{sys.executable} -c \"print('s UNKNOWN')\""
+EXTERNAL_UNSAT = f"{sys.executable} -c \"print('s UNSATISFIABLE')\""
 
 
 @pytest.fixture()
@@ -23,6 +28,11 @@ def micro_path(tmp_path):
                  "--rooms", "2", "--courses", "2", "--curricula", "2",
                  "--density", "0.8", "-o", str(tmp_path / "micro.json")]) == 0
     return str(tmp_path / "micro.json")
+
+
+def gives_up(lower, upper):
+    """Stand-in for solve_maxsat that returns INDETERMINATE with these bounds."""
+    return lambda formula, cfg: MaxSatResult(MaxSatStatus.INDETERMINATE, bounds=(lower, upper))
 
 
 def run(capsys, argv):
@@ -91,6 +101,16 @@ class TestSolve:
         ])
         assert code in (0, 1)
 
+    def test_decode_failure_is_internal_exit_4(self, capsys, micro_path, monkeypatch):
+        def broken(*args):
+            raise DecodeError("session 'c1/lecture' has 0 true timeslot variables")
+
+        monkeypatch.setattr(cli, "decode_timetable", broken)
+        code, out, err = run(capsys, ["solve", micro_path])
+        assert code == 4
+        assert "true timeslot variables" in err
+        assert "s OPTIMUM FOUND" not in out
+
     def test_check_flag_on_micro(self, capsys, micro_path):
         code, out, _ = run(capsys, ["solve", micro_path, "--check"])
         assert code in (0, 1)
@@ -126,6 +146,42 @@ class TestSolve:
         assert code == 3
         assert "s UNKNOWN" in out
         assert "c bounds" in out
+
+
+class TestPortfolio:
+    def test_external_unknown_keeps_builtin_optimum(self, capsys, micro_path):
+        code, out, err = run(capsys, [
+            "solve", micro_path, "--portfolio", "--external-cmd", EXTERNAL_UNKNOWN,
+        ])
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[:2] == ["o 0", "s OPTIMUM FOUND"]
+        assert lines[3].startswith("room")
+        assert "external solver undecided" in err
+
+    def test_builtin_indeterminate_defers_to_external(self, capsys, micro_path, monkeypatch):
+        monkeypatch.setattr(cli, "solve_maxsat", gives_up(0, None))
+        code, out, _ = run(capsys, [
+            "solve", micro_path, "--portfolio", "--external-cmd", EXTERNAL_SELF,
+        ])
+        assert code == 0
+        assert out.splitlines()[:2] == ["o 0", "s OPTIMUM FOUND"]
+
+    def test_both_undecided_exit_3_with_bounds(self, capsys, micro_path, monkeypatch):
+        monkeypatch.setattr(cli, "solve_maxsat", gives_up(3, 7))
+        code, out, _ = run(capsys, [
+            "solve", micro_path, "--portfolio", "--external-cmd", EXTERNAL_UNKNOWN,
+        ])
+        assert code == 3
+        assert out == "s UNKNOWN\nc bounds 3 7\n"
+
+    def test_conclusive_disagreement_exit_4(self, capsys, micro_path):
+        code, out, err = run(capsys, [
+            "solve", micro_path, "--portfolio", "--external-cmd", EXTERNAL_UNSAT,
+        ])
+        assert code == 4
+        assert "portfolio disagreement" in err
+        assert out == ""
 
 
 class TestEncode:
@@ -241,6 +297,14 @@ class TestSolveWcnf:
         code, out, _ = run(capsys, ["solve-wcnf", str(wcnf)])
         assert code == 1
         assert "s UNSATISFIABLE" in out
+
+    def test_unknown_prints_bounds(self, capsys, tmp_path, monkeypatch):
+        wcnf = tmp_path / "f.wcnf"
+        wcnf.write_text("p wcnf 1 1 2\n1 1 0\n", encoding="utf-8")
+        monkeypatch.setattr(cli, "solve_maxsat", gives_up(3, 7))
+        code, out, _ = run(capsys, ["solve-wcnf", str(wcnf)])
+        assert code == 3
+        assert out == "s UNKNOWN\nc bounds 3 7\n"
 
     def test_bad_file_exit_2(self, capsys, tmp_path):
         wcnf = tmp_path / "bad.wcnf"

@@ -8,14 +8,10 @@ from ttsat.cardinality import Scheme
 from ttsat.cnf import write_dimacs
 from ttsat.decode import check_hard, compute_cost
 from ttsat.encoder import (
-    CapacityWeight,
     EncodeError,
     EncodeOptions,
-    RegistrationWeight,
     VarMap,
     encode,
-    encode_with_families,
-    explain_var,
     link_ct_cd,
     link_ct_kt,
     meeting_count,
@@ -48,7 +44,7 @@ class TestVarMap:
     def test_explain_ct(self, sample_instance):
         vm = VarMap(sample_instance)
         cs101_lec = sample_instance.courses[0].sessions[0]
-        assert explain_var(vm.ct(cs101_lec, 0), vm) == "ct(CS101/lecture, t1)"
+        assert vm.explain(vm.ct(cs101_lec, 0)) == "ct(CS101/lecture, t1)"
 
     def test_explain_aux_names_origin(self, sample_instance):
         vm = VarMap(sample_instance)
@@ -273,17 +269,6 @@ class TestSoftFamilies:
         opts = EncodeOptions(weighted=True)
         assert opts.capacity_weight(60 - 50) == 10
 
-    def test_unit_weight_modes(self, sample_instance):
-        vm = VarMap(sample_instance)
-        opts = EncodeOptions(
-            weighted=True,
-            registration_weight_mode=RegistrationWeight.UNIT,
-            capacity_weight_mode=CapacityWeight.UNIT,
-        )
-        assert {c.weight for c in registration_clashes(sample_instance, vm, opts)} == {1}
-        assert {c.weight for c in room_capacity(sample_instance, vm, opts)} == {1}
-        # unavailability keeps its own configured weight
-        assert {c.weight for c in timeslot_unavailability(sample_instance, vm, opts)} == {10}
 
 
 class TestRoomAssignment:
@@ -403,13 +388,6 @@ class TestEncodeWhole:
         first, _ = encode(sample_instance, EncodeOptions(weighted=True))
         second, _ = encode(sample_instance, EncodeOptions(weighted=True))
         assert write_dimacs(first) == write_dimacs(second)
-
-    def test_emit_kt_can_be_disabled(self, sample_instance):
-        formula, vm, families = encode_with_families(
-            sample_instance, EncodeOptions(emit_kt=False)
-        )
-        assert families["link_ct_kt"] == []
-        assert formula.num_vars == 188 - 4 * 5
 
     def test_invalid_instance_rejected(self, sample_json):
         doc = json.loads(sample_json)
