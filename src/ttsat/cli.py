@@ -61,11 +61,8 @@ def _err(msg: str) -> None:
 
 
 def _load_instance(path: str):
-    try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise InstanceError(str(exc)) from None
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
     instance = parse_instance(text)
     findings = validate_instance(instance)
     for f in findings:
@@ -217,11 +214,8 @@ def cmd_solve(args) -> int:
 
 def cmd_validate(args) -> int:
     instance, _ = _load_instance(args.instance)
-    try:
-        with open(args.timetable, encoding="utf-8") as handle:
-            timetable = parse_timetable_csv(handle.read(), instance)
-    except OSError as exc:
-        raise InstanceError(str(exc)) from None
+    with open(args.timetable, encoding="utf-8") as handle:
+        timetable = parse_timetable_csv(handle.read(), instance)
     opts = _encode_options(args)
     hard = check_hard(timetable, instance)
     report = compute_cost(timetable, instance, opts)
@@ -255,11 +249,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve_wcnf(args) -> int:
-    try:
-        with open(args.wcnf, encoding="utf-8") as handle:
-            formula = parse_dimacs(handle.read())
-    except OSError as exc:
-        raise InstanceError(str(exc)) from None
+    with open(args.wcnf, encoding="utf-8") as handle:
+        formula = parse_dimacs(handle.read())
     result = solve_maxsat(formula, SolverConfig(seed=args.seed, timeout=args.timeout))
     code = _print_no_optimum(result)
     if code is not None:
@@ -360,7 +351,9 @@ def main(argv=None) -> int:
         # an encoder or solver bug, not an input error
         _err(str(exc))
         return EXIT_INTERNAL
-    except (InstanceError, CnfError, EncodeError, TimetableFormatError, ValueError) as exc:
+    except (InstanceError, CnfError, EncodeError, TimetableFormatError, ValueError,
+            OSError) as exc:
+        # OSError: an input that cannot be read or an output that cannot be written
         _err(str(exc))
         return EXIT_INPUT
     except SolverError as exc:

@@ -3,11 +3,14 @@
 Literals are nonzero integers: ``v`` means variable ``v`` is true, ``-v``
 means it is false.  A clause weight of ``None`` marks the clause as hard;
 hard clauses are serialized with the formula's top weight.
+
+``Clause`` is a plain record; ``WcnfFormula`` is where clauses are checked,
+once each, when the formula is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 
@@ -15,31 +18,15 @@ class CnfError(ValueError):
     """Malformed clause, formula, DIMACS text, or solver output."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Clause:
-    """Disjunction of literals. ``weight is None`` means hard."""
+    """Disjunction of literals. ``weight is None`` means hard.
+
+    Unchecked on its own: ``WcnfFormula`` rejects malformed clauses.
+    """
 
     literals: tuple[int, ...]
     weight: int | None = None
-
-    def __post_init__(self):
-        lits = tuple(int(l) for l in self.literals)
-        object.__setattr__(self, "literals", lits)
-        if not lits:
-            raise CnfError("clause must contain at least one literal")
-        seen = set()
-        for lit in lits:
-            if lit == 0:
-                raise CnfError("0 is the clause terminator, not a literal")
-            var = abs(lit)
-            if var in seen:
-                raise CnfError(f"variable {var} occurs twice in clause {lits}")
-            seen.add(var)
-        if self.weight is not None:
-            w = int(self.weight)
-            if w < 1:
-                raise CnfError(f"soft clause weight must be >= 1, got {w}")
-            object.__setattr__(self, "weight", w)
 
     @property
     def is_hard(self) -> bool:
@@ -55,54 +42,62 @@ class WcnfFormula:
 
     ``top`` is the hard-clause sentinel weight and must exceed the sum of all
     soft weights.  When not given it defaults to that sum plus one.
+    Construction checks every clause: nonempty, no literal 0, no variable
+    twice, every variable within ``num_vars``, soft weights at least 1.  The
+    same pass keeps the hard and soft clauses apart, in formula order.
     """
 
     num_vars: int
     clauses: tuple[Clause, ...]
     top: int | None = None
+    hard_clauses: tuple[Clause, ...] = field(init=False, repr=False, compare=False)
+    soft_clauses: tuple[Clause, ...] = field(init=False, repr=False, compare=False)
+    soft_weight_sum: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         clauses = tuple(self.clauses)
-        object.__setattr__(self, "clauses", clauses)
-        if self.num_vars < 1:
+        num_vars = self.num_vars
+        if num_vars < 1:
             raise CnfError("formula needs at least one variable")
+        hard, soft = [], []
         soft_sum = 0
         for c in clauses:
             if not isinstance(c, Clause):
                 raise CnfError(f"expected Clause, got {type(c).__name__}")
-            if max(abs(l) for l in c.literals) > self.num_vars:
+            lits = c.literals
+            if not lits:
+                raise CnfError("clause must contain at least one literal")
+            variables = set(map(abs, lits))
+            if 0 in variables:
+                raise CnfError(f"0 is the clause terminator, not a literal, in {lits}")
+            if len(variables) != len(lits):
+                raise CnfError(f"a variable occurs twice in clause {lits}")
+            if max(variables) > num_vars:
                 raise CnfError(
-                    f"clause {c.literals} uses a variable beyond num_vars={self.num_vars}"
+                    f"variable {max(variables)} in clause {lits} exceeds num_vars={num_vars}"
                 )
-            if not c.is_hard:
+            if c.weight is None:
+                hard.append(c)
+            else:
+                if c.weight < 1:
+                    raise CnfError(f"soft clause weight must be >= 1, got {c.weight}")
+                soft.append(c)
                 soft_sum += c.weight
         top = soft_sum + 1 if self.top is None else int(self.top)
         if top <= soft_sum:
             raise CnfError(f"top weight {top} must exceed soft weight sum {soft_sum}")
+        object.__setattr__(self, "clauses", clauses)
         object.__setattr__(self, "top", top)
-
-    @property
-    def hard_clauses(self) -> tuple[Clause, ...]:
-        return tuple(c for c in self.clauses if c.is_hard)
-
-    @property
-    def soft_clauses(self) -> tuple[Clause, ...]:
-        return tuple(c for c in self.clauses if not c.is_hard)
-
-    @property
-    def soft_weight_sum(self) -> int:
-        return sum(c.weight for c in self.clauses if not c.is_hard)
+        object.__setattr__(self, "hard_clauses", tuple(hard))
+        object.__setattr__(self, "soft_clauses", tuple(soft))
+        object.__setattr__(self, "soft_weight_sum", soft_sum)
 
     def hard_satisfied(self, assignment) -> bool:
-        return all(c.satisfied_by(assignment) for c in self.clauses if c.is_hard)
+        return all(c.satisfied_by(assignment) for c in self.hard_clauses)
 
     def falsified_weight(self, assignment) -> int:
         """Total weight of soft clauses falsified by a total assignment."""
-        return sum(
-            c.weight
-            for c in self.clauses
-            if not c.is_hard and not c.satisfied_by(assignment)
-        )
+        return sum(c.weight for c in self.soft_clauses if not c.satisfied_by(assignment))
 
 
 @dataclass(frozen=True)
@@ -139,9 +134,12 @@ def write_dimacs(formula: WcnfFormula, comments: tuple[str, ...] = ()) -> str:
 
 def parse_dimacs(text: str) -> WcnfFormula:
     """Parse WCNF text. Classic headers are canonical; the header-less
-    "h"-marker variant is accepted too. Weights >= top normalize to hard."""
+    "h"-marker variant is accepted too. Weights >= top normalize to hard.
+
+    Only syntax is checked here, with line numbers; ``WcnfFormula`` checks
+    the clauses themselves."""
     num_vars = num_clauses = top = None
-    raw: list[tuple[int | None, list[int]]] = []  # (weight or None for hard, lits)
+    raw: list[tuple[int | None, tuple[int, ...]]] = []  # (weight or None for hard, lits)
     for lineno, line in enumerate(text.splitlines(), start=1):
         s = line.strip()
         if not s or s.startswith("c"):
@@ -160,16 +158,11 @@ def parse_dimacs(text: str) -> WcnfFormula:
         tokens = s.split()
         if tokens[-1] != "0":
             raise CnfError(f"line {lineno}: clause missing terminating 0")
-        hard = tokens[0] == "h"
         try:
-            weight = None if hard else int(tokens[0])
-            lits = [int(t) for t in tokens[1:-1]]
+            weight = None if tokens[0] == "h" else int(tokens[0])
+            lits = tuple(map(int, tokens[1:-1]))
         except ValueError:
             raise CnfError(f"line {lineno}: bad token in clause {s!r}") from None
-        if not hard and weight < 1:
-            raise CnfError(f"line {lineno}: nonpositive clause weight {weight}")
-        if not lits:
-            raise CnfError(f"line {lineno}: empty clause")
         raw.append((weight, lits))
     if not raw and num_vars is None:
         raise CnfError("no header and no clauses found")
@@ -178,16 +171,12 @@ def parse_dimacs(text: str) -> WcnfFormula:
             f"header declares {num_clauses} clauses but file contains {len(raw)}"
         )
     if num_vars is None:
-        num_vars = max(abs(l) for _, lits in raw for l in lits)
-    clauses = []
-    for weight, lits in raw:
-        for l in lits:
-            if abs(l) > num_vars:
-                raise CnfError(f"literal {l} exceeds declared variable count {num_vars}")
-        if weight is not None and top is not None and weight >= top:
-            weight = None
-        clauses.append(Clause(tuple(lits), weight))
-    return WcnfFormula(num_vars, tuple(clauses), top)
+        num_vars = max((abs(l) for _, lits in raw for l in lits), default=0)
+    clauses = tuple(
+        Clause(lits, None if top is not None and weight is not None and weight >= top else weight)
+        for weight, lits in raw
+    )
+    return WcnfFormula(num_vars, clauses, top)
 
 
 class OutputStatus(Enum):

@@ -28,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .cardinality import Scheme, encode_exactly
+from .cardinality import encode_exactly
 from .cnf import (
     Model,
     OutputStatus,
@@ -610,16 +610,13 @@ def solve_maxsat(formula: WcnfFormula, cfg: SolverConfig | None = None) -> MaxSa
     solver = CdclSolver(base_n, seed=cfg.seed)
     deadline = time.monotonic() + cfg.timeout if cfg.timeout is not None else None
 
-    for c in formula.clauses:
-        if c.is_hard:
-            solver.add_clause(c.literals)
+    for c in formula.hard_clauses:
+        solver.add_clause(c.literals)
 
     # each soft clause is stored relaxed by a selector: (lits v sel); assuming
     # -sel re-activates it.  Cores are reported in terms of those assumptions.
     softs: list[dict] = []
-    for c in formula.clauses:
-        if c.is_hard:
-            continue
+    for c in formula.soft_clauses:
         sel = solver.new_var()
         solver.add_clause(list(c.literals) + [sel])
         softs.append({"lits": list(c.literals), "w": c.weight, "sel": sel})
@@ -700,11 +697,7 @@ def solve_maxsat(formula: WcnfFormula, cfg: SolverConfig | None = None) -> MaxSa
                 if e["w"] == 0:
                     active.remove(e)
                     solver.add_clause([e["sel"]])
-            one_of, _ = encode_exactly(
-                1, blockers,
-                Scheme.PAIRWISE if len(blockers) <= 8 else Scheme.TOTALIZER,
-                solver.new_var,
-            )
+            one_of, _ = encode_exactly(1, blockers, alloc=solver.new_var)
             for cl in one_of:
                 solver.add_clause(cl)
 

@@ -5,7 +5,7 @@ import pytest
 
 from ttsat import cli
 from ttsat.cli import main
-from ttsat.cnf import parse_dimacs
+from ttsat.cnf import CnfError, parse_dimacs
 from ttsat.decode import DecodeError
 from ttsat.sample import sample_text
 from ttsat.solver import MaxSatResult, MaxSatStatus
@@ -311,6 +311,42 @@ class TestSolveWcnf:
         wcnf.write_text("p wcnf 1 2 2\n2 1\n", encoding="utf-8")
         code, _, _ = run(capsys, ["solve-wcnf", str(wcnf)])
         assert code == 2
+
+    @pytest.mark.parametrize("text", [
+        "p wcnf 2 1 5\n2 0\n",
+        "p wcnf 2 1 5\n0 1 0\n",
+        "p wcnf 2 1 5\n2 1 0 2 0\n",
+        "p wcnf 2 1 5\n2 1 -1 0\n",
+        "p wcnf 2 1 5\n2 3 0\n",
+        "h 0\n",
+    ], ids=["empty-clause", "weight-0", "inner-0", "repeated-variable",
+            "beyond-header", "headerless-empty"])
+    def test_malformed_clause_exit_2(self, capsys, tmp_path, text):
+        with pytest.raises(CnfError):
+            parse_dimacs(text)
+        wcnf = tmp_path / "bad.wcnf"
+        wcnf.write_text(text, encoding="utf-8")
+        code, _, err = run(capsys, ["solve-wcnf", str(wcnf)])
+        assert code == 2
+        assert err.startswith("error:")
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command", ["encode", "gen", "sample", "solve --save-wcnf"])
+    def test_missing_directory_exit_2(self, capsys, sample_path, tmp_path, command):
+        out = str(tmp_path / "missing" / "out")
+        argv = {
+            "encode": ["encode", sample_path, "-o", out],
+            "gen": ["gen", "--seed", "1", "-o", out],
+            "sample": ["sample", "-o", out],
+            "solve --save-wcnf": ["solve", sample_path, "--save-wcnf", out],
+        }[command]
+        code, stdout, err = run(capsys, argv)
+        assert code == 2
+        assert stdout == ""
+        errors = [l for l in err.splitlines() if not l.startswith("warning:")]
+        assert len(errors) == 1
+        assert errors[0].startswith("error:") and out in errors[0]
 
 
 class TestSample:

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_wcnf
 from ttsat.cnf import (
@@ -28,23 +30,23 @@ class TestClause:
 
     def test_rejects_empty(self):
         with pytest.raises(CnfError):
-            Clause(())
+            WcnfFormula(2, (Clause(()),))
 
     def test_rejects_duplicate_variable(self):
         with pytest.raises(CnfError):
-            Clause((1, 2, 1))
+            WcnfFormula(2, (Clause((1, 2, 1)),))
 
     def test_rejects_tautology(self):
         with pytest.raises(CnfError):
-            Clause((1, -1))
+            WcnfFormula(2, (Clause((1, -1)),))
 
     def test_rejects_zero_literal(self):
         with pytest.raises(CnfError):
-            Clause((1, 0))
+            WcnfFormula(2, (Clause((1, 0)),))
 
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(CnfError):
-            Clause((1,), 0)
+            WcnfFormula(2, (Clause((1,), 0),))
 
 
 class TestFormula:
@@ -180,3 +182,78 @@ class TestParseSolverOutput:
     def test_multiline_model(self):
         out = parse_solver_output("s OPTIMUM FOUND\nv 1 -2\nv 3 0\n")
         assert out.model == {1: True, 2: False, 3: True}
+
+
+def well_formed(entry, num_vars):
+    """A clause WcnfFormula must accept, stated directly from the format."""
+    if not isinstance(entry, Clause):
+        return False
+    variables = sorted(abs(l) for l in entry.literals)
+    return (
+        len(variables) > 0
+        and variables[0] >= 1
+        and variables[-1] <= num_vars
+        and all(a != b for a, b in zip(variables, variables[1:]))
+        and (entry.weight is None or entry.weight >= 1)
+    )
+
+
+@st.composite
+def well_formed_formulas(draw):
+    n = draw(st.integers(1, 12))
+    clauses = []
+    for _ in range(draw(st.integers(0, 20))):
+        variables = draw(st.lists(st.integers(1, n), min_size=1, max_size=4, unique=True))
+        signs = draw(st.lists(st.booleans(), min_size=len(variables), max_size=len(variables)))
+        weight = draw(st.none() | st.integers(1, 20))
+        clauses.append(Clause(tuple(v if s else -v for v, s in zip(variables, signs)), weight))
+    soft_sum = sum(c.weight for c in clauses if not c.is_hard)
+    top = draw(st.none() | st.integers(soft_sum + 1, soft_sum + 5))
+    return WcnfFormula(n, tuple(clauses), top)
+
+
+ANY_CLAUSE = st.builds(
+    Clause,
+    st.lists(st.integers(-6, 6), max_size=4).map(tuple),
+    st.none() | st.integers(-1, 5),
+)
+DIMACS_LIKE = st.text(alphabet="0123456789 -hpwcnfosv\n", max_size=80)
+
+
+class TestProperties:
+    @settings(deadline=None)
+    @given(st.text(max_size=80) | DIMACS_LIKE)
+    def test_parse_dimacs_raises_only_cnf_error(self, text):
+        try:
+            parse_dimacs(text)
+        except CnfError:
+            pass
+
+    @settings(deadline=None)
+    @given(st.text(max_size=80) | DIMACS_LIKE, st.none() | st.integers(1, 8))
+    def test_parse_solver_output_raises_only_cnf_error(self, text, num_vars):
+        try:
+            parse_solver_output(text, num_vars)
+        except CnfError:
+            pass
+
+    @settings(deadline=None)
+    @given(well_formed_formulas())
+    def test_dimacs_round_trip(self, formula):
+        text = write_dimacs(formula)
+        assert parse_dimacs(text) == formula
+        assert write_dimacs(parse_dimacs(text)) == text
+
+    @settings(deadline=None)
+    @given(st.integers(1, 6), st.lists(ANY_CLAUSE | st.tuples(st.integers(1, 6)), max_size=6))
+    def test_formula_accepts_exactly_well_formed_clauses(self, num_vars, entries):
+        expected = all(well_formed(e, num_vars) for e in entries)
+        try:
+            formula = WcnfFormula(num_vars, tuple(entries))
+        except CnfError:
+            assert not expected
+            return
+        assert expected
+        assert formula.hard_clauses == tuple(c for c in entries if c.is_hard)
+        assert formula.soft_clauses == tuple(c for c in entries if not c.is_hard)
+        assert formula.soft_weight_sum == sum(c.weight for c in formula.soft_clauses)
