@@ -12,6 +12,7 @@ import concurrent.futures
 import hashlib
 import os
 import sys
+import time
 
 from . import __version__
 from .cardinality import Scheme
@@ -79,12 +80,13 @@ def _encode_options(args) -> EncodeOptions:
     return EncodeOptions(weighted=args.mode == "weighted", card_scheme=scheme)
 
 
-def _solver_config(args, external_cmd=None) -> SolverConfig:
-    return SolverConfig(
-        seed=args.seed,
-        timeout=args.timeout,
-        external_cmd=external_cmd,
-    )
+def _solver_config(args, started: float, external_cmd=None) -> SolverConfig:
+    """The run's solver settings; --timeout counts from ``started`` (the
+    command's entry), so reading, encoding and loading use it up too."""
+    timeout = args.timeout
+    if timeout is not None:
+        timeout = max(0.0, timeout - (time.monotonic() - started))
+    return SolverConfig(seed=args.seed, timeout=timeout, external_cmd=external_cmd)
 
 
 def _external_command(args) -> str | None:
@@ -154,6 +156,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    started = time.monotonic()
     instance, text = _load_instance(args.instance)
     opts = _encode_options(args)
     formula, varmap = encode(instance, opts)
@@ -169,12 +172,12 @@ def cmd_solve(args) -> int:
 
     if args.portfolio:
         result = _solve_portfolio(
-            formula, _solver_config(args), _solver_config(args, external_cmd)
+            formula, _solver_config(args, started), _solver_config(args, started, external_cmd)
         )
     elif args.solver == "external":
-        result = solve_external(formula, _solver_config(args, external_cmd))
+        result = solve_external(formula, _solver_config(args, started, external_cmd))
     else:
-        result = solve_maxsat(formula, _solver_config(args))
+        result = solve_maxsat(formula, _solver_config(args, started))
     code = _print_no_optimum(result)
     if code is not None:
         return code
@@ -249,9 +252,10 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve_wcnf(args) -> int:
+    started = time.monotonic()
     with open(args.wcnf, encoding="utf-8") as handle:
         formula = parse_dimacs(handle.read())
-    result = solve_maxsat(formula, SolverConfig(seed=args.seed, timeout=args.timeout))
+    result = solve_maxsat(formula, _solver_config(args, started))
     code = _print_no_optimum(result)
     if code is not None:
         return code

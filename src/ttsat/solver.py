@@ -5,6 +5,12 @@ first-UIP learning with cheap self-subsumption minimization, activity-based
 branching with decay, phase saving, Luby restarts, and MiniSat-style
 assumption handling with failed-assumption cores.
 
+Its per-variable bookkeeping is amortized O(1): the literal-indexed arrays
+grow by doubling their capacity, not by one variable at a time, and the lazy
+branching heap is rebuilt with one entry per unassigned variable once it
+holds more than twice as many entries as there are variables (or after an
+activity rescale), so stale entries never dominate it.
+
 One exact optimizer sits on top of it: stratified core-guided
 relax-and-split over unsatisfiable cores of soft clause selectors, splitting
 weights at each core.
@@ -122,7 +128,8 @@ class CdclSolver:
         self.nvars = 0
         self.ok = True
         # literal-indexed arrays use python's negative indexing: index l is
-        # valid for l in [-nvars, nvars] on a list of length 2*nvars + 1
+        # valid for l in [-cap, cap] on a list of length 2*cap + 1, where
+        # cap >= nvars; slots beyond nvars hold None and _UNASSIGNED
         self.vals: list[int] = [_UNASSIGNED]
         self.watches: list = [None]
         self.level = [0]
@@ -150,22 +157,29 @@ class CdclSolver:
         if n <= self.nvars:
             return
         old = self.nvars
-        vals = [_UNASSIGNED] * (2 * n + 1)
-        watches: list = [None] * (2 * n + 1)
-        for l in range(-old, old + 1):
-            vals[l] = self.vals[l]
-            watches[l] = self.watches[l]
-        for l in range(old + 1, n + 1):
-            watches[l] = []
-            watches[-l] = []
-        self.vals = vals
-        self.watches = watches
+        cap = len(self.vals) // 2
+        if n > cap:
+            # geometric growth: a run of new_var calls copies each literal
+            # slot O(1) times on average
+            cap = max(n, 2 * cap)
+            vals = [_UNASSIGNED] * (2 * cap + 1)
+            watches: list = [None] * (2 * cap + 1)
+            vals[:old + 1] = self.vals[:old + 1]
+            watches[:old + 1] = self.watches[:old + 1]
+            if old:
+                vals[-old:] = self.vals[-old:]
+                watches[-old:] = self.watches[-old:]
+            self.vals = vals
+            self.watches = watches
+        watches = self.watches
         grow = n - old
         self.level.extend([0] * grow)
         self.reason.extend([None] * grow)
         self.phase.extend([False] * grow)
         self.seen.extend(bytes(grow))
         for v in range(old + 1, n + 1):
+            watches[v] = []
+            watches[-v] = []
             a = self._rng.random() * 1e-6
             self.act.append(a)
             heapq.heappush(self.heap, (-a, v))
@@ -286,7 +300,17 @@ class CdclSolver:
                 self.act[u] *= scale
             self.var_inc *= scale
             a = self.act[v]
+            # the old entries are ranked by pre-scale activities
+            self._rebuild_heap()
         heapq.heappush(self.heap, (-a, v))
+
+    def _rebuild_heap(self) -> None:
+        """One heap entry per unassigned variable, at its current activity."""
+        vals = self.vals
+        act = self.act
+        heap = [(-act[v], v) for v in range(1, self.nvars + 1) if vals[v] == _UNASSIGNED]
+        heapq.heapify(heap)
+        self.heap = heap
 
     def _analyze(self, confl):
         # first-UIP resolution along the trail
@@ -384,6 +408,11 @@ class CdclSolver:
         self.qhead = bound
 
     def _pick_branch(self) -> int:
+        # Every unassigned variable has an entry at its current activity,
+        # which outranks its older ones, so dropping the stale entries
+        # leaves the pick unchanged: the argmax of (act[v], -v).
+        if len(self.heap) > 2 * self.nvars:
+            self._rebuild_heap()
         vals = self.vals
         heap = self.heap
         while heap:

@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 
 import pytest
 
@@ -146,6 +147,18 @@ class TestSolve:
         assert code == 3
         assert "s UNKNOWN" in out
         assert "c bounds" in out
+
+    def test_timeout_covers_encoding(self, capsys, micro_path, monkeypatch):
+        encode = cli.encode
+
+        def slow_encode(*args):
+            time.sleep(0.3)
+            return encode(*args)
+
+        monkeypatch.setattr(cli, "encode", slow_encode)
+        code, out, _ = run(capsys, ["solve", micro_path, "--timeout", "0.2"])
+        assert code == 3
+        assert "s UNKNOWN" in out
 
 
 class TestPortfolio:
@@ -305,6 +318,18 @@ class TestSolveWcnf:
         code, out, _ = run(capsys, ["solve-wcnf", str(wcnf)])
         assert code == 3
         assert out == "s UNKNOWN\nc bounds 3 7\n"
+
+    def test_timeout_covers_parsing(self, capsys, tmp_path, monkeypatch):
+        def slow_parse(text):
+            time.sleep(0.3)
+            return parse_dimacs(text)
+
+        wcnf = tmp_path / "f.wcnf"
+        wcnf.write_text("p wcnf 1 1 2\n1 1 0\n", encoding="utf-8")
+        monkeypatch.setattr(cli, "parse_dimacs", slow_parse)
+        code, out, _ = run(capsys, ["solve-wcnf", str(wcnf), "--timeout", "0.2"])
+        assert code == 3
+        assert out.startswith("s UNKNOWN\n")
 
     def test_bad_file_exit_2(self, capsys, tmp_path):
         wcnf = tmp_path / "bad.wcnf"

@@ -1,9 +1,14 @@
+import heapq
 import random
 import sys
+import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_wcnf
+from ttsat import solver as solver_module
 from ttsat.cnf import Clause, WcnfFormula
 from ttsat.solver import (
     CdclSolver,
@@ -98,6 +103,90 @@ class TestSolveSat:
         solver.add_clause((-1,))
         solver.add_clause((-2,))
         assert solver.solve().status is SatStatus.UNSAT
+
+
+def brute_force_sat(num_vars, clauses):
+    """SAT/UNSAT by exhaustive enumeration, through the numpy oracle."""
+    formula = WcnfFormula(num_vars, tuple(Clause(tuple(c)) for c in clauses))
+    return brute_force_maxsat(formula).status is MaxSatStatus.OPTIMUM
+
+
+def clause_over(n):
+    """A clause over variables 1..n with no repeated variable."""
+    return st.lists(st.integers(1, n), min_size=1, max_size=3, unique=True).flatmap(
+        lambda vs: st.tuples(*(st.sampled_from((v, -v)) for v in vs)))
+
+
+class TestCdclSolver:
+    def test_rescale_reranks_heap(self):
+        solver = CdclSolver(3)
+        solver.var_inc = 5e99
+        solver._bump(2)
+        solver.var_inc = 2e100
+        solver._bump(1)  # passes 1e100: every activity is scaled by 1e-100
+        assert solver.act[1:3] == [2.0, 0.5]
+        assert solver._pick_branch() == 1
+
+    def test_pick_is_argmax_and_heap_stays_bounded(self, monkeypatch):
+        solver = CdclSolver(0, php(6))
+        pushes = 0
+        compactions = 0
+
+        def counting_push(heap, item):
+            nonlocal pushes
+            pushes += 1
+            heapq.heappush(heap, item)
+
+        monkeypatch.setattr(solver_module, "heapq", types.SimpleNamespace(
+            heappush=counting_push, heappop=heapq.heappop, heapify=heapq.heapify))
+        pick = solver._pick_branch
+
+        def checked_pick():
+            nonlocal pushes, compactions
+            n = solver.nvars
+            assert len(solver.heap) <= 2 * n + pushes
+            compactions += len(solver.heap) > 2 * n
+            unassigned = [v for v in range(1, n + 1) if solver.vals[v] == solver_module._UNASSIGNED]
+            expected = max(unassigned, key=lambda v: (solver.act[v], -v), default=0)
+            v = pick()
+            assert v == expected
+            pushes = 0
+            return v
+
+        solver._pick_branch = checked_pick
+        assert solver.solve().status is SatStatus.UNSAT
+        assert compactions > 0
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_incremental_against_brute_force(self, data):
+        """new_var and add_clause between solve calls, crossing the literal
+        arrays' capacity several times, against exhaustive enumeration."""
+        solver = CdclSolver(data.draw(st.integers(1, 2)), seed=data.draw(st.integers(0, 3)))
+        clauses = []
+        for _ in range(data.draw(st.integers(1, 5))):
+            for _ in range(data.draw(st.integers(0, 2))):
+                solver.new_var()
+            n = solver.nvars
+            for c in data.draw(st.lists(clause_over(n), max_size=6)):
+                clauses.append(c)
+                solver.add_clause(c)
+            assumptions = [
+                v if positive else -v
+                for v, positive in data.draw(st.lists(
+                    st.tuples(st.integers(1, n), st.booleans()),
+                    max_size=4, unique_by=lambda t: t[0]))
+            ]
+            res = solver.solve(assumptions)
+            units = [(a,) for a in assumptions]
+            assert (res.status is SatStatus.SAT) == brute_force_sat(n, clauses + units)
+            if res.status is SatStatus.SAT:
+                for c in clauses + units:
+                    assert any(res.model[abs(l)] == (l > 0) for l in c)
+            else:
+                assert res.status is SatStatus.UNSAT
+                assert set(res.core) <= set(assumptions)
+                assert solve_sat(clauses, res.core).status is SatStatus.UNSAT
 
 
 class TestSolveMaxsatExamples:
