@@ -8,14 +8,12 @@ lines and the timetable grid go to stdout; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import os
 import sys
 import time
 
 from . import __version__
-from .cardinality import Scheme
 from .cnf import CnfError, parse_dimacs, write_dimacs
 from .decode import (
     DecodeError,
@@ -37,7 +35,6 @@ from .model import (
 )
 from .sample import sample_text
 from .solver import (
-    ExternalSolverError,
     MaxSatStatus,
     SolverConfig,
     SolverError,
@@ -53,8 +50,6 @@ EXIT_HARD_UNSAT = 1
 EXIT_INPUT = 2
 EXIT_INDETERMINATE = 3
 EXIT_INTERNAL = 4
-
-_SCHEMES = {s.value: s for s in Scheme}
 
 
 def _err(msg: str) -> None:
@@ -76,8 +71,7 @@ def _load_instance(path: str):
 
 
 def _encode_options(args) -> EncodeOptions:
-    scheme = _SCHEMES[args.card] if args.card else None
-    return EncodeOptions(weighted=args.mode == "weighted", card_scheme=scheme)
+    return EncodeOptions(weighted=args.mode == "weighted")
 
 
 def _solver_config(args, started: float, external_cmd=None) -> SolverConfig:
@@ -117,32 +111,6 @@ def _print_no_optimum(result) -> int | None:
     return None
 
 
-def _solve_portfolio(formula, builtin_cfg, external_cfg):
-    """Run the builtin and the external solver concurrently.
-
-    A side that gives up (builtin INDETERMINATE, or ExternalSolverError)
-    defers to the other side's answer, which the caller then checks; two
-    conclusive answers that differ raise SolverInternalError.
-    """
-    with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
-        fut_b = pool.submit(solve_maxsat, formula, builtin_cfg)
-        fut_e = pool.submit(solve_external, formula, external_cfg)
-        builtin = fut_b.result()
-        try:
-            external = fut_e.result()
-        except ExternalSolverError as exc:
-            print(f"warning: external solver undecided: {exc}", file=sys.stderr)
-            return builtin
-    if builtin.status is MaxSatStatus.INDETERMINATE:
-        return external
-    if builtin.status is not external.status or builtin.cost != external.cost:
-        raise SolverInternalError(
-            f"portfolio disagreement: builtin {builtin.status.value}/{builtin.cost} "
-            f"vs external {external.status.value}/{external.cost}"
-        )
-    return builtin
-
-
 def cmd_encode(args) -> int:
     instance, text = _load_instance(args.instance)
     formula, varmap = encode(instance, _encode_options(args))
@@ -163,18 +131,12 @@ def cmd_solve(args) -> int:
     if args.save_wcnf:
         _write_wcnf(formula, varmap, args.save_wcnf, text)
 
-    external_cmd = _external_command(args)
-    if args.solver == "external" or args.portfolio:
+    if args.solver == "external":
+        external_cmd = _external_command(args)
         if not external_cmd:
             _err("external solver requested but no command given "
                  "(use --external-cmd or TTSAT_EXTERNAL_SOLVER)")
             return EXIT_INPUT
-
-    if args.portfolio:
-        result = _solve_portfolio(
-            formula, _solver_config(args, started), _solver_config(args, started, external_cmd)
-        )
-    elif args.solver == "external":
         result = solve_external(formula, _solver_config(args, started, external_cmd))
     else:
         result = solve_maxsat(formula, _solver_config(args, started))
@@ -280,8 +242,6 @@ def cmd_sample(args) -> int:
 def _add_common_encode_flags(p) -> None:
     p.add_argument("--mode", choices=("partial", "weighted"), default="weighted",
                    help="soft-clause weighting (default: weighted)")
-    p.add_argument("--card", choices=sorted(_SCHEMES), default=None,
-                   help="cardinality scheme (default: per-constraint choice)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -310,8 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "csv"), default="text")
     p.add_argument("--check", action="store_true",
                    help="cross-check against brute force when small enough")
-    p.add_argument("--portfolio", action="store_true",
-                   help="run builtin and external concurrently and compare")
     p.add_argument("--save-wcnf", default=None, help="also write the WCNF here")
     p.set_defaults(fn=cmd_solve)
 

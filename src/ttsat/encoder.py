@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .cardinality import Scheme, default_scheme, encode_exactly
+from .cardinality import default_scheme, encode_exactly
 from .cnf import Clause, WcnfFormula
 from .model import (
     Instance,
@@ -39,21 +39,18 @@ UNAVAILABILITY_WEIGHT = 10  # the paper's price of a forbidden timeslot
 
 @dataclass(frozen=True)
 class EncodeOptions:
-    """Knobs for the encoding.
+    """The one encoding choice: ``weighted`` gives the paper's weights
+    (registered students per clashing registration, 10 per forbidden
+    timeslot, seats short per capacity overflow); ``False`` is the plain
+    partial mode, every soft clause weight 1.
 
-    * ``weighted``: the paper's weights (registered students per clashing
-      registration, 10 per forbidden timeslot, seats short per capacity
-      overflow); ``False`` is the plain partial mode, every soft clause
-      weight 1.
-    * ``card_scheme``: the exactly-one encoding; ``None`` picks pairwise
-      for tiny constraints and the totalizer otherwise.
-
-    The weight methods are the single weighting policy, shared by the
-    encoder and by ``decode.compute_cost``.
+    Every exactly-one uses ``cardinality.default_scheme``: pairwise for
+    tiny constraints, the totalizer otherwise.  The weight methods are the
+    single weighting policy, shared by the encoder and by
+    ``decode.compute_cost``.
     """
 
     weighted: bool = True
-    card_scheme: Scheme | None = None
 
     def registration_weight(self, students: int) -> int:
         return students if self.weighted else 1
@@ -268,7 +265,7 @@ def room_capacity(instance: Instance, varmap: VarMap, opts: EncodeOptions) -> li
     return out
 
 
-def room_assignment(instance: Instance, varmap: VarMap, opts: EncodeOptions) -> list[Clause]:
+def room_assignment(instance: Instance, varmap: VarMap) -> list[Clause]:
     """Exactly one room per session; labs restricted to lab rooms."""
     out = []
     for s in instance.sessions:
@@ -281,7 +278,7 @@ def room_assignment(instance: Instance, varmap: VarMap, opts: EncodeOptions) -> 
         else:
             eligible = [r.id for r in instance.rooms]
         lits = [varmap.cr(s.id, r) for r in eligible]
-        scheme = opts.card_scheme or default_scheme(1, len(lits))
+        scheme = default_scheme(1, len(lits))
         tag = f"room_assignment/{instance.session_label(s.id)}/{scheme.value}"
         raw, _ = encode_exactly(1, lits, scheme, varmap.allocator(tag))
         out.extend(Clause(c) for c in raw)
@@ -292,13 +289,13 @@ def room_assignment(instance: Instance, varmap: VarMap, opts: EncodeOptions) -> 
     return out
 
 
-def meeting_count(instance: Instance, varmap: VarMap, opts: EncodeOptions) -> list[Clause]:
+def meeting_count(instance: Instance, varmap: VarMap) -> list[Clause]:
     """Exactly one timeslot per session.  Together with the sibling-session
     curriculum clash this schedules each course twice a week in distinct slots."""
     out = []
     for s in instance.sessions:
         lits = [varmap.ct(s.id, t.id) for t in instance.timeslots]
-        scheme = opts.card_scheme or default_scheme(1, len(lits))
+        scheme = default_scheme(1, len(lits))
         tag = f"meeting_count/{instance.session_label(s.id)}/{scheme.value}"
         raw, _ = encode_exactly(1, lits, scheme, varmap.allocator(tag))
         out.extend(Clause(c) for c in raw)
@@ -354,8 +351,8 @@ def encode_with_families(
     emit("room_clashes", room_clashes(instance, varmap))
     emit("timeslot_unavailability", timeslot_unavailability(instance, varmap, opts))
     emit("room_capacity", room_capacity(instance, varmap, opts))
-    emit("room_assignment", room_assignment(instance, varmap, opts))
-    emit("meeting_count", meeting_count(instance, varmap, opts))
+    emit("room_assignment", room_assignment(instance, varmap))
+    emit("meeting_count", meeting_count(instance, varmap))
 
     formula = WcnfFormula(varmap.num_vars, tuple(clauses))
     return formula, varmap, families

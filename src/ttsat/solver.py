@@ -142,8 +142,6 @@ class CdclSolver:
         self.qhead = 0
         self.heap: list[tuple[float, int]] = []
         self.var_inc = 1.0
-        self.var_decay = VAR_DECAY
-        self.restart_base = RESTART_BASE
         self.total_conflicts = 0
         self.orig_clauses: list[list[int]] = []
         self.learned: list[list[int]] = []
@@ -485,7 +483,7 @@ class CdclSolver:
             return SatResult(SatStatus.UNSAT, core=())
         conflicts = 0
         restart_idx = 1
-        restart_at = self.restart_base * _luby(0)
+        restart_at = RESTART_BASE * _luby(0)
         while True:
             confl = self._propagate()
             if confl is not None:
@@ -497,7 +495,7 @@ class CdclSolver:
                 learnt, bt = self._analyze(confl)
                 self._backtrack(bt)
                 self._attach_learnt(learnt)
-                self.var_inc /= self.var_decay
+                self.var_inc /= VAR_DECAY
                 if len(self.learned) > self.max_learned:
                     self._reduce_db()
                     self.max_learned = int(self.max_learned * 1.3)
@@ -508,7 +506,7 @@ class CdclSolver:
                     self._backtrack(0)
                     return SatResult(SatStatus.INDETERMINATE)
                 if conflicts >= restart_at:
-                    restart_at = conflicts + self.restart_base * _luby(restart_idx)
+                    restart_at = conflicts + RESTART_BASE * _luby(restart_idx)
                     restart_idx += 1
                     # keep the assumption prefix; rebuilding it every restart
                     # dominates runtime when there are many assumptions
@@ -737,7 +735,9 @@ def solve_external(formula: WcnfFormula, cfg: SolverConfig) -> MaxSatResult:
     The command template must contain an ``{input}`` placeholder for the
     WCNF path (appended if missing).  The returned model is checked against
     the formula and the reported cost is recomputed; disagreement raises
-    UntrustedSolverError.
+    UntrustedSolverError.  A timeout, or a checked model the solver did not
+    prove optimal, is INDETERMINATE (the model's cost is the upper bound);
+    output with no status line raises ExternalSolverError.
     """
     if not cfg.external_cmd:
         raise ExternalSolverError("no external solver command configured")
@@ -759,9 +759,7 @@ def solve_external(formula: WcnfFormula, cfg: SolverConfig) -> MaxSatResult:
         except FileNotFoundError as exc:
             raise ExternalSolverError(f"external solver not found: {exc}") from None
         except subprocess.TimeoutExpired:
-            raise ExternalSolverError(
-                f"external solver timed out after {cfg.timeout}s"
-            ) from None
+            return MaxSatResult(MaxSatStatus.INDETERMINATE, bounds=(0, None))
         out = parse_solver_output(proc.stdout, num_vars=formula.num_vars)
         if out.status is OutputStatus.UNSAT:
             return MaxSatResult(MaxSatStatus.HARD_UNSAT)
@@ -778,11 +776,10 @@ def solve_external(formula: WcnfFormula, cfg: SolverConfig) -> MaxSatResult:
             raise UntrustedSolverError(
                 f"external solver claimed cost {out.cost}, model costs {recomputed}"
             )
+        model = Model(dict(out.model), recomputed)
         if out.status is not OutputStatus.OPTIMUM:
-            raise ExternalSolverError("external solver stopped before proving optimality")
-        return MaxSatResult(
-            MaxSatStatus.OPTIMUM, recomputed, Model(dict(out.model), recomputed)
-        )
+            return MaxSatResult(MaxSatStatus.INDETERMINATE, model=model, bounds=(0, recomputed))
+        return MaxSatResult(MaxSatStatus.OPTIMUM, recomputed, model)
     finally:
         if path is not None and os.path.exists(path):
             os.unlink(path)

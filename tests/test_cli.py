@@ -12,8 +12,6 @@ from ttsat.sample import sample_text
 from ttsat.solver import MaxSatResult, MaxSatStatus
 
 EXTERNAL_SELF = f"{sys.executable} -m ttsat solve-wcnf {{input}}"
-EXTERNAL_UNKNOWN = f"{sys.executable} -c \"print('s UNKNOWN')\""
-EXTERNAL_UNSAT = f"{sys.executable} -c \"print('s UNSATISFIABLE')\""
 
 
 @pytest.fixture()
@@ -85,6 +83,18 @@ class TestSolve:
         assert code == 0
         assert out.splitlines()[0] == "o 10"
 
+    def test_external_timeout_is_indeterminate(self, capsys, micro_path, tmp_path):
+        stub = tmp_path / "slow.py"
+        stub.write_text("import time\ntime.sleep(5)\n")
+        started = time.monotonic()
+        code, out, _ = run(capsys, [
+            "solve", micro_path, "--solver", "external", "--timeout", "0.5",
+            "--external-cmd", f"{sys.executable} {stub} {{input}}",
+        ])
+        assert time.monotonic() - started < 4
+        assert code == 3
+        assert out == "s UNKNOWN\nc bounds 0 ?\n"
+
     def test_external_without_command(self, capsys, sample_path, monkeypatch):
         monkeypatch.delenv("TTSAT_EXTERNAL_SOLVER", raising=False)
         code, _, err = run(capsys, ["solve", sample_path, "--solver", "external"])
@@ -94,12 +104,6 @@ class TestSolve:
     def test_external_env_var(self, capsys, micro_path, monkeypatch):
         monkeypatch.setenv("TTSAT_EXTERNAL_SOLVER", EXTERNAL_SELF)
         code, out, _ = run(capsys, ["solve", micro_path, "--solver", "external"])
-        assert code in (0, 1)
-
-    def test_portfolio_agreement(self, capsys, micro_path):
-        code, out, _ = run(capsys, [
-            "solve", micro_path, "--portfolio", "--external-cmd", EXTERNAL_SELF,
-        ])
         assert code in (0, 1)
 
     def test_decode_failure_is_internal_exit_4(self, capsys, micro_path, monkeypatch):
@@ -137,11 +141,6 @@ class TestSolve:
         assert code == 0
         assert out.splitlines()[0] == "o 2"
 
-    def test_alternate_card_scheme_same_cost(self, capsys, sample_path):
-        code, out, _ = run(capsys, ["solve", sample_path, "--card", "seqcounter"])
-        assert code == 0
-        assert out.splitlines()[0] == "o 10"
-
     def test_expired_timeout_is_indeterminate(self, capsys, sample_path):
         code, out, _ = run(capsys, ["solve", sample_path, "--timeout", "0"])
         assert code == 3
@@ -161,40 +160,18 @@ class TestSolve:
         assert "s UNKNOWN" in out
 
 
-class TestPortfolio:
-    def test_external_unknown_keeps_builtin_optimum(self, capsys, micro_path):
-        code, out, err = run(capsys, [
-            "solve", micro_path, "--portfolio", "--external-cmd", EXTERNAL_UNKNOWN,
-        ])
-        assert code == 0
-        lines = out.splitlines()
-        assert lines[:2] == ["o 0", "s OPTIMUM FOUND"]
-        assert lines[3].startswith("room")
-        assert "external solver undecided" in err
-
-    def test_builtin_indeterminate_defers_to_external(self, capsys, micro_path, monkeypatch):
-        monkeypatch.setattr(cli, "solve_maxsat", gives_up(0, None))
-        code, out, _ = run(capsys, [
-            "solve", micro_path, "--portfolio", "--external-cmd", EXTERNAL_SELF,
-        ])
-        assert code == 0
-        assert out.splitlines()[:2] == ["o 0", "s OPTIMUM FOUND"]
-
-    def test_both_undecided_exit_3_with_bounds(self, capsys, micro_path, monkeypatch):
-        monkeypatch.setattr(cli, "solve_maxsat", gives_up(3, 7))
-        code, out, _ = run(capsys, [
-            "solve", micro_path, "--portfolio", "--external-cmd", EXTERNAL_UNKNOWN,
-        ])
-        assert code == 3
-        assert out == "s UNKNOWN\nc bounds 3 7\n"
-
-    def test_conclusive_disagreement_exit_4(self, capsys, micro_path):
-        code, out, err = run(capsys, [
-            "solve", micro_path, "--portfolio", "--external-cmd", EXTERNAL_UNSAT,
-        ])
-        assert code == 4
-        assert "portfolio disagreement" in err
-        assert out == ""
+class TestUnknownFlags:
+    @pytest.mark.parametrize("argv", [
+        ["solve", "x.json", "--portfolio"],
+        ["solve", "x.json", "--card", "pairwise"],
+        ["encode", "x.json", "-o", "x.wcnf", "--card", "pairwise"],
+        ["validate", "x.json", "x.csv", "--card", "seqcounter"],
+    ])
+    def test_unknown_argument(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestEncode:

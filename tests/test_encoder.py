@@ -1,10 +1,10 @@
+import hashlib
 import itertools
 import json
 
 import pytest
 
 from helpers import all_placements, assignment_for_placement, semantic_optimum
-from ttsat.cardinality import Scheme
 from ttsat.cnf import write_dimacs
 from ttsat.decode import check_hard, compute_cost
 from ttsat.encoder import (
@@ -274,7 +274,7 @@ class TestSoftFamilies:
 class TestRoomAssignment:
     def test_lab_session_restricted_to_labs(self, sample_instance):
         vm = VarMap(sample_instance)
-        clauses = room_assignment(sample_instance, vm, EncodeOptions(weighted=True))
+        clauses = room_assignment(sample_instance, vm)
         courses, _, rooms = by_label(sample_instance)
         cs202_lab = courses["CS202"].sessions[1]
         lits = {c.literals for c in clauses}
@@ -285,7 +285,7 @@ class TestRoomAssignment:
 
     def test_section_session_eligible_everywhere(self, sample_instance):
         vm = VarMap(sample_instance)
-        clauses = room_assignment(sample_instance, vm, EncodeOptions(weighted=True))
+        clauses = room_assignment(sample_instance, vm)
         courses, _, _ = by_label(sample_instance)
         m271_sec = courses["M271"].sessions[1]
         lits = {c.literals for c in clauses}
@@ -295,7 +295,7 @@ class TestRoomAssignment:
         inst = gen_random_instance(3, days=1, slots_per_day=2, rooms=1,
                                    courses=1, curricula=1, overlap_density=0)
         vm = VarMap(inst)
-        clauses = room_assignment(inst, vm, EncodeOptions())
+        clauses = room_assignment(inst, vm)
         assert all(len(c.literals) == 1 and c.literals[0] > 0 for c in clauses)
 
     def test_lab_without_lab_room_raises(self, sample_json):
@@ -305,7 +305,7 @@ class TestRoomAssignment:
         instance = parse_instance(json.dumps(doc))
         vm = VarMap(instance)
         with pytest.raises(EncodeError, match="no lab room"):
-            room_assignment(instance, vm, EncodeOptions())
+            room_assignment(instance, vm)
 
 
 class TestMeetingCount:
@@ -328,7 +328,7 @@ class TestMeetingCount:
         })
         instance = parse_instance(text)
         vm = VarMap(instance)
-        clauses = [c.literals for c in meeting_count(instance, vm, EncodeOptions())]
+        clauses = [c.literals for c in meeting_count(instance, vm)]
         s1, s2 = instance.courses[0].sessions
         for t in range(5):
             clauses.append((-vm.ct(s1, t), -vm.ct(s2, t)))
@@ -384,6 +384,22 @@ class TestEncodeWhole:
         formula = sample_weighted[0]
         assert formula.top == formula.soft_weight_sum + 1 == 1603
 
+    # sha256 of write_dimacs (no comments) and of the explain lines of the
+    # bundled sample; any change to the paper encoding's clauses, their
+    # order or the variable numbering changes these
+    @pytest.mark.parametrize("weighted, dimacs_sha256, explain_sha256", [
+        (True, "e2f2a9dacf83745b71bbd1ab77f8553bab0088fb9eec529238132596d05af002",
+         "98852d341e64b5174172bf7914c7667b465e0b3e57e5daa9115d7996a5979f14"),
+        (False, "2b8eb4403f72dd82e57773d9d5216ef1720eb65f24b34feec9f5267bf6dc90b8",
+         "98852d341e64b5174172bf7914c7667b465e0b3e57e5daa9115d7996a5979f14"),
+    ])
+    def test_paper_encoding_pinned(self, sample_instance, weighted, dimacs_sha256,
+                                   explain_sha256):
+        formula, vm = encode(sample_instance, EncodeOptions(weighted=weighted))
+        explain = "\n".join(vm.explain(v) for v in range(1, vm.num_vars + 1))
+        assert hashlib.sha256(write_dimacs(formula).encode()).hexdigest() == dimacs_sha256
+        assert hashlib.sha256(explain.encode()).hexdigest() == explain_sha256
+
     def test_deterministic_bytes(self, sample_instance):
         first, _ = encode(sample_instance, EncodeOptions(weighted=True))
         second, _ = encode(sample_instance, EncodeOptions(weighted=True))
@@ -396,14 +412,6 @@ class TestEncodeWhole:
         instance = parse_instance(json.dumps(doc))
         with pytest.raises(EncodeError, match="invalid"):
             encode(instance)
-
-    def test_alternate_scheme_still_sound(self, sample_instance):
-        formula, vm = encode(
-            sample_instance, EncodeOptions(card_scheme=Scheme.SEQUENTIAL_COUNTER)
-        )
-        assert formula.num_vars > 188  # counters allocate auxiliaries
-        res = solve_sat([c.literals for c in formula.hard_clauses])
-        assert res.status.value == "sat"
 
 
 class TestCostFaithfulness:

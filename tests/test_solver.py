@@ -329,6 +329,17 @@ class TestExternal:
         with pytest.raises(ExternalSolverError, match="no external solver"):
             solve_external(WEIGHTED, SolverConfig())
 
+    def test_unproven_model_is_indeterminate(self, tmp_path):
+        stub = tmp_path / "stub.py"
+        # a feasible model costing 4 (the optimum is 3), not claimed optimal
+        stub.write_text("print('o 4')\nprint('s SATISFIABLE')\nprint('v -1 -2 3 0')\n")
+        cfg = SolverConfig(external_cmd=f"{sys.executable} {stub} {{input}}", timeout=60)
+        res = solve_external(WEIGHTED, cfg)
+        assert res.status is MaxSatStatus.INDETERMINATE
+        assert res.bounds == (0, 4)
+        assert res.model.cost == 4
+        assert res.model.assignment == {1: False, 2: False, 3: True}
+
     def test_silent_solver(self, tmp_path):
         quiet = tmp_path / "quiet.py"
         quiet.write_text("pass\n")
