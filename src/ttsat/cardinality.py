@@ -179,44 +179,47 @@ def _seq_counter(lits, k, alloc, upper, lower):
 
 
 def _totalizer(lits, k, alloc, upper, lower):
-    # Balanced merge tree; node outputs o[0..s-1] with o[i] <=> "at least i+1
-    # true" over the node's leaves, constrained in both directions.
     clauses: list[tuple[int, ...]] = []
     aux: list[int] = []
-
-    def build(segment):
-        if len(segment) == 1:
-            return [segment[0]]
-        mid = len(segment) // 2
-        left = build(segment[:mid])
-        right = build(segment[mid:])
-        p, q = len(left), len(right)
-        out = []
-        for _ in range(p + q):
-            v = alloc()
-            aux.append(v)
-            out.append(v)
-        for i in range(p + 1):
-            for j in range(q + 1):
-                if i + j >= 1:
-                    ante = []
-                    if i:
-                        ante.append(-left[i - 1])
-                    if j:
-                        ante.append(-right[j - 1])
-                    clauses.append(tuple(ante + [out[i + j - 1]]))
-                if i + j + 1 <= p + q:
-                    head = []
-                    if i < p:
-                        head.append(left[i])
-                    if j < q:
-                        head.append(right[j])
-                    clauses.append(tuple(head + [-out[i + j]]))
-        return out
-
-    outs = build(list(lits))
+    outs = _totalizer_node(list(lits), alloc, clauses, aux)
     if upper:
         clauses.append((-outs[k],))
     if lower:
         clauses.append((outs[k - 1],))
     return clauses, aux
+
+
+def _totalizer_node(segment, alloc, clauses, aux):
+    # Balanced merge tree; node outputs o[0..s-1] with o[i] <=> "at least i+1
+    # true" over the node's leaves, constrained in both directions.  A plain
+    # recursive function, not a closure: a self-referencing closure is a
+    # reference cycle that would keep ``alloc``'s owner (a solver) alive
+    # until the next full garbage collection.
+    if len(segment) == 1:
+        return [segment[0]]
+    mid = len(segment) // 2
+    left = _totalizer_node(segment[:mid], alloc, clauses, aux)
+    right = _totalizer_node(segment[mid:], alloc, clauses, aux)
+    p, q = len(left), len(right)
+    out = []
+    for _ in range(p + q):
+        v = alloc()
+        aux.append(v)
+        out.append(v)
+    for i in range(p + 1):
+        for j in range(q + 1):
+            if i + j >= 1:
+                ante = []
+                if i:
+                    ante.append(-left[i - 1])
+                if j:
+                    ante.append(-right[j - 1])
+                clauses.append(tuple(ante + [out[i + j - 1]]))
+            if i + j + 1 <= p + q:
+                head = []
+                if i < p:
+                    head.append(left[i])
+                if j < q:
+                    head.append(right[j])
+                clauses.append(tuple(head + [-out[i + j]]))
+    return out

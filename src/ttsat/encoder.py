@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 
 from .cardinality import default_scheme, encode_exactly
-from .cnf import Clause, WcnfFormula
+from .cnf import Clause, WcnfFormula, gc_paused
 from .model import (
     Instance,
     SessionKind,
@@ -225,22 +225,18 @@ def registration_clashes(instance: Instance, varmap: VarMap, opts: EncodeOptions
 
 
 def room_clashes(instance: Instance, varmap: VarMap) -> list[Clause]:
-    """At most one session per room per timeslot."""
+    """At most one session per room per timeslot: for sessions a < b, the
+    clause (-ct(a,t), -ct(b,t), -cr(a,r), -cr(b,r))."""
     out = []
     sids = [s.id for s in instance.sessions]
+    neg_ct = [[-varmap.ct(s, t.id) for s in sids] for t in instance.timeslots]
     for r in instance.rooms:
-        for t in instance.timeslots:
-            for a, b in itertools.combinations(sids, 2):
-                out.append(
-                    Clause(
-                        (
-                            -varmap.ct(a, t.id),
-                            -varmap.ct(b, t.id),
-                            -varmap.cr(a, r.id),
-                            -varmap.cr(b, r.id),
-                        )
-                    )
-                )
+        neg_cr = [-varmap.cr(s, r.id) for s in sids]
+        for slot in neg_ct:
+            out.extend(
+                Clause((cta, ctb, cra, crb))
+                for (cta, cra), (ctb, crb) in itertools.combinations(zip(slot, neg_cr), 2)
+            )
     return out
 
 
@@ -308,13 +304,15 @@ def encode(instance: Instance, opts: EncodeOptions | None = None) -> tuple[WcnfF
     return formula, varmap
 
 
+@gc_paused()
 def encode_with_families(
     instance: Instance, opts: EncodeOptions | None = None
 ) -> tuple[WcnfFormula, VarMap, dict[str, list[int]]]:
     """Like encode(), also reporting which clause indices each family emitted.
 
     A clause shared by curriculum_clashes and teacher_clashes appears once in
-    the formula but is indexed under both families.
+    the formula but is indexed under both families.  The cyclic garbage
+    collector is paused while the clauses are built (see ``cnf.gc_paused``).
     """
     opts = opts or EncodeOptions()
     errors = validation_errors(validate_instance(instance))
@@ -328,9 +326,9 @@ def encode_with_families(
     families: dict[str, list[int]] = {name: [] for name in FAMILY_ORDER}
 
     def emit(family: str, clause_list):
-        for c in clause_list:
-            families[family].append(len(clauses))
-            clauses.append(c)
+        start = len(clauses)
+        clauses.extend(clause_list)
+        families[family].extend(range(start, len(clauses)))
 
     for s in instance.sessions:
         emit("link_ct_cd", link_ct_cd(instance, s.id, varmap))

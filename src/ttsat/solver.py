@@ -39,6 +39,7 @@ from .cnf import (
     Model,
     OutputStatus,
     WcnfFormula,
+    gc_paused,
     parse_solver_output,
     write_dimacs,
 )
@@ -637,16 +638,16 @@ def solve_maxsat(formula: WcnfFormula, cfg: SolverConfig | None = None) -> MaxSa
     solver = CdclSolver(base_n, seed=cfg.seed)
     deadline = time.monotonic() + cfg.timeout if cfg.timeout is not None else None
 
-    for c in formula.hard_clauses:
-        solver.add_clause(c.literals)
-
-    # each soft clause is stored relaxed by a selector: (lits v sel); assuming
-    # -sel re-activates it.  Cores are reported in terms of those assumptions.
     softs: list[dict] = []
-    for c in formula.soft_clauses:
-        sel = solver.new_var()
-        solver.add_clause(list(c.literals) + [sel])
-        softs.append({"lits": list(c.literals), "w": c.weight, "sel": sel})
+    with gc_paused():
+        for c in formula.hard_clauses:
+            solver.add_clause(c.literals)
+        # each soft clause is stored relaxed by a selector: (lits v sel); assuming
+        # -sel re-activates it.  Cores are reported in terms of those assumptions.
+        for c in formula.soft_clauses:
+            sel = solver.new_var()
+            solver.add_clause(list(c.literals) + [sel])
+            softs.append({"lits": list(c.literals), "w": c.weight, "sel": sel})
 
     lower = 0
     best_cost: int | None = None
@@ -735,9 +736,10 @@ def solve_external(formula: WcnfFormula, cfg: SolverConfig) -> MaxSatResult:
     The command template must contain an ``{input}`` placeholder for the
     WCNF path (appended if missing).  The returned model is checked against
     the formula and the reported cost is recomputed; disagreement raises
-    UntrustedSolverError.  A timeout, or a checked model the solver did not
-    prove optimal, is INDETERMINATE (the model's cost is the upper bound);
-    output with no status line raises ExternalSolverError.
+    UntrustedSolverError.  A timeout, an explicit "s UNKNOWN", or a checked
+    model the solver did not prove optimal, is INDETERMINATE (the model's
+    cost is the upper bound); output with no status line raises
+    ExternalSolverError.
     """
     if not cfg.external_cmd:
         raise ExternalSolverError("no external solver command configured")
@@ -764,9 +766,12 @@ def solve_external(formula: WcnfFormula, cfg: SolverConfig) -> MaxSatResult:
         if out.status is OutputStatus.UNSAT:
             return MaxSatResult(MaxSatStatus.HARD_UNSAT)
         if out.status is OutputStatus.UNKNOWN:
-            raise ExternalSolverError(
-                f"external solver gave no status (exit code {proc.returncode})"
-            )
+            if not out.stated:
+                raise ExternalSolverError(
+                    f"external solver gave no status (exit code {proc.returncode})"
+                )
+            if out.model is None:
+                return MaxSatResult(MaxSatStatus.INDETERMINATE, bounds=(0, None))
         if out.model is None:
             raise UntrustedSolverError("external solver reported SAT without a model")
         if not formula.hard_satisfied(out.model):

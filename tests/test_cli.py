@@ -95,6 +95,27 @@ class TestSolve:
         assert code == 3
         assert out == "s UNKNOWN\nc bounds 0 ?\n"
 
+    def test_external_explicit_unknown_exit_3(self, capsys, micro_path, tmp_path):
+        stub = tmp_path / "unknown.py"
+        stub.write_text("print('s UNKNOWN')\n")
+        code, out, _ = run(capsys, [
+            "solve", micro_path, "--solver", "external",
+            "--external-cmd", f"{sys.executable} {stub} {{input}}",
+        ])
+        assert code == 3
+        assert out == "s UNKNOWN\nc bounds 0 ?\n"
+
+    def test_external_missing_status_exit_2(self, capsys, micro_path, tmp_path):
+        stub = tmp_path / "mute.py"
+        stub.write_text("print('o 4')\nprint('s MAYBE')\n")
+        code, out, err = run(capsys, [
+            "solve", micro_path, "--solver", "external",
+            "--external-cmd", f"{sys.executable} {stub} {{input}}",
+        ])
+        assert code == 2
+        assert out == ""
+        assert "external solver gave no status" in err
+
     def test_external_without_command(self, capsys, sample_path, monkeypatch):
         monkeypatch.delenv("TTSAT_EXTERNAL_SOLVER", raising=False)
         code, _, err = run(capsys, ["solve", sample_path, "--solver", "external"])

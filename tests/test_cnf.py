@@ -1,10 +1,13 @@
+import gc
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_wcnf
+from ttsat import cnf
 from ttsat.cnf import (
     Clause,
     CnfError,
@@ -121,6 +124,17 @@ class TestParseDimacs:
         f = parse_dimacs("c hello\np wcnf 1 1 2\nc mid\n2 1 0\n")
         assert len(f.clauses) == 1
 
+    def test_header_after_clauses_weighs_them_all(self):
+        f = parse_dimacs("1 1 0\n5 2 0\np wcnf 2 3 5\n7 -1 0\n")
+        assert f.clauses == (Clause((1,), 1), Clause((2,)), Clause((-1,)))
+        assert f.top == 5
+
+    def test_odd_zero_tokens_keep_their_errors(self):
+        with pytest.raises(CnfError, match="line 2: clause missing terminating 0"):
+            parse_dimacs("p wcnf 2 1 5\n1 2 00\n")
+        with pytest.raises(CnfError, match="line 2: bad token"):
+            parse_dimacs("p wcnf 2 1 5\n1 x 0\n")
+
     def test_h_marker_format_accepted(self):
         f = parse_dimacs("h 1 2 0\n3 -1 0\n")
         assert f.num_vars == 2
@@ -170,6 +184,12 @@ class TestParseSolverOutput:
 
     def test_missing_status_is_unknown(self):
         assert parse_solver_output("o 1\n").status is OutputStatus.UNKNOWN
+
+    def test_explicit_unknown_is_stated(self):
+        assert not parse_solver_output("o 1\n").stated
+        assert not parse_solver_output("s MAYBE\n").stated
+        out = parse_solver_output("s SATISFIABLE\ns UNKNOWN\n")
+        assert (out.status, out.stated) == (OutputStatus.UNKNOWN, True)
 
     def test_model_beyond_num_vars_rejected(self):
         with pytest.raises(CnfError, match="beyond"):
@@ -257,3 +277,120 @@ class TestProperties:
         assert formula.hard_clauses == tuple(c for c in entries if c.is_hard)
         assert formula.soft_clauses == tuple(c for c in entries if not c.is_hard)
         assert formula.soft_weight_sum == sum(c.weight for c in formula.soft_clauses)
+
+
+def reference_check(entries, num_vars):
+    """The per-clause check on its own: (hard, soft, soft sum) or the error."""
+    try:
+        hard, soft, soft_sum = cnf._clause_check(tuple(entries), num_vars, 0)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return tuple(hard), tuple(soft), soft_sum
+
+
+def formula_check(entries, num_vars):
+    """What WcnfFormula makes of the same entries, in the shape of reference_check."""
+    try:
+        f = WcnfFormula(num_vars, tuple(entries))
+    except Exception as exc:
+        return type(exc), str(exc)
+    return f.hard_clauses, f.soft_clauses, f.soft_weight_sum
+
+
+BAD_LAST_CLAUSES = [
+    (Clause(()), "clause must contain at least one literal"),
+    (Clause((4, 0)), "0 is the clause terminator, not a literal, in (4, 0)"),
+    (Clause((2, 3, -2)), "a variable occurs twice in clause (2, 3, -2)"),
+    (Clause((1, -9)), "variable 9 in clause (1, -9) exceeds num_vars=8"),
+    (Clause((1,), 0), "soft clause weight must be >= 1, got 0"),
+    ((1, 2), "expected Clause, got tuple"),
+]
+
+BIG = 2**62 + 5  # a header num_vars near 2**62: clause keys would pass int64
+
+
+class TestBulkCheck:
+    @pytest.mark.parametrize("bad, message", BAD_LAST_CLAUSES)
+    def test_bad_clause_in_last_chunk(self, bad, message):
+        good = [Clause((v, -(v % 8 + 1)), v % 3 or None) for v in range(1, 8)] * 2
+        with mock.patch.object(cnf, "CHECK_CHUNK", 4):
+            with pytest.raises(CnfError) as err:
+                WcnfFormula(8, tuple(good + [Clause((5,), 2), bad]))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("num_vars, clauses", [
+        (5, [Clause((1, 2)), Clause((10**20,))]),
+        (10**20, [Clause((1, 2)), Clause((10**20, -1))]),
+        (10**20, [Clause((1, 2)), Clause((10**20, -10**20))]),
+        (BIG, [Clause((1, 2)), Clause((BIG, -(BIG - 1)), 3)]),
+        (BIG, [Clause((1, 2)), Clause((BIG, 3, -BIG))]),
+        (BIG, [Clause((1, 2)), Clause((BIG + 1,))]),
+        (2**63, [Clause((1, 2)), Clause((-2**63,))]),
+        (2**63, [Clause((0,)), Clause((-2**63,))]),
+        (3, [Clause((1, 2)), Clause(("1",))]),
+        (3, [Clause((1, 2)), Clause(((1, 2),))]),
+        (3, [Clause(((1, 2),)), Clause(((2, 3),))]),
+        (3, [Clause((1, 2)), Clause((2.5,))]),
+        (3, [Clause((1, 2)), Clause((1, 1.0))]),
+    ])
+    def test_unusual_values(self, num_vars, clauses):
+        assert formula_check(clauses, num_vars) == reference_check(clauses, num_vars)
+
+    def test_keys_past_int64_are_not_wrapped(self):
+        # (clause, variable) keys of this chunk would pass 2**63; the chunk
+        # goes to the per-clause check instead
+        chunk = (Clause((1, 2)), Clause((BIG, -(BIG - 1)), 3))
+        assert cnf._bulk_check(chunk, BIG, 0) is None
+        assert formula_check(chunk, BIG) == reference_check(chunk, BIG)
+
+    def test_header_near_2_62(self):
+        f = parse_dimacs(f"p wcnf {BIG} 2 9\n9 1 2 0\n3 {BIG} -{BIG - 1} 0\n")
+        assert f.clauses == (Clause((1, 2)), Clause((BIG, -(BIG - 1)), 3))
+        with pytest.raises(CnfError, match=f"occurs twice in clause \\(1, {BIG}, -{BIG}\\)"):
+            parse_dimacs(f"p wcnf {BIG} 2 9\n9 1 2 0\n9 1 {BIG} -{BIG} 0\n")
+
+    @settings(deadline=None)
+    @given(
+        st.integers(1, 6) | st.sampled_from([BIG, 2**63, 10**20]),
+        st.lists(
+            st.builds(
+                Clause,
+                st.lists(st.integers(-7, 7) | st.sampled_from([BIG, -BIG, -2**63, 10**20]),
+                         max_size=4).map(tuple),
+                st.none() | st.integers(-1, 5),
+            ) | st.tuples(st.integers(1, 6)),
+            max_size=12,
+        ),
+        st.integers(1, 5),
+    )
+    def test_bulk_and_per_clause_checks_agree(self, num_vars, entries, chunk):
+        with mock.patch.object(cnf, "CHECK_CHUNK", chunk):
+            assert formula_check(entries, num_vars) == reference_check(entries, num_vars)
+
+    @settings(deadline=None)
+    @given(well_formed_formulas())
+    def test_well_formed_chunks_stay_in_numpy(self, formula):
+        if formula.clauses:
+            assert cnf._bulk_check(formula.clauses, formula.num_vars, 0) is not None
+
+
+class TestGcPaused:
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_state_restored(self, enabled, sample_instance):
+        from ttsat.encoder import encode_with_families
+        from ttsat.solver import solve_maxsat
+
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            formula, _, _ = encode_with_families(sample_instance)
+            assert gc.isenabled() is enabled
+            parse_dimacs(write_dimacs(formula))
+            assert gc.isenabled() is enabled
+            solve_maxsat(WEIGHTED_EXAMPLE)
+            assert gc.isenabled() is enabled
+            with pytest.raises(CnfError):
+                parse_dimacs("p wcnf 2 1 5\n5 1 2\n")
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()

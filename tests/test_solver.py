@@ -1,7 +1,9 @@
+import gc
 import heapq
 import random
 import sys
 import types
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -225,6 +227,28 @@ class TestSolveMaxsatExamples:
     def test_model_cost_is_checked(self):
         res = solve_maxsat(WEIGHTED)
         assert res.model.cost == res.cost == WEIGHTED.falsified_weight(res.model.assignment)
+
+    def test_solver_freed_without_gc(self, monkeypatch):
+        # a 9-clause core is relaxed with a totalizer drawing from solver.new_var
+        refs = []
+
+        class Spy(CdclSolver):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                refs.append(weakref.ref(self))
+
+        monkeypatch.setattr(solver_module, "CdclSolver", Spy)
+        formula = WcnfFormula(
+            9, (Clause(tuple(range(1, 10))),) + tuple(Clause((-v,), 1) for v in range(1, 10))
+        )
+        was = gc.isenabled()
+        gc.disable()
+        try:
+            assert solve_maxsat(formula).cost == 1
+            assert [r() for r in refs] == [None]
+        finally:
+            if was:
+                gc.enable()
 
 
 class TestBruteForce:
