@@ -228,35 +228,13 @@ def parse_dimacs(text: str) -> WcnfFormula:
     """Parse WCNF text. Classic headers are canonical; the header-less
     "h"-marker variant is accepted too. Weights >= top normalize to hard.
 
-    Only syntax is checked here, with line numbers; ``WcnfFormula`` checks
-    the clauses themselves."""
-    lines = text.splitlines()
-    num_vars, num_clauses, top, clauses, late = _read_wcnf(lines, None)
-    if late:
-        # a header after some clause: weights normalize against the last top
-        num_vars, num_clauses, top, clauses, _ = _read_wcnf(lines, top)
-    if not clauses and num_vars is None:
-        raise CnfError("no header and no clauses found")
-    if num_clauses is not None and len(clauses) != num_clauses:
-        raise CnfError(
-            f"header declares {num_clauses} clauses but file contains {len(clauses)}"
-        )
-    if num_vars is None:
-        num_vars = max((abs(l) for c in clauses for l in c.literals), default=0)
-    return WcnfFormula(num_vars, tuple(clauses), top)
-
-
-def _read_wcnf(lines, fixed_top):
-    """One pass over WCNF lines: (num_vars, num_clauses, top, clauses, late),
-    ``late`` telling whether a header line followed a clause line.  Weights
-    normalize against ``fixed_top`` if given, else against the top of the
-    latest header."""
+    Only syntax is checked here, with line numbers: at most one header, and
+    it comes before every clause.  ``WcnfFormula`` checks the clauses
+    themselves."""
     num_vars = num_clauses = top = None
-    norm_top = fixed_top
-    late = False
     clauses: list[Clause] = []
     append = clauses.append
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         tokens = line.split()
         if tokens and tokens[-1] == "0":
             # the common line, "<weight> <literal>... 0", in one conversion
@@ -266,7 +244,7 @@ def _read_wcnf(lines, fixed_top):
                 pass
             else:
                 weight = ints[0]
-                if norm_top is not None and weight >= norm_top:
+                if top is not None and weight >= top:
                     weight = None
                 append(Clause(ints[1:-1], weight))
                 continue
@@ -274,6 +252,9 @@ def _read_wcnf(lines, fixed_top):
         if not s or s.startswith("c"):
             continue
         if s.startswith("p"):
+            if num_vars is not None or clauses:
+                where = "second header" if num_vars is not None else "header after clauses"
+                raise CnfError(f"line {lineno}: {where} {s!r}")
             parts = s.split()
             if len(parts) != 5 or parts[1] != "wcnf":
                 raise CnfError(f"line {lineno}: malformed header {s!r}")
@@ -283,9 +264,6 @@ def _read_wcnf(lines, fixed_top):
                 raise CnfError(f"line {lineno}: malformed header {s!r}") from None
             if num_vars < 1 or num_clauses < 0 or top < 1:
                 raise CnfError(f"line {lineno}: malformed header {s!r}")
-            late = late or bool(clauses)
-            if fixed_top is None:
-                norm_top = top
             continue
         if tokens[-1] != "0":
             raise CnfError(f"line {lineno}: clause missing terminating 0")
@@ -294,10 +272,18 @@ def _read_wcnf(lines, fixed_top):
             lits = tuple(map(int, tokens[1:-1]))
         except ValueError:
             raise CnfError(f"line {lineno}: bad token in clause {s!r}") from None
-        if weight is not None and norm_top is not None and weight >= norm_top:
+        if weight is not None and top is not None and weight >= top:
             weight = None
         append(Clause(lits, weight))
-    return num_vars, num_clauses, top, clauses, late
+    if not clauses and num_vars is None:
+        raise CnfError("no header and no clauses found")
+    if num_clauses is not None and len(clauses) != num_clauses:
+        raise CnfError(
+            f"header declares {num_clauses} clauses but file contains {len(clauses)}"
+        )
+    if num_vars is None:
+        num_vars = max((abs(l) for c in clauses for l in c.literals), default=0)
+    return WcnfFormula(num_vars, tuple(clauses), top)
 
 
 class OutputStatus(Enum):

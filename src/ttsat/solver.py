@@ -13,7 +13,9 @@ activity rescale), so stale entries never dominate it.
 
 One exact optimizer sits on top of it: stratified core-guided
 relax-and-split over unsatisfiable cores of soft clause selectors, splitting
-weights at each core.
+weights at each core.  Each core is relaxed exactly as the SAT core reports
+it, so every core costs one SAT call.  The only budget is the wall-clock
+deadline from ``SolverConfig.timeout``.
 
 ``brute_force_maxsat`` is an independent enumeration oracle for small
 formulas, and ``solve_external`` shells out to any solver speaking DIMACS
@@ -76,13 +78,8 @@ class MaxSatStatus(Enum):
 @dataclass(frozen=True)
 class SolverConfig:
     seed: int = 0
-    conflict_limit: int | None = None
     external_cmd: str | None = None
     timeout: float | None = None
-
-    def __post_init__(self):
-        if self.conflict_limit is not None and self.conflict_limit < 0:
-            raise ValueError("conflict_limit must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -464,9 +461,9 @@ class CdclSolver:
             self.watches[c[0]].append(c)
             self.watches[c[1]].append(c)
 
-    def solve(self, assumptions=(), conflict_limit: int | None = None,
-              deadline: float | None = None) -> SatResult:
-        """Solve under assumptions.
+    def solve(self, assumptions=(), deadline: float | None = None) -> SatResult:
+        """Solve under assumptions, or give up with INDETERMINATE once the
+        monotonic-clock ``deadline`` has passed.
 
         UNSAT with assumptions reports the subset of them that failed; UNSAT
         with an empty core means the clauses alone are unsatisfiable.
@@ -500,9 +497,6 @@ class CdclSolver:
                 if len(self.learned) > self.max_learned:
                     self._reduce_db()
                     self.max_learned = int(self.max_learned * 1.3)
-                if conflict_limit is not None and conflicts >= conflict_limit:
-                    self._backtrack(0)
-                    return SatResult(SatStatus.INDETERMINATE)
                 if deadline is not None and conflicts % 128 == 0 and time.monotonic() > deadline:
                     self._backtrack(0)
                     return SatResult(SatStatus.INDETERMINATE)
@@ -552,7 +546,7 @@ def solve_sat(clauses, assumptions=(), cfg: SolverConfig | None = None) -> SatRe
         num_vars = max(num_vars, abs(int(a)))
     solver = CdclSolver(num_vars, clause_lists, seed=cfg.seed)
     deadline = time.monotonic() + cfg.timeout if cfg.timeout is not None else None
-    res = solver.solve(assumptions, cfg.conflict_limit, deadline)
+    res = solver.solve(assumptions, deadline)
     if res.status is SatStatus.SAT:
         model = res.model
         for c in clause_lists:
@@ -596,43 +590,16 @@ def _restrict(model: dict[int, bool], n: int) -> dict[int, bool]:
     return {v: model[v] for v in range(1, n + 1)}
 
 
-def _shrink_core(solver: CdclSolver, core, deadline) -> tuple[int, ...]:
-    """Shrink an unsatisfiable core: cheap re-solve trims, then budgeted
-    deletion-based minimization.  Small cores keep the relax-and-split
-    transformation from bloating the working formula."""
-    core = list(core)
-    # re-solving with only the core assumed (reversed, to vary the failure
-    # order) often shrinks it at negligible cost
-    for _ in range(4):
-        if len(core) <= 1:
-            return tuple(core)
-        res = solver.solve(tuple(reversed(core)), conflict_limit=4000, deadline=deadline)
-        if res.status is SatStatus.SAT:
-            raise SolverInternalError("reported core is satisfiable")
-        if res.status is not SatStatus.UNSAT or not res.core or len(res.core) >= len(core):
-            break
-        core = list(res.core)
-    # deletion pass: drop literals whose removal keeps the rest contradictory.
-    # Abandoned when attempts keep hitting their conflict budget; that means
-    # the core resists cheap minimization and the tries are wasted work.
-    i = 0
-    stalled = 0
-    while i < len(core) and len(core) > 1 and stalled < 8:
-        trial = core[:i] + core[i + 1:]
-        res = solver.solve(tuple(trial), conflict_limit=150, deadline=deadline)
-        if res.status is SatStatus.UNSAT and res.core is not None:
-            kept = set(res.core)
-            core = [l for l in core if l in kept]
-        else:
-            if res.status is SatStatus.INDETERMINATE:
-                stalled += 1
-            i += 1
-    return tuple(core)
-
-
 def solve_maxsat(formula: WcnfFormula, cfg: SolverConfig | None = None) -> MaxSatResult:
     """Exact weighted partial Max-SAT: minimize falsified soft weight by
-    stratified core-guided relax-and-split."""
+    stratified core-guided relax-and-split.
+
+    Each SAT call either finds a model, which ends a stratum and may improve
+    the best model, or an unsatisfiable core over the active selectors,
+    which is relaxed as reported.  When ``cfg.timeout`` runs out the result
+    is INDETERMINATE, carrying ``bounds=(lower, upper)`` and the best model
+    found so far, re-checked against ``formula`` (``upper`` is its cost, or
+    None with no model yet)."""
     cfg = cfg or SolverConfig()
     base_n = formula.num_vars
     solver = CdclSolver(base_n, seed=cfg.seed)
@@ -653,29 +620,16 @@ def solve_maxsat(formula: WcnfFormula, cfg: SolverConfig | None = None) -> MaxSa
     best_cost: int | None = None
     best_model: dict[int, bool] | None = None
 
-    def remaining_budget() -> int | None:
-        if cfg.conflict_limit is None:
-            return None
-        return max(0, cfg.conflict_limit - solver.total_conflicts)
-
-    def indeterminate() -> MaxSatResult:
-        model = None
-        if best_model is not None:
-            model = Model.checked(formula, best_model)
-        return MaxSatResult(MaxSatStatus.INDETERMINATE, model=model,
-                            bounds=(lower, best_cost))
-
     threshold = max((e["w"] for e in softs), default=0)
     active = [e for e in softs if e["w"] >= threshold]
 
     while True:
         assumptions = [-e["sel"] for e in sorted(active, key=lambda e: (-e["w"], e["sel"]))]
-        budget = remaining_budget()
-        if budget == 0:
-            return indeterminate()
-        res = solver.solve(assumptions, budget, deadline)
+        res = solver.solve(assumptions, deadline)
         if res.status is SatStatus.INDETERMINATE:
-            return indeterminate()
+            model = None if best_model is None else Model.checked(formula, best_model)
+            return MaxSatResult(MaxSatStatus.INDETERMINATE, model=model,
+                                bounds=(lower, best_cost))
         if res.status is SatStatus.SAT:
             model = _restrict(res.model, base_n)
             true_cost = formula.falsified_weight(model)
@@ -697,7 +651,6 @@ def solve_maxsat(formula: WcnfFormula, cfg: SolverConfig | None = None) -> MaxSa
         core = res.core
         if not core:
             return MaxSatResult(MaxSatStatus.HARD_UNSAT)
-        core = _shrink_core(solver, core, deadline)
         core_sels = {-a for a in core}
         members = [e for e in active if e["sel"] in core_sels]
         if not members:

@@ -124,10 +124,14 @@ class TestParseDimacs:
         f = parse_dimacs("c hello\np wcnf 1 1 2\nc mid\n2 1 0\n")
         assert len(f.clauses) == 1
 
-    def test_header_after_clauses_weighs_them_all(self):
-        f = parse_dimacs("1 1 0\n5 2 0\np wcnf 2 3 5\n7 -1 0\n")
-        assert f.clauses == (Clause((1,), 1), Clause((2,)), Clause((-1,)))
-        assert f.top == 5
+    @pytest.mark.parametrize("text, message", [
+        ("1 1 0\n5 2 0\np wcnf 2 3 5\n7 -1 0\n", "line 3: header after clauses"),
+        ("p wcnf 2 5 5\n5 1 0\np wcnf 3 1 9\n", "line 3: second header"),
+        ("p wcnf 2 1 5\np wcnf 2 1 5\n5 1 0\n", "line 2: second header"),
+    ], ids=["after-clauses", "second-overrides-first", "repeated"])
+    def test_header_only_once_before_clauses(self, text, message):
+        with pytest.raises(CnfError, match=message):
+            parse_dimacs(text)
 
     def test_odd_zero_tokens_keep_their_errors(self):
         with pytest.raises(CnfError, match="line 2: clause missing terminating 0"):

@@ -9,13 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_wcnf
+from helpers import random_wcnf, semantic_optimum
 from ttsat import solver as solver_module
 from ttsat.cnf import Clause, WcnfFormula
+from ttsat.encoder import EncodeOptions, encode
+from ttsat.model import gen_random_instance
 from ttsat.solver import (
     CdclSolver,
     ExternalSolverError,
     MaxSatStatus,
+    SatResult,
     SatStatus,
     SolverConfig,
     UntrustedSolverError,
@@ -67,8 +70,8 @@ class TestSolveSat:
         assert res.status is SatStatus.SAT
         assert res.model[1] and res.model[2]
 
-    def test_conflict_limit_yields_indeterminate(self):
-        res = solve_sat(php(5), cfg=SolverConfig(conflict_limit=2))
+    def test_timeout_yields_indeterminate(self):
+        res = solve_sat(php(5), cfg=SolverConfig(timeout=0))
         assert res.status is SatStatus.INDETERMINATE
 
     def test_php_unsat(self):
@@ -219,7 +222,7 @@ class TestSolveMaxsatExamples:
         assert res.status is MaxSatStatus.OPTIMUM and res.cost == 0
 
     def test_indeterminate_bounds(self):
-        res = solve_maxsat(WEIGHTED, SolverConfig(conflict_limit=0))
+        res = solve_maxsat(WEIGHTED, SolverConfig(timeout=0))
         assert res.status is MaxSatStatus.INDETERMINATE
         lower, upper = res.bounds
         assert lower == 0 and (upper is None or upper >= 3)
@@ -227,6 +230,26 @@ class TestSolveMaxsatExamples:
     def test_model_cost_is_checked(self):
         res = solve_maxsat(WEIGHTED)
         assert res.model.cost == res.cost == WEIGHTED.falsified_weight(res.model.assignment)
+
+    def test_interrupted_run_keeps_best_model(self, monkeypatch):
+        # the budget runs out on the SAT call after the first stratum's model
+        original = CdclSolver.solve
+        models = []
+
+        def solve(self, *args, **kwargs):
+            if models:
+                return SatResult(SatStatus.INDETERMINATE)
+            res = original(self, *args, **kwargs)
+            if res.status is SatStatus.SAT:
+                models.append(res)
+            return res
+
+        monkeypatch.setattr(CdclSolver, "solve", solve)
+        res = solve_maxsat(WEIGHTED)
+        assert models
+        assert res.status is MaxSatStatus.INDETERMINATE
+        assert res.model.cost == WEIGHTED.falsified_weight(res.model.assignment) == res.bounds[1]
+        assert res.bounds[0] <= 3 <= res.bounds[1]
 
     def test_solver_freed_without_gc(self, monkeypatch):
         # a 9-clause core is relaxed with a totalizer drawing from solver.new_var
@@ -308,6 +331,28 @@ class TestOptimizersAgree:
             res_hard = solve_maxsat(harder)
             if res_hard.status is MaxSatStatus.OPTIMUM:
                 assert res_hard.cost >= base.cost
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        gen_seed=st.integers(0, 10**6),
+        density=st.floats(0.0, 1.0),
+        weighted=st.booleans(),
+        solver_seed=st.integers(0, 2**16),
+    )
+    def test_pipeline_matches_semantic_optimum(self, gen_seed, density, weighted, solver_seed):
+        # micro instances, small enough to enumerate every placement
+        instance = gen_random_instance(
+            gen_seed, days=2, slots_per_day=2, rooms=2, courses=2, curricula=2,
+            overlap_density=density,
+        )
+        opts = EncodeOptions(weighted=weighted)
+        want = semantic_optimum(instance, opts)
+        formula, _ = encode(instance, opts)
+        res = solve_maxsat(formula, SolverConfig(seed=solver_seed))
+        if want is None:
+            assert res.status is MaxSatStatus.HARD_UNSAT
+        else:
+            assert res.status is MaxSatStatus.OPTIMUM and res.cost == want
 
 
 EXTERNAL_SELF = f"{sys.executable} -m ttsat solve-wcnf {{input}}"
