@@ -178,10 +178,21 @@ def _seq_counter(lits, k, alloc, upper, lower):
     return clauses, aux
 
 
-def _totalizer(lits, k, alloc, upper, lower):
+def totalizer(lits, alloc):
+    """Unary counter ``(clauses, outputs)``: outputs[i] <=> "at least i+1 of
+    ``lits`` are true"; the caller sets any bound (a lone literal counts itself)."""
     clauses: list[tuple[int, ...]] = []
+    return clauses, _totalizer_node(list(lits), alloc, clauses)
+
+
+def _totalizer(lits, k, alloc, upper, lower):
     aux: list[int] = []
-    outs = _totalizer_node(list(lits), alloc, clauses, aux)
+
+    def fresh():
+        aux.append(alloc())
+        return aux[-1]
+
+    clauses, outs = totalizer(lits, fresh)
     if upper:
         clauses.append((-outs[k],))
     if lower:
@@ -189,7 +200,7 @@ def _totalizer(lits, k, alloc, upper, lower):
     return clauses, aux
 
 
-def _totalizer_node(segment, alloc, clauses, aux):
+def _totalizer_node(segment, alloc, clauses):
     # Balanced merge tree; node outputs o[0..s-1] with o[i] <=> "at least i+1
     # true" over the node's leaves, constrained in both directions.  A plain
     # recursive function, not a closure: a self-referencing closure is a
@@ -198,14 +209,10 @@ def _totalizer_node(segment, alloc, clauses, aux):
     if len(segment) == 1:
         return [segment[0]]
     mid = len(segment) // 2
-    left = _totalizer_node(segment[:mid], alloc, clauses, aux)
-    right = _totalizer_node(segment[mid:], alloc, clauses, aux)
+    left = _totalizer_node(segment[:mid], alloc, clauses)
+    right = _totalizer_node(segment[mid:], alloc, clauses)
     p, q = len(left), len(right)
-    out = []
-    for _ in range(p + q):
-        v = alloc()
-        aux.append(v)
-        out.append(v)
+    out = [alloc() for _ in range(p + q)]
     for i in range(p + 1):
         for j in range(q + 1):
             if i + j >= 1:

@@ -97,18 +97,24 @@ def _write_wcnf(formula, varmap, out_path: str, instance_text: str) -> None:
             handle.write(f"var {var} {varmap.explain(var)}\n")
 
 
-def _print_no_optimum(result) -> int | None:
-    """Print the result lines of a run without an optimum and return its
-    exit code; None when the result is an optimum."""
+def _print_status(result) -> int:
+    """Print the ``o`` and ``s`` lines of a result and return its exit code.
+
+    A result with a model, an optimum or the checked best model of an
+    INDETERMINATE run, starts with ``o <its cost>``; the caller prints the
+    model itself after these lines."""
     if result.status is MaxSatStatus.HARD_UNSAT:
         print("s UNSATISFIABLE")
         return EXIT_HARD_UNSAT
-    if result.status is MaxSatStatus.INDETERMINATE:
-        lower, upper = result.bounds or (0, None)
-        print("s UNKNOWN")
-        print(f"c bounds {lower} {upper if upper is not None else '?'}")
-        return EXIT_INDETERMINATE
-    return None
+    if result.model is not None:
+        print(f"o {result.model.cost}")
+    if result.status is MaxSatStatus.OPTIMUM:
+        print("s OPTIMUM FOUND")
+        return EXIT_OK
+    lower, upper = result.bounds or (0, None)
+    print("s UNKNOWN")
+    print(f"c bounds {lower} {upper if upper is not None else '?'}")
+    return EXIT_INDETERMINATE
 
 
 def cmd_encode(args) -> int:
@@ -140,20 +146,21 @@ def cmd_solve(args) -> int:
         result = solve_external(formula, _solver_config(args, started, external_cmd))
     else:
         result = solve_maxsat(formula, _solver_config(args, started))
-    code = _print_no_optimum(result)
-    if code is not None:
-        return code
+    if result.model is None:
+        return _print_status(result)
 
+    # an optimum or an interrupted run's best model: both are checked
+    # independently of the CNF before anything is printed
     timetable = decode_timetable(result.model, varmap, instance)
     report = compute_cost(timetable, instance, opts)
     hard = check_hard(timetable, instance)
-    if hard or report.total_cost != result.cost:
+    if hard or report.total_cost != result.model.cost:
         _err(
-            f"solver/validator mismatch: solver cost {result.cost}, "
+            f"solver/validator mismatch: solver cost {result.model.cost}, "
             f"validator cost {report.total_cost}, hard violations {len(hard)}"
         )
         return EXIT_INTERNAL
-    if args.check:
+    if args.check and result.status is MaxSatStatus.OPTIMUM:
         if formula.num_vars <= 22:
             reference = brute_force_maxsat(formula)
             if reference.cost != result.cost:
@@ -169,12 +176,12 @@ def cmd_solve(args) -> int:
                 file=sys.stderr,
             )
 
-    print(f"o {result.cost}")
-    print("s OPTIMUM FOUND")
-    total = formula.soft_weight_sum
-    print(f"c soft weight satisfied {total - result.cost} of {total}")
+    code = _print_status(result)
+    if code == EXIT_OK:
+        total = formula.soft_weight_sum
+        print(f"c soft weight satisfied {total - result.cost} of {total}")
     print(render_timetable(timetable, instance, args.format), end="")
-    return EXIT_OK
+    return code
 
 
 def cmd_validate(args) -> int:
@@ -218,14 +225,11 @@ def cmd_solve_wcnf(args) -> int:
     with open(args.wcnf, encoding="utf-8") as handle:
         formula = parse_dimacs(handle.read())
     result = solve_maxsat(formula, _solver_config(args, started))
-    code = _print_no_optimum(result)
-    if code is not None:
-        return code
-    print(f"o {result.cost}")
-    print("s OPTIMUM FOUND")
-    lits = [v if result.model.assignment[v] else -v for v in sorted(result.model.assignment)]
-    print(f"v {' '.join(str(l) for l in lits)} 0")
-    return EXIT_OK
+    code = _print_status(result)
+    if result.model is not None:
+        lits = [v if result.model.assignment[v] else -v for v in sorted(result.model.assignment)]
+        print(f"v {' '.join(str(l) for l in lits)} 0")
+    return code
 
 
 def cmd_sample(args) -> int:

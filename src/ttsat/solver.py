@@ -11,11 +11,11 @@ branching heap is rebuilt with one entry per unassigned variable once it
 holds more than twice as many entries as there are variables (or after an
 activity rescale), so stale entries never dominate it.
 
-One exact optimizer sits on top of it: stratified core-guided
-relax-and-split over unsatisfiable cores of soft clause selectors, splitting
-weights at each core.  Each core is relaxed exactly as the SAT core reports
-it, so every core costs one SAT call.  The only budget is the wall-clock
-deadline from ``SolverConfig.timeout``.
+One exact optimizer sits on top of it: stratified core-guided OLL.  Each
+soft clause keeps one selector for the run, and a core of several members,
+as the SAT core reports it, gets one totalizer whose "at most one member
+violated" output becomes a weighted assumption.  The only budget is the
+wall-clock deadline from ``SolverConfig.timeout``.
 
 ``brute_force_maxsat`` is an independent enumeration oracle for small
 formulas, and ``solve_external`` shells out to any solver speaking DIMACS
@@ -36,7 +36,7 @@ from enum import Enum
 
 import numpy as np
 
-from .cardinality import encode_exactly
+from .cardinality import totalizer
 from .cnf import (
     Model,
     OutputStatus,
@@ -592,10 +592,10 @@ def _restrict(model: dict[int, bool], n: int) -> dict[int, bool]:
 
 def solve_maxsat(formula: WcnfFormula, cfg: SolverConfig | None = None) -> MaxSatResult:
     """Exact weighted partial Max-SAT: minimize falsified soft weight by
-    stratified core-guided relax-and-split.
+    stratified core-guided OLL.
 
     Each SAT call either finds a model, which ends a stratum and may improve
-    the best model, or an unsatisfiable core over the active selectors,
+    the best model, or an unsatisfiable core over the stratum's assumptions,
     which is relaxed as reported.  When ``cfg.timeout`` runs out the result
     is INDETERMINATE, carrying ``bounds=(lower, upper)`` and the best model
     found so far, re-checked against ``formula`` (``upper`` is its cost, or
@@ -605,26 +605,27 @@ def solve_maxsat(formula: WcnfFormula, cfg: SolverConfig | None = None) -> MaxSa
     solver = CdclSolver(base_n, seed=cfg.seed)
     deadline = time.monotonic() + cfg.timeout if cfg.timeout is not None else None
 
-    softs: list[dict] = []
+    weight: dict[int, int] = {}  # assumption literal -> its weight left
     with gc_paused():
         for c in formula.hard_clauses:
             solver.add_clause(c.literals)
-        # each soft clause is stored relaxed by a selector: (lits v sel); assuming
+        # each soft clause keeps one selector for the run: (lits v sel); assuming
         # -sel re-activates it.  Cores are reported in terms of those assumptions.
         for c in formula.soft_clauses:
             sel = solver.new_var()
             solver.add_clause(list(c.literals) + [sel])
-            softs.append({"lits": list(c.literals), "w": c.weight, "sel": sel})
+            weight[-sel] = c.weight
+    # -outs[k], "at most k of a core's members violated" -> (outs, k)
+    sums: dict[int, tuple[list[int], int]] = {}
 
     lower = 0
     best_cost: int | None = None
     best_model: dict[int, bool] | None = None
-
-    threshold = max((e["w"] for e in softs), default=0)
-    active = [e for e in softs if e["w"] >= threshold]
+    threshold = max(weight.values(), default=0)
 
     while True:
-        assumptions = [-e["sel"] for e in sorted(active, key=lambda e: (-e["w"], e["sel"]))]
+        assumptions = sorted((a for a, w in weight.items() if w >= threshold),
+                             key=lambda a: (-weight[a], -a))
         res = solver.solve(assumptions, deadline)
         if res.status is SatStatus.INDETERMINATE:
             model = None if best_model is None else Model.checked(formula, best_model)
@@ -635,9 +636,9 @@ def solve_maxsat(formula: WcnfFormula, cfg: SolverConfig | None = None) -> MaxSa
             true_cost = formula.falsified_weight(model)
             if best_cost is None or true_cost < best_cost:
                 best_cost, best_model = true_cost, model
-            # weight splitting creates new weight levels, so the next stratum
+            # cores leave weights below the threshold, so the next stratum
             # comes from the current weights, not the original ones
-            pending = [e["w"] for e in softs if 0 < e["w"] < threshold]
+            pending = [w for w in weight.values() if w < threshold]
             if not pending:
                 if true_cost != lower:
                     raise SolverInternalError(
@@ -645,42 +646,33 @@ def solve_maxsat(formula: WcnfFormula, cfg: SolverConfig | None = None) -> MaxSa
                     )
                 return MaxSatResult(MaxSatStatus.OPTIMUM, lower, Model(model, lower))
             threshold = max(pending)
-            active = [e for e in softs if e["w"] >= threshold]
             continue
 
         core = res.core
         if not core:
             return MaxSatResult(MaxSatStatus.HARD_UNSAT)
-        core_sels = {-a for a in core}
-        members = [e for e in active if e["sel"] in core_sels]
+        members = [a for a in core if a in weight]
         if not members:
             raise SolverInternalError("core mentions no active soft clause")
-        wmin = min(e["w"] for e in members)
+        wmin = min(weight[a] for a in members)
         lower += wmin
-        if len(members) == 1:
-            e = members[0]
-            e["w"] -= wmin
-            if e["w"] == 0:
-                active.remove(e)
-                solver.add_clause([e["sel"]])
-        else:
-            blockers = []
-            for e in members:
-                b = solver.new_var()
-                blockers.append(b)
-                relaxed = e["lits"] + [b]
-                sel = solver.new_var()
-                solver.add_clause(relaxed + [sel])
-                fresh = {"lits": relaxed, "w": wmin, "sel": sel}
-                softs.append(fresh)
-                active.append(fresh)
-                e["w"] -= wmin
-                if e["w"] == 0:
-                    active.remove(e)
-                    solver.add_clause([e["sel"]])
-            one_of, _ = encode_exactly(1, blockers, alloc=solver.new_var)
-            for cl in one_of:
+        for a in members:
+            weight[a] -= wmin
+            if not weight[a]:
+                del weight[a]
+        # a violated "at most k" bound of a sum lets "at most k+1" count
+        # next; a new sum over several members starts at "at most 1"
+        raised = [sums[a] for a in members if a in sums]
+        if len(members) > 1:
+            clauses, outs = totalizer([-a for a in members], solver.new_var)
+            for cl in clauses:
                 solver.add_clause(cl)
+            raised.append((outs, 0))
+        for outs, k in raised:
+            if k + 1 < len(outs):
+                a = -outs[k + 1]
+                weight[a] = weight.get(a, 0) + wmin
+                sums[a] = (outs, k + 1)
 
 
 def solve_external(formula: WcnfFormula, cfg: SolverConfig) -> MaxSatResult:

@@ -1,5 +1,6 @@
 """Shared test utilities: random formulas, an independent extension checker,
-the semantic enumeration oracle, and hand-built model construction."""
+the semantic enumeration oracle, hand-built model construction, and a SAT
+budget that runs out after the first model."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import itertools
 
 from ttsat.cnf import Clause, WcnfFormula
 from ttsat.decode import Timetable, check_hard, compute_cost
+from ttsat.solver import CdclSolver, SatResult, SatStatus
 
 
 def random_wcnf(rng, max_vars=18, max_clauses=60, max_weight=9, hard_fraction=0.4):
@@ -139,3 +141,21 @@ def assignment_for_placement(instance, varmap, placements):
                 sid in placements and placements[sid][0] == t.id for sid in members
             )
     return assignment
+
+
+def interrupt_after_first_model(monkeypatch):
+    """Make every SAT call after the first satisfiable one run out of time;
+    returns the list that receives that first result."""
+    original = CdclSolver.solve
+    models = []
+
+    def solve(self, *args, **kwargs):
+        if models:
+            return SatResult(SatStatus.INDETERMINATE)
+        res = original(self, *args, **kwargs)
+        if res.status is SatStatus.SAT:
+            models.append(res)
+        return res
+
+    monkeypatch.setattr(CdclSolver, "solve", solve)
+    return models

@@ -1,9 +1,11 @@
 import json
 import sys
 import time
+import types
 
 import pytest
 
+from helpers import interrupt_after_first_model
 from ttsat import cli
 from ttsat.cli import main
 from ttsat.cnf import CnfError, parse_dimacs
@@ -168,6 +170,31 @@ class TestSolve:
         assert "s UNKNOWN" in out
         assert "c bounds" in out
 
+    def test_interrupted_run_prints_best_grid(self, capsys, sample_path, tmp_path, monkeypatch):
+        models = interrupt_after_first_model(monkeypatch)
+        code, out, _ = run(capsys, ["solve", sample_path, "--format", "csv"])
+        assert models
+        assert code == 3
+        lines = out.splitlines()
+        upper = lines[0].removeprefix("o ")
+        assert lines[1] == "s UNKNOWN"
+        assert lines[2].startswith("c bounds ") and lines[2].split()[3] == upper
+        assert lines[3].startswith("room,")
+        csv_path = tmp_path / "best.csv"
+        csv_path.write_text(out, encoding="utf-8")
+        code, vout, _ = run(capsys, ["validate", sample_path, str(csv_path)])
+        assert code == 0
+        assert f"o {upper}" in vout.splitlines()
+        assert "s FEASIBLE" in vout
+
+    def test_interrupted_best_model_is_checked(self, capsys, sample_path, monkeypatch):
+        interrupt_after_first_model(monkeypatch)
+        monkeypatch.setattr(cli, "compute_cost", lambda *args: types.SimpleNamespace(total_cost=-1))
+        code, out, err = run(capsys, ["solve", sample_path])
+        assert code == 4
+        assert "solver/validator mismatch" in err
+        assert out == ""
+
     def test_timeout_covers_encoding(self, capsys, micro_path, monkeypatch):
         encode = cli.encode
 
@@ -316,6 +343,23 @@ class TestSolveWcnf:
         code, out, _ = run(capsys, ["solve-wcnf", str(wcnf)])
         assert code == 3
         assert out == "s UNKNOWN\nc bounds 3 7\n"
+
+    def test_interrupted_run_prints_best_model(self, capsys, tmp_path, monkeypatch):
+        wcnf = tmp_path / "f.wcnf"
+        wcnf.write_text("p wcnf 3 4 8\n8 1 -2 0\n8 -1 3 0\n3 2 3 0\n4 -3 0\n",
+                        encoding="utf-8")
+        models = interrupt_after_first_model(monkeypatch)
+        code, out, _ = run(capsys, ["solve-wcnf", str(wcnf)])
+        assert models
+        assert code == 3
+        o_line, s_line, bounds, v_line = out.splitlines()
+        assert s_line == "s UNKNOWN"
+        assert bounds.split()[3] == o_line.split()[1]
+        formula = parse_dimacs(wcnf.read_text(encoding="utf-8"))
+        lits = [int(t) for t in v_line.split()[1:-1]]
+        assignment = {abs(l): l > 0 for l in lits}
+        assert formula.hard_satisfied(assignment)
+        assert o_line == f"o {formula.falsified_weight(assignment)}"
 
     def test_timeout_covers_parsing(self, capsys, tmp_path, monkeypatch):
         def slow_parse(text):

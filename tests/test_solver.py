@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_wcnf, semantic_optimum
+from helpers import interrupt_after_first_model, random_wcnf, semantic_optimum
+from ttsat import cardinality
 from ttsat import solver as solver_module
+from ttsat.cardinality import Scheme, encode_at_least, totalizer
 from ttsat.cnf import Clause, WcnfFormula
 from ttsat.encoder import EncodeOptions, encode
 from ttsat.model import gen_random_instance
@@ -18,7 +20,6 @@ from ttsat.solver import (
     CdclSolver,
     ExternalSolverError,
     MaxSatStatus,
-    SatResult,
     SatStatus,
     SolverConfig,
     UntrustedSolverError,
@@ -233,18 +234,7 @@ class TestSolveMaxsatExamples:
 
     def test_interrupted_run_keeps_best_model(self, monkeypatch):
         # the budget runs out on the SAT call after the first stratum's model
-        original = CdclSolver.solve
-        models = []
-
-        def solve(self, *args, **kwargs):
-            if models:
-                return SatResult(SatStatus.INDETERMINATE)
-            res = original(self, *args, **kwargs)
-            if res.status is SatStatus.SAT:
-                models.append(res)
-            return res
-
-        monkeypatch.setattr(CdclSolver, "solve", solve)
+        models = interrupt_after_first_model(monkeypatch)
         res = solve_maxsat(WEIGHTED)
         assert models
         assert res.status is MaxSatStatus.INDETERMINATE
@@ -272,6 +262,131 @@ class TestSolveMaxsatExamples:
         finally:
             if was:
                 gc.enable()
+
+
+def trace_oll(monkeypatch):
+    """Record each SAT call of solve_maxsat as (assumptions, result), and the
+    outputs of each totalizer it builds."""
+    calls, sums = [], []
+    solve = CdclSolver.solve
+
+    def traced_solve(self, assumptions=(), deadline=None):
+        res = solve(self, assumptions, deadline)
+        calls.append((list(assumptions), res))
+        return res
+
+    def traced_totalizer(lits, alloc):
+        clauses, outs = totalizer(lits, alloc)
+        sums.append(outs)
+        return clauses, outs
+
+    monkeypatch.setattr(CdclSolver, "solve", traced_solve)
+    monkeypatch.setattr(solver_module, "totalizer", traced_totalizer)
+    return calls, sums
+
+
+def solves_like_brute_force(formula, seed=0):
+    res = solve_maxsat(formula, SolverConfig(seed=seed))
+    ref = brute_force_maxsat(formula)
+    assert res.status is ref.status is MaxSatStatus.OPTIMUM
+    assert res.cost == ref.cost
+    assert res.model.cost == formula.falsified_weight(res.model.assignment) == ref.cost
+    return res.cost
+
+
+# x1 + x2 + x3 >= 2, soft -x1 and -x2 of weight 2 and -x3 of weight 3: the
+# first core {-x1, -x3} leaves x3 weight 1, below the stratum's threshold 2,
+# and the next core mixes "at most one of x1, x3 violated" with -x2
+MIXED = WcnfFormula(3, (
+    Clause((1, 2)), Clause((1, 3)), Clause((2, 3)),
+    Clause((-1,), 2), Clause((-2,), 2), Clause((-3,), 3),
+))
+
+
+class TestOll:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sum_bound_raised_twice(self, monkeypatch, seed):
+        # at least 3 of x1..x6 true, each one a soft violation: a first core
+        # of four selectors only reaches the optimum after its sum's "at
+        # most 1" is raised to "at most 2" and then "at most 3"
+        hard, _ = encode_at_least(3, range(1, 7), Scheme.PAIRWISE)
+        formula = WcnfFormula(
+            6, tuple(Clause(c) for c in hard) + tuple(Clause((-v,), 1) for v in range(1, 7))
+        )
+        calls, sums = trace_oll(monkeypatch)
+        assert solves_like_brute_force(formula, seed) == 3
+        assumed = {a for assumptions, _ in calls for a in assumptions}
+        assert any(len(outs) > 3 and -outs[3] in assumed for outs in sums)
+
+    def test_core_mixes_sum_output_and_selector(self, monkeypatch):
+        calls, sums = trace_oll(monkeypatch)
+        assert solves_like_brute_force(MIXED) == 4
+        outputs = {o for outs in sums for o in outs}
+        selectors = {4, 5, 6}  # loaded right after the 3 base variables
+        cores = [set(res.core) for _, res in calls if res.status is SatStatus.UNSAT]
+        assert any({-a for a in core} & outputs and {-a for a in core} & selectors
+                   for core in cores)
+
+    def test_leftover_weight_returns_in_later_stratum(self, monkeypatch):
+        calls, _ = trace_oll(monkeypatch)
+        assert solves_like_brute_force(MIXED) == 4
+        x3 = -6  # the assumption of soft clause -x3, weight 3
+        seen = [x3 in assumptions for assumptions, _ in calls]
+        first_core = next(i for i, (_, res) in enumerate(calls) if res.status is SatStatus.UNSAT)
+        assert x3 in calls[first_core][1].core
+        # left at weight 1 by that core, it sits out the rest of the stratum
+        # and comes back once the threshold drops to 1
+        assert not seen[first_core + 1]
+        assert seen[-1] and calls[-1][1].status is SatStatus.SAT
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_raised_bound_adds_to_its_weight(self, seed):
+        # a sum output that keeps weight after one core and meets a second
+        # core: the weight its next bound already holds must add up, or the
+        # final model costs more than the lower bound (found by random search
+        # over random_wcnf formulas and shrunk by deleting clauses)
+        formula = WcnfFormula(6, (
+            Clause((-5, -2, 6)), Clause((5,), 4), Clause((3,)), Clause((6,), 1),
+            Clause((-6,), 4), Clause((1, 6, -4), 4), Clause((6, -1, -3), 1),
+            Clause((2, -3), 5), Clause((6,), 3), Clause((-6, -2), 3), Clause((-2,), 3),
+            Clause((5,), 3), Clause((4,), 1), Clause((-5,), 4), Clause((-5,), 2),
+        ))
+        assert solves_like_brute_force(formula, seed) == 15
+
+    def test_each_soft_clause_loaded_once(self, monkeypatch, sample_partial):
+        formula = sample_partial[0]
+        added = []
+        add_clause = CdclSolver.add_clause
+
+        def recording_add_clause(self, lits):
+            added.append(list(lits))
+            return add_clause(self, lits)
+
+        exactly_calls = []
+
+        def counting_exactly(*args, **kwargs):
+            exactly_calls.append(args)
+            return encode_exactly(*args, **kwargs)
+
+        encode_exactly = cardinality.encode_exactly
+        monkeypatch.setattr(CdclSolver, "add_clause", recording_add_clause)
+        monkeypatch.setattr(cardinality, "encode_exactly", counting_exactly)
+        monkeypatch.setattr(solver_module, "encode_exactly", counting_exactly, raising=False)
+        assert solve_maxsat(formula).cost == 2
+        assert exactly_calls == []
+        n = formula.num_vars
+        # every added clause with a fresh variable in it, keyed by its
+        # literals over the formula's variables (a soft clause may also be
+        # a hard one, as a unit)
+        relaxed: dict[tuple, list[list[int]]] = {}
+        for cl in added:
+            if any(abs(l) > n for l in cl):
+                relaxed.setdefault(tuple(sorted(l for l in cl if abs(l) <= n)), []).append(cl)
+        for c in formula.soft_clauses:
+            holders = relaxed.get(tuple(sorted(c.literals)), [])
+            assert len(holders) == 1, c
+            extra = [l for l in holders[0] if abs(l) > n]
+            assert len(extra) == 1 and extra[0] > 0, c
 
 
 class TestBruteForce:
