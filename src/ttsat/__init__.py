@@ -2,14 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .cardinality import (  # noqa: F401
-    BoundKind,
-    Scheme,
-    VarAllocator,
-    encode_at_least,
-    encode_at_most,
-    encode_exactly,
-)
+from .cardinality import exactly_one, totalizer  # noqa: F401
 from .cnf import (  # noqa: F401
     Clause,
     Model,

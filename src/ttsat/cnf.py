@@ -199,15 +199,10 @@ class Model:
     cost: int
 
     @classmethod
-    def checked(cls, formula: WcnfFormula, assignment, reported_cost: int | None = None) -> "Model":
+    def checked(cls, formula: WcnfFormula, assignment) -> "Model":
         """Build a model, recomputing the cost instead of trusting the caller."""
         assignment = {v: bool(assignment[v]) for v in range(1, formula.num_vars + 1)}
-        cost = formula.falsified_weight(assignment)
-        if reported_cost is not None and reported_cost != cost:
-            raise CnfError(
-                f"reported cost {reported_cost} does not match recomputed cost {cost}"
-            )
-        return cls(assignment, cost)
+        return cls(assignment, formula.falsified_weight(assignment))
 
 
 def write_dimacs(formula: WcnfFormula, comments: tuple[str, ...] = ()) -> str:

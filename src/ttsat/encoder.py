@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .cardinality import default_scheme, encode_exactly
+from .cardinality import exactly_one
 from .cnf import Clause, WcnfFormula, gc_paused
 from .model import (
     Instance,
@@ -44,8 +44,8 @@ class EncodeOptions:
     timeslot, seats short per capacity overflow); ``False`` is the plain
     partial mode, every soft clause weight 1.
 
-    Every exactly-one uses ``cardinality.default_scheme``: pairwise for
-    tiny constraints, the totalizer otherwise.  The weight methods are the
+    Every exactly-one is ``cardinality.exactly_one``: pairwise for up to
+    8 literals, the totalizer above.  The weight methods are the
     single weighting policy, shared by the encoder and by
     ``decode.compute_cost``.
     """
@@ -274,10 +274,8 @@ def room_assignment(instance: Instance, varmap: VarMap) -> list[Clause]:
         else:
             eligible = [r.id for r in instance.rooms]
         lits = [varmap.cr(s.id, r) for r in eligible]
-        scheme = default_scheme(1, len(lits))
-        tag = f"room_assignment/{instance.session_label(s.id)}/{scheme.value}"
-        raw, _ = encode_exactly(1, lits, scheme, varmap.allocator(tag))
-        out.extend(Clause(c) for c in raw)
+        tag = f"room_assignment/{instance.session_label(s.id)}/totalizer"
+        out.extend(Clause(c) for c in exactly_one(lits, varmap.allocator(tag)))
         if s.kind is SessionKind.LAB:
             for r in instance.rooms:
                 if not r.is_lab:
@@ -291,10 +289,8 @@ def meeting_count(instance: Instance, varmap: VarMap) -> list[Clause]:
     out = []
     for s in instance.sessions:
         lits = [varmap.ct(s.id, t.id) for t in instance.timeslots]
-        scheme = default_scheme(1, len(lits))
-        tag = f"meeting_count/{instance.session_label(s.id)}/{scheme.value}"
-        raw, _ = encode_exactly(1, lits, scheme, varmap.allocator(tag))
-        out.extend(Clause(c) for c in raw)
+        tag = f"meeting_count/{instance.session_label(s.id)}/totalizer"
+        out.extend(Clause(c) for c in exactly_one(lits, varmap.allocator(tag)))
     return out
 
 

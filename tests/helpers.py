@@ -1,11 +1,13 @@
 """Shared test utilities: random formulas, an independent extension checker,
-the semantic enumeration oracle, hand-built model construction, and a SAT
-budget that runs out after the first model."""
+cardinality bounds on a totalizer, the semantic enumeration oracle,
+hand-built model construction, and a SAT budget that runs out after the
+first model."""
 
 from __future__ import annotations
 
 import itertools
 
+from ttsat.cardinality import totalizer
 from ttsat.cnf import Clause, WcnfFormula
 from ttsat.decode import Timetable, check_hard, compute_cost
 from ttsat.solver import CdclSolver, SatResult, SatStatus
@@ -96,6 +98,23 @@ def projected_models(clauses, base_vars):
         if extendable(clauses, assignment):
             out.add(bits)
     return out
+
+
+def mixed_literals(n):
+    """Literals over variables 1..n, every even variable negated."""
+    return [v if v % 2 else -v for v in range(1, n + 1)]
+
+
+def totalizer_bound(lits, k, kind):
+    """Clauses of "at most" / "at least" / "exactly" k of ``lits``: a
+    totalizer over them plus the bound's unit clauses on its outputs.  A
+    bound with no output to constrain (at most n, at least 0) adds none."""
+    clauses, outs = totalizer(lits, itertools.count(max(abs(l) for l in lits) + 1).__next__)
+    if kind in ("at_most", "exactly") and k < len(outs):
+        clauses.append((-outs[k],))
+    if kind in ("at_least", "exactly") and k > 0:
+        clauses.append((outs[k - 1],))
+    return clauses
 
 
 def all_placements(instance):

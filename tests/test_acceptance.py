@@ -9,15 +9,14 @@ import random
 import sys
 import time
 
-from helpers import projected_models, random_wcnf, semantic_optimum
-from ttsat.cardinality import (
-    BoundKind,
-    Scheme,
-    VarAllocator,
-    encode_at_least,
-    encode_at_most,
-    encode_exactly,
+from helpers import (
+    mixed_literals,
+    projected_models,
+    random_wcnf,
+    semantic_optimum,
+    totalizer_bound,
 )
+from ttsat.cardinality import exactly_one
 from ttsat.cli import main
 from ttsat.cnf import Clause, WcnfFormula, parse_dimacs, write_dimacs
 from ttsat.decode import check_hard, compute_cost, decode_timetable
@@ -101,37 +100,32 @@ class TestAcceptance:
         t0 = time.perf_counter()
         ok = True
         detail = ""
-        for scheme in Scheme:
-            for kind in BoundKind:
-                for n in range(1, 7):
-                    lits = [v if v % 2 else -v for v in range(1, n + 1)]
-                    variables = [abs(l) for l in lits]
-                    for k in range(0, n + 1):
-                        alloc = VarAllocator(n + 1)
-                        fn = {
-                            BoundKind.AT_MOST: encode_at_most,
-                            BoundKind.AT_LEAST: encode_at_least,
-                            BoundKind.EXACTLY: encode_exactly,
-                        }[kind]
-                        clauses, _ = fn(k, lits, scheme, alloc)
-                        got = projected_models(clauses, variables)
-                        want = set()
-                        for bits in itertools.product((False, True), repeat=n):
-                            value = dict(zip(variables, bits))
-                            true = sum(1 for l in lits if value[abs(l)] == (l > 0))
-                            hit = {
-                                BoundKind.AT_MOST: true <= k,
-                                BoundKind.AT_LEAST: true >= k,
-                                BoundKind.EXACTLY: true == k,
-                            }[kind]
-                            if hit:
-                                want.add(bits)
-                        if got != want:
-                            ok = False
-                            detail = f"{scheme.value} {kind.value} n={n} k={k}"
+        hits = {
+            "at_most": lambda true, k: true <= k,
+            "at_least": lambda true, k: true >= k,
+            "exactly": lambda true, k: true == k,
+        }
+        # (kind, n, k, clauses): every bound on a totalizer for n <= 6, and
+        # the encoder's exactly-one on both sides of its pairwise limit
+        cases = [(kind, n, k, totalizer_bound(mixed_literals(n), k, kind))
+                 for kind in hits for n in range(1, 7) for k in range(0, n + 1)]
+        cases += [("exactly", n, 1,
+                   exactly_one(mixed_literals(n), itertools.count(n + 1).__next__))
+                  for n in range(1, 11)]
+        for kind, n, k, clauses in cases:
+            lits = mixed_literals(n)
+            variables = [abs(l) for l in lits]
+            got = projected_models(clauses, variables)
+            want = set()
+            for bits in itertools.product((False, True), repeat=n):
+                value = dict(zip(variables, bits))
+                if hits[kind](sum(1 for l in lits if value[abs(l)] == (l > 0)), k):
+                    want.add(bits)
+            if got != want:
+                ok = False
+                detail = f"{kind} n={n} k={k}"
         # spot value: at_most(2, 4) admits C(4,0)+C(4,1)+C(4,2) = 11 projections
-        clauses, _ = encode_at_most(2, [1, 2, 3, 4], Scheme.SEQUENTIAL_COUNTER,
-                                    VarAllocator(5))
+        clauses = totalizer_bound([1, 2, 3, 4], 2, "at_most")
         ok = ok and len(projected_models(clauses, [1, 2, 3, 4])) == 11
         elapsed = time.perf_counter() - t0
         ok = ok and elapsed < 10.0

@@ -2,23 +2,14 @@ import itertools
 
 import pytest
 
-from helpers import projected_models
-from ttsat.cardinality import (
-    BoundKind,
-    CardinalityError,
-    Scheme,
-    VarAllocator,
-    default_scheme,
-    encode_at_least,
-    encode_at_most,
-    encode_exactly,
-)
+from helpers import mixed_literals, projected_models, totalizer_bound
+from ttsat.cardinality import PAIRWISE_MAX, CardinalityError, exactly_one, totalizer
 
-ALL_SCHEMES = list(Scheme)
+BOUND_KINDS = ("at_most", "at_least", "exactly")
 
 
-def ground_truth(lits, k, kind):
-    """Variable assignments under which the stated number of literals hold.
+def ground_truth(lits, hit):
+    """Variable assignments under which ``hit(number of true literals)`` holds.
 
     Assignments enumerate the literals' variables in order of appearance.
     """
@@ -26,143 +17,152 @@ def ground_truth(lits, k, kind):
     out = set()
     for bits in itertools.product((False, True), repeat=len(variables)):
         value = dict(zip(variables, bits))
-        true = sum(1 for l in lits if value[abs(l)] == (l > 0))
-        ok = {
-            BoundKind.AT_MOST: true <= k,
-            BoundKind.AT_LEAST: true >= k,
-            BoundKind.EXACTLY: true == k,
-        }[kind]
-        if ok:
+        if hit(sum(1 for l in lits if value[abs(l)] == (l > 0))):
             out.add(bits)
     return out
 
 
-def encoded(lits, k, kind, scheme):
-    alloc = VarAllocator(max(abs(l) for l in lits) + 1)
-    fn = {
-        BoundKind.AT_MOST: encode_at_most,
-        BoundKind.AT_LEAST: encode_at_least,
-        BoundKind.EXACTLY: encode_exactly,
+def bound_holds(k, kind):
+    return {
+        "at_most": lambda true: true <= k,
+        "at_least": lambda true: true >= k,
+        "exactly": lambda true: true == k,
     }[kind]
-    return fn(k, lits, scheme, alloc)
+
+
+def fresh_after(lits):
+    return itertools.count(max(abs(l) for l in lits) + 1).__next__
 
 
 class TestDegenerateBounds:
     def test_pairwise_at_most_one(self):
-        clauses, aux = encode_at_most(1, [1, 2, 3], Scheme.PAIRWISE)
-        assert set(clauses) == {(-1, -2), (-1, -3), (-2, -3)}
-        assert aux == []
+        clauses = exactly_one([1, 2, 3], fresh_after([1, 2, 3]))
+        assert set(clauses) == {(-1, -2), (-1, -3), (-2, -3), (1, 2, 3)}
 
     def test_vacuous_at_most(self):
-        for scheme in ALL_SCHEMES:
-            clauses, aux = encode_at_most(3, [1, 2, 3], scheme, VarAllocator(4))
-            assert clauses == [] and aux == []
-
-    def test_at_most_zero_is_units(self):
-        clauses, _ = encode_at_most(0, [1, -2], Scheme.TOTALIZER)
-        assert clauses == [(-1,), (2,)]
-
-    def test_at_least_one_is_single_clause(self):
-        clauses, aux = encode_at_least(1, [1, 2], Scheme.PAIRWISE)
-        assert clauses == [(1, 2)] and aux == []
+        # n outputs for n literals: "at most n" has no output to constrain,
+        # and the bare counter admits every assignment
+        for n in range(1, 6):
+            lits = mixed_literals(n)
+            clauses, outs = totalizer(lits, fresh_after(lits))
+            assert len(outs) == n
+            assert len(projected_models(clauses, [abs(l) for l in lits])) == 2 ** n
+            assert totalizer_bound(lits, n, "at_most") == clauses
 
     def test_at_least_zero_is_vacuous(self):
-        clauses, _ = encode_at_least(0, [1], Scheme.SEQUENTIAL_COUNTER)
-        assert clauses == []
+        # "at least 0" adds no unit to the counter
+        for n in range(1, 6):
+            lits = mixed_literals(n)
+            clauses, _ = totalizer(lits, fresh_after(lits))
+            assert totalizer_bound(lits, 0, "at_least") == clauses
+
+    def test_at_most_zero_is_units(self):
+        # the one unit ¬out[0]
+        clauses = totalizer_bound([1, -2], 0, "at_most")
+        assert len(clauses[-1]) == 1
+        assert projected_models(clauses, [1, 2]) == {(False, True)}
+
+    def test_at_least_one_is_single_clause(self):
+        # the at-least half of a pairwise exactly-one is one clause
+        lits = [1, -2, 3, 4]
+        clauses = exactly_one(lits, fresh_after(lits))
+        assert clauses[-1] == tuple(lits)
+        assert all(len(c) == 2 for c in clauses[:-1])
 
     def test_at_least_all_is_units(self):
-        clauses, _ = encode_at_least(2, [1, 2], Scheme.TOTALIZER)
-        assert clauses == [(1,), (2,)]
+        assert exactly_one([-5], fresh_after([5])) == [(-5,)]
+        # a lone literal is its own counter
+        assert totalizer([7], fresh_after([7])) == ([], [7])
 
     def test_exactly_one_of_two(self):
-        clauses, _ = encode_exactly(1, [1, 2])
+        clauses = exactly_one([1, 2], fresh_after([1, 2]))
         assert set(clauses) == {(1, 2), (-1, -2)}
 
     def test_exactly_zero_is_negative_units(self):
-        clauses, _ = encode_exactly(0, [1, 2])
-        assert clauses == [(-1,), (-2,)]
+        # exactly 0 is at most 0: the one unit ¬out[0], which forces every
+        # literal false
+        clauses = totalizer_bound([1, -2], 0, "exactly")
+        assert clauses == totalizer_bound([1, -2], 0, "at_most")
+        assert len(clauses[-1]) == 1 and clauses[-1][0] < 0
+        assert projected_models(clauses, [1, 2]) == {(False, True)}
 
 
 class TestErrors:
     def test_empty_literals(self):
         with pytest.raises(CardinalityError):
-            encode_at_most(1, [])
+            exactly_one([], fresh_after([1]))
 
     def test_duplicate_variables(self):
         with pytest.raises(CardinalityError):
-            encode_at_most(1, [1, -1])
+            exactly_one([1, -1], fresh_after([1]))
 
-    def test_negative_bound(self):
+    def test_zero_literal(self):
         with pytest.raises(CardinalityError):
-            encode_at_most(-1, [1])
-
-    def test_at_least_beyond_size(self):
-        with pytest.raises(CardinalityError):
-            encode_at_least(3, [1, 2])
-
-    def test_counter_schemes_need_allocator(self):
-        with pytest.raises(CardinalityError):
-            encode_at_most(2, [1, 2, 3, 4], Scheme.TOTALIZER)
+            exactly_one([1, 0, 2], fresh_after([2]))
 
 
 class TestProjection:
-    def test_sequential_at_most_two_of_four_has_11_models(self):
+    def test_totalizer_at_most_two_of_four_has_11_models(self):
         lits = [1, 2, 3, 4]
-        clauses, aux = encode_at_most(2, lits, Scheme.SEQUENTIAL_COUNTER, VarAllocator(5))
-        assert len(aux) > 0
-        models = projected_models(clauses, lits)
+        clauses = totalizer_bound(lits, 2, "at_most")
+        assert any(abs(l) > 4 for c in clauses for l in c)
         # C(4,0) + C(4,1) + C(4,2)
-        assert len(models) == 11
+        assert len(projected_models(clauses, lits)) == 11
 
     def test_at_least_two_of_three_has_4_models(self):
-        for scheme in ALL_SCHEMES:
-            clauses, _ = encode_at_least(2, [1, 2, 3], scheme, VarAllocator(4))
-            assert len(projected_models(clauses, [1, 2, 3])) == 4
+        clauses = totalizer_bound([1, 2, 3], 2, "at_least")
+        assert len(projected_models(clauses, [1, 2, 3])) == 4
 
     def test_exactly_two_of_five_has_10_models(self):
         lits = [1, 2, 3, 4, 5]
-        for scheme in ALL_SCHEMES:
-            clauses, _ = encode_exactly(2, lits, scheme, VarAllocator(6))
-            assert len(projected_models(clauses, lits)) == 10
+        clauses = totalizer_bound(lits, 2, "exactly")
+        assert len(projected_models(clauses, lits)) == 10
 
-    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
-    @pytest.mark.parametrize("kind", list(BoundKind))
-    def test_projection_equivalence_small(self, scheme, kind):
+    @pytest.mark.parametrize("kind", BOUND_KINDS)
+    def test_projection_equivalence_small(self, kind):
         # mixed polarities; the full n <= 6 sweep runs in the acceptance suite
         for n in range(1, 5):
-            lits = [v if v % 2 else -v for v in range(1, n + 1)]
+            lits = mixed_literals(n)
             for k in range(0, n + 1):
-                clauses, _ = encoded(lits, k, kind, scheme)
-                got = projected_models(clauses, [abs(l) for l in lits])
-                want = ground_truth(lits, k, kind)
-                assert got == want, f"{scheme} {kind} n={n} k={k}"
+                got = projected_models(totalizer_bound(lits, k, kind), [abs(l) for l in lits])
+                assert got == ground_truth(lits, bound_holds(k, kind)), f"{kind} n={n} k={k}"
+
+    @pytest.mark.parametrize("n", range(1, PAIRWISE_MAX + 3))
+    def test_exactly_one_projection(self, n):
+        # both sides of the switch from pairwise to totalizer
+        lits = mixed_literals(n)
+        got = projected_models(exactly_one(lits, fresh_after(lits)), [abs(l) for l in lits])
+        assert got == ground_truth(lits, lambda true: true == 1)
 
 
 class TestAllocator:
     def test_aux_vars_fresh_and_monotone(self):
-        alloc = VarAllocator(10)
-        _, aux1 = encode_at_most(2, [1, 2, 3, 4], Scheme.SEQUENTIAL_COUNTER, alloc)
-        _, aux2 = encode_at_most(2, [5, 6, 7, 8], Scheme.TOTALIZER, alloc)
-        seen = aux1 + aux2
-        assert seen == sorted(seen)
-        assert len(set(seen)) == len(seen)
-        assert min(seen) == 10
+        for n in (9, 10, 16):
+            lits = list(range(1, n + 1))
+            alloc = itertools.count(n + 1)
+            clauses = exactly_one(lits, alloc.__next__)
+            drawn = next(alloc) - (n + 1)
+            assert drawn > 0
+            used = {abs(l) for c in clauses for l in c}
+            assert used - set(lits) == set(range(n + 1, n + 1 + drawn))
 
     def test_pairwise_at_most_one_clause_count(self):
-        for n in range(2, 9):
-            clauses, _ = encode_at_most(1, list(range(1, n + 1)), Scheme.PAIRWISE)
-            assert len(clauses) == n * (n - 1) // 2
-            assert all(len(c) == 2 for c in clauses)
+        for n in range(2, PAIRWISE_MAX + 1):
+            clauses = exactly_one(list(range(1, n + 1)), fresh_after([n]))
+            assert len(clauses) == n * (n - 1) // 2 + 1
+            assert all(len(c) == 2 and c[0] < 0 and c[1] < 0 for c in clauses[:-1])
 
     def test_deterministic_output(self):
-        for scheme in ALL_SCHEMES:
-            first = encoded([1, -2, 3, 4, -5], 2, BoundKind.EXACTLY, scheme)
-            second = encoded([1, -2, 3, 4, -5], 2, BoundKind.EXACTLY, scheme)
-            assert first == second
+        lits = [1, -2, 3, 4, -5, 6, 7, -8, 9, 10]
+        assert exactly_one(lits, fresh_after(lits)) == exactly_one(lits, fresh_after(lits))
+        assert totalizer(lits, fresh_after(lits)) == totalizer(lits, fresh_after(lits))
 
 
 class TestDefaults:
     def test_default_scheme_policy(self):
-        assert default_scheme(1, 5) is Scheme.PAIRWISE
-        assert default_scheme(1, 9) is Scheme.TOTALIZER
-        assert default_scheme(2, 4) is Scheme.TOTALIZER
+        # pairwise, drawing no variable, up to PAIRWISE_MAX literals; a
+        # totalizer above
+        for n, pairwise in ((PAIRWISE_MAX, True), (PAIRWISE_MAX + 1, False)):
+            alloc = itertools.count(n + 1)
+            exactly_one(list(range(1, n + 1)), alloc.__next__)
+            assert (next(alloc) == n + 1) == pairwise

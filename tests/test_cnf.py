@@ -160,10 +160,6 @@ class TestModel:
         m = Model.checked(WEIGHTED_EXAMPLE, {1: False, 2: False, 3: False})
         assert m.cost == 3
 
-    def test_checked_rejects_wrong_report(self):
-        with pytest.raises(CnfError, match="does not match"):
-            Model.checked(WEIGHTED_EXAMPLE, {1: False, 2: False, 3: False}, reported_cost=2)
-
 
 class TestParseSolverOutput:
     def test_optimum_with_model(self):

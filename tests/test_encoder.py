@@ -400,6 +400,27 @@ class TestEncodeWhole:
         assert hashlib.sha256(write_dimacs(formula).encode()).hexdigest() == dimacs_sha256
         assert hashlib.sha256(explain.encode()).hexdigest() == explain_sha256
 
+    # the sample has 5 timeslots and 4 rooms, so every exactly-one there is
+    # pairwise; this instance's 10 timeslots and 9 rooms take the totalizer
+    # path, and its single lab room the one-literal unit
+    @pytest.mark.parametrize("weighted, dimacs_sha256", [
+        (True, "e5bdf1af3a536c435dd4a565c3256b2a5241d26539f48ae4cdc203688536a7fa"),
+        (False, "e02a9182070e1f46d6e1f465822ab5524e29d26a45920ce68b6fe9211ca36f7d"),
+    ])
+    def test_totalizer_encoding_pinned(self, weighted, dimacs_sha256):
+        instance = gen_random_instance(11, days=2, slots_per_day=5, rooms=9,
+                                       courses=4, curricula=2)
+        formula, vm = encode(instance, EncodeOptions(weighted=weighted))
+        explain = [vm.explain(v) for v in range(1, vm.num_vars + 1)]
+        assert (formula.num_vars, len(formula.clauses)) == (634, 5059)
+        aux_families = [line[4:line.index("/")] for line in explain if line.startswith("aux(")]
+        assert aux_families.count("meeting_count") == 272
+        assert aux_families.count("room_assignment") == 174
+        assert len(aux_families) == 446
+        assert hashlib.sha256(write_dimacs(formula).encode()).hexdigest() == dimacs_sha256
+        assert (hashlib.sha256("\n".join(explain).encode()).hexdigest()
+                == "6b901a56ffef7419fd2ae22b728a7f21d6eb2a75e60a8e5d7dbad3865f45384c")
+
     def test_deterministic_bytes(self, sample_instance):
         first, _ = encode(sample_instance, EncodeOptions(weighted=True))
         second, _ = encode(sample_instance, EncodeOptions(weighted=True))
