@@ -19,6 +19,7 @@ find nothing to free.  ``gc_paused`` switches it off while the encoder,
 from __future__ import annotations
 
 import gc
+import numbers
 import operator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -72,12 +73,12 @@ class WcnfFormula:
 
     ``top`` is the hard-clause sentinel weight and must exceed the sum of all
     soft weights.  When not given it defaults to that sum plus one.
-    Construction checks every clause: nonempty, no literal 0, no variable
-    twice, every variable within ``num_vars``, soft weights at least 1.  It
-    checks ``CHECK_CHUNK`` clauses at a time in numpy and re-checks a chunk
-    clause by clause only to name its first bad clause, so the ``CnfError``
-    is the same either way.  The same pass keeps the hard and soft clauses
-    apart, in formula order.
+    Construction checks every clause: nonempty, integer literals, no literal
+    0, no variable twice, every variable within ``num_vars``, soft weights at
+    least 1.  It checks ``CHECK_CHUNK`` clauses at a time in numpy and
+    re-checks a chunk clause by clause only to name its first bad clause, so
+    the ``CnfError`` is the same either way.  The same pass keeps the hard
+    and soft clauses apart, in formula order.
     """
 
     num_vars: int
@@ -129,6 +130,8 @@ def _clause_check(chunk, num_vars, soft_sum):
         lits = c.literals
         if not lits:
             raise CnfError("clause must contain at least one literal")
+        if not all(isinstance(l, numbers.Integral) for l in lits):
+            raise CnfError(f"clause {lits} has a literal that is not an integer")
         variables = set(map(abs, lits))
         if 0 in variables:
             raise CnfError(f"0 is the clause terminator, not a literal, in {lits}")

@@ -14,8 +14,16 @@ activity rescale), so stale entries never dominate it.
 One exact optimizer sits on top of it: stratified core-guided OLL.  Each
 soft clause keeps one selector for the run, and a core of several members,
 as the SAT core reports it, gets one totalizer whose "at most one member
-violated" output becomes a weighted assumption.  The only budget is the
-wall-clock deadline from ``SolverConfig.timeout``.
+violated" output becomes a weighted assumption.  After a model, the next
+stratum is the heaviest weight left on an assumption that model makes
+false, so strata it already satisfies cost no SAT call, and a model that
+makes none false is optimal.  The only budget is the wall-clock deadline
+from ``SolverConfig.timeout``.
+
+``CdclSolver.load`` puts a whole checked ``WcnfFormula`` into a fresh
+solver in one pass, with no per-literal checks; ``add_clause`` keeps its
+full checks for everything added one clause at a time (the cores'
+totalizers, ``solve_sat``).
 
 ``brute_force_maxsat`` is an independent enumeration oracle for small
 formulas, and ``solve_external`` shells out to any solver speaking DIMACS
@@ -184,6 +192,40 @@ class CdclSolver:
     def new_var(self) -> int:
         self.ensure_vars(self.nvars + 1)
         return self.nvars
+
+    @gc_paused()
+    def load(self, formula: WcnfFormula) -> list[int]:
+        """Load a checked formula into a fresh solver in one pass and return
+        one fresh selector per soft clause, in formula order.
+
+        Each soft clause becomes the hard clause ``(lits v sel)``.
+        ``WcnfFormula`` has already ruled out non-integer literals, literal
+        0, repeated variables and variables past ``num_vars``, so each
+        clause of two or more literals is watched as given, unassigned at
+        level 0.  The hard units
+        go last, through ``add_clause``, whose propagation repairs every
+        watch they falsify."""
+        if self.nvars or not self.ok:
+            raise ValueError("load needs a fresh solver")
+        base = formula.num_vars
+        softs = formula.soft_clauses
+        self.ensure_vars(base + len(softs))
+        selectors = list(range(base + 1, base + 1 + len(softs)))
+        watches = self.watches
+        orig = self.orig_clauses
+        units = []
+        clauses = [list(c.literals) for c in formula.hard_clauses]
+        clauses += [[*c.literals, sel] for c, sel in zip(softs, selectors)]
+        for cl in clauses:
+            if len(cl) == 1:
+                units.append(cl)
+                continue
+            orig.append(cl)
+            watches[cl[0]].append(cl)
+            watches[cl[1]].append(cl)
+        for cl in units:
+            self.add_clause(cl)
+        return selectors
 
     def add_clause(self, lits) -> bool:
         """Add a hard clause at level 0. Returns False once the formula is unsat."""
@@ -594,27 +636,30 @@ def solve_maxsat(formula: WcnfFormula, cfg: SolverConfig | None = None) -> MaxSa
     """Exact weighted partial Max-SAT: minimize falsified soft weight by
     stratified core-guided OLL.
 
-    Each SAT call either finds a model, which ends a stratum and may improve
-    the best model, or an unsatisfiable core over the stratum's assumptions,
-    which is relaxed as reported.  When ``cfg.timeout`` runs out the result
+    The formula goes into the SAT core in bulk, through ``CdclSolver.load``.
+    A stratum assumes every assumption whose weight left reaches its
+    threshold.  Each SAT call either finds an unsatisfiable core over those
+    assumptions, which is relaxed as reported, or a model, which may improve
+    the best model and ends the stratum.  The next threshold is the heaviest
+    weight left on an assumption the whole model (selectors and sum outputs
+    included) makes false; when it makes none false it is optimal, its cost
+    equal to the lower bound.  A model cheaper than the lower bound, or an
+    optimum whose cost differs from it, raises ``SolverInternalError``.
+    Thresholds fall strictly between models and every core raises the lower
+    bound, so the search ends.  When ``cfg.timeout`` runs out the result
     is INDETERMINATE, carrying ``bounds=(lower, upper)`` and the best model
     found so far, re-checked against ``formula`` (``upper`` is its cost, or
     None with no model yet)."""
     cfg = cfg or SolverConfig()
     base_n = formula.num_vars
-    solver = CdclSolver(base_n, seed=cfg.seed)
+    solver = CdclSolver(seed=cfg.seed)
     deadline = time.monotonic() + cfg.timeout if cfg.timeout is not None else None
 
-    weight: dict[int, int] = {}  # assumption literal -> its weight left
-    with gc_paused():
-        for c in formula.hard_clauses:
-            solver.add_clause(c.literals)
-        # each soft clause keeps one selector for the run: (lits v sel); assuming
-        # -sel re-activates it.  Cores are reported in terms of those assumptions.
-        for c in formula.soft_clauses:
-            sel = solver.new_var()
-            solver.add_clause(list(c.literals) + [sel])
-            weight[-sel] = c.weight
+    # each soft clause keeps one selector for the run: (lits v sel); assuming
+    # -sel re-activates it.  Cores are reported in terms of those assumptions.
+    selectors = solver.load(formula)
+    # assumption literal -> its weight left
+    weight = {-sel: c.weight for c, sel in zip(formula.soft_clauses, selectors)}
     # -outs[k], "at most k of a core's members violated" -> (outs, k)
     sums: dict[int, tuple[list[int], int]] = {}
 
@@ -634,11 +679,17 @@ def solve_maxsat(formula: WcnfFormula, cfg: SolverConfig | None = None) -> MaxSa
         if res.status is SatStatus.SAT:
             model = _restrict(res.model, base_n)
             true_cost = formula.falsified_weight(model)
+            if true_cost < lower:
+                raise SolverInternalError(
+                    f"model cost {true_cost} is below the lower bound {lower}: unsound core"
+                )
             if best_cost is None or true_cost < best_cost:
                 best_cost, best_model = true_cost, model
-            # cores leave weights below the threshold, so the next stratum
-            # comes from the current weights, not the original ones
-            pending = [w for w in weight.values() if w < threshold]
+            # the next stratum is the heaviest weight left on an assumption
+            # this model makes false: the strata between are satisfied
+            # already.  Cores leave weights below the threshold, so this
+            # reads the current weights, not the original ones
+            pending = [w for a, w in weight.items() if res.model[abs(a)] != (a > 0)]
             if not pending:
                 if true_cost != lower:
                     raise SolverInternalError(

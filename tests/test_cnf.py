@@ -2,6 +2,7 @@ import gc
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from ttsat.cnf import (
     parse_solver_output,
     write_dimacs,
 )
+from ttsat.solver import solve_maxsat
 
 # the running micro example: hard (x | ~y), (~x | z); soft (y | z):3, (~z):4
 WEIGHTED_EXAMPLE = WcnfFormula(
@@ -50,6 +52,16 @@ class TestClause:
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(CnfError):
             WcnfFormula(2, (Clause((1,), 0),))
+
+    @pytest.mark.parametrize("lits", [(1, 2.5), (1.0,), ("1",)])
+    def test_rejects_non_integer_literal(self, lits):
+        # the solver indexes its arrays by literal: 2.5 would not read as 2
+        with pytest.raises(CnfError, match="not an integer"):
+            WcnfFormula(3, (Clause(lits),))
+
+    def test_accepts_numpy_integer_literals(self):
+        f = WcnfFormula(2, (Clause((np.int64(1), np.int32(-2))),))
+        assert solve_maxsat(f).cost == 0
 
 
 class TestFormula:

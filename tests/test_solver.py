@@ -20,8 +20,10 @@ from ttsat.solver import (
     CdclSolver,
     ExternalSolverError,
     MaxSatStatus,
+    SatResult,
     SatStatus,
     SolverConfig,
+    SolverInternalError,
     UntrustedSolverError,
     brute_force_maxsat,
     solve_external,
@@ -357,13 +359,21 @@ class TestOll:
     def test_each_soft_clause_loaded_once(self, monkeypatch, sample_partial):
         formula = sample_partial[0]
         added = []
-        add_clause = CdclSolver.add_clause
+        add_clause, load = CdclSolver.add_clause, CdclSolver.load
 
         def recording_add_clause(self, lits):
             added.append(list(lits))
             return add_clause(self, lits)
 
+        def recording_load(self, formula):
+            selectors = load(self, formula)
+            # every clause load watched as given; its hard units went
+            # through add_clause
+            added.extend(list(cl) for cl in self.orig_clauses)
+            return selectors
+
         monkeypatch.setattr(CdclSolver, "add_clause", recording_add_clause)
+        monkeypatch.setattr(CdclSolver, "load", recording_load)
         assert solve_maxsat(formula).cost == 2
         n = formula.num_vars
         # every added clause with a fresh variable in it, keyed by its
@@ -378,6 +388,99 @@ class TestOll:
             assert len(holders) == 1, c
             extra = [l for l in holders[0] if abs(l) > n]
             assert len(extra) == 1 and extra[0] > 0, c
+
+
+# three soft clauses of distinct weights that any model of the hard clause
+# satisfies once its decisions, all false at first, leave at most one of
+# x2, x3, x4 true
+JOINTLY_SATISFIABLE = WcnfFormula(4, (
+    Clause((1, 2, 3, 4)), Clause((-1,), 3), Clause((-2, -3), 2), Clause((-4, -1), 1),
+))
+# soft x1 (weight 4, selector 4) falsifies soft -x1 (weight 1, selector 7);
+# softs -x2 and -x3 (weights 3 and 2, selectors 5 and 6) hold in the same model
+SKIPPED_STRATA = WcnfFormula(3, (
+    Clause((1,), 4), Clause((-2,), 3), Clause((-3,), 2), Clause((-1,), 1),
+))
+
+
+class TestStrata:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_satisfied_softs_take_one_call(self, monkeypatch, seed):
+        calls, _ = trace_oll(monkeypatch)
+        assert solves_like_brute_force(JOINTLY_SATISFIABLE, seed) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_strata_the_model_satisfies_are_skipped(self, monkeypatch, seed):
+        calls, _ = trace_oll(monkeypatch)
+        assert solves_like_brute_force(SKIPPED_STRATA, seed) == 1
+        # the model of stratum 4 makes only -7 false, so the strata of
+        # weight 3 and 2 never run; stratum 1 finds the core {-4, -7}, and
+        # the model after it makes no assumption false
+        assert [sorted(a) for a, _ in calls[:2]] == [[-4], [-7, -6, -5, -4]]
+        assert [res.status for _, res in calls] == [SatStatus.SAT, SatStatus.UNSAT, SatStatus.SAT]
+        assert set(calls[1][1].core) == {-4, -7}
+
+    def test_unsound_core_is_caught(self, monkeypatch):
+        # a core over the one assumption of stratum 2 that the hard unit x1
+        # satisfies: the lower bound 2 exceeds the cost of every model
+        formula = WcnfFormula(2, (Clause((1,)), Clause((1,), 2), Clause((2,), 1)))
+        solve = CdclSolver.solve
+        calls = []
+
+        def bogus_first_core(self, assumptions=(), deadline=None):
+            calls.append(list(assumptions))
+            if len(calls) == 1:
+                return SatResult(SatStatus.UNSAT, core=tuple(assumptions))
+            return solve(self, assumptions, deadline)
+
+        monkeypatch.setattr(CdclSolver, "solve", bogus_first_core)
+        with pytest.raises(SolverInternalError, match="below the lower bound 2"):
+            solve_maxsat(formula)
+        assert len(calls) == 2
+
+
+class TestLoad:
+    @pytest.mark.parametrize("clauses", [
+        # the units falsify both watched literals of the clause before them
+        [Clause((1, 2, 3)), Clause((-1,)), Clause((-2,)), Clause((-3, 4), 2), Clause((-4,), 1)],
+        # ... and of a soft clause, whose selector they force true
+        [Clause((1, 2), 3), Clause((-1, 3)), Clause((-1,)), Clause((-2,)), Clause((-3,), 1)],
+        # a soft clause equal to a hard unit, and one against it
+        [Clause((2, 3)), Clause((1,), 3), Clause((1,)), Clause((-1,), 2)],
+        # the empty formula
+        [],
+    ])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_brute_force(self, clauses, seed):
+        solves_like_brute_force(WcnfFormula(4, tuple(clauses)), seed)
+
+    @pytest.mark.parametrize("clauses", [
+        [Clause((1,)), Clause((2,), 1), Clause((-1,))],
+        # the units falsify every literal of a clause loaded before them
+        [Clause((1, 2)), Clause((1,), 2), Clause((-1,)), Clause((-2,))],
+    ])
+    def test_contradictory_units(self, clauses):
+        formula = WcnfFormula(2, tuple(clauses))
+        assert brute_force_maxsat(formula).status is MaxSatStatus.HARD_UNSAT
+        assert solve_maxsat(formula).status is MaxSatStatus.HARD_UNSAT
+
+    def test_selectors_follow_the_formula_variables(self):
+        formula = WcnfFormula(3, (Clause((1, 2)), Clause((-1,), 2), Clause((3,), 1)))
+        solver = CdclSolver()
+        assert solver.load(formula) == [4, 5]
+        assert sorted(map(sorted, solver.orig_clauses)) == [[-1, 4], [1, 2], [3, 5]]
+
+    @pytest.mark.parametrize("used", [
+        lambda s: s.load(WEIGHTED),
+        lambda s: s.new_var(),
+        lambda s: s.add_clause([]),
+    ], ids=["loaded", "new_var", "unsat"])
+    def test_needs_a_fresh_solver(self, used):
+        solver = CdclSolver()
+        used(solver)
+        with pytest.raises(ValueError, match="fresh solver"):
+            solver.load(WEIGHTED)
 
 
 class TestBruteForce:
