@@ -202,15 +202,14 @@ class CdclSolver:
         ``WcnfFormula`` has already ruled out non-integer literals, literal
         0, repeated variables and variables past ``num_vars``, so each
         clause of two or more literals is watched as given, unassigned at
-        level 0.  The hard units
-        go last, through ``add_clause``, whose propagation repairs every
-        watch they falsify."""
+        level 0.  The hard units go last, through ``add_clause``, whose
+        propagation repairs every watch they falsify."""
         if self.nvars or not self.ok:
             raise ValueError("load needs a fresh solver")
         base = formula.num_vars
         softs = formula.soft_clauses
         self.ensure_vars(base + len(softs))
-        selectors = list(range(base + 1, base + 1 + len(softs)))
+        selectors = list(range(base + 1, self.nvars + 1))
         watches = self.watches
         orig = self.orig_clauses
         units = []
@@ -219,10 +218,10 @@ class CdclSolver:
         for cl in clauses:
             if len(cl) == 1:
                 units.append(cl)
-                continue
-            orig.append(cl)
-            watches[cl[0]].append(cl)
-            watches[cl[1]].append(cl)
+            else:
+                orig.append(cl)
+                watches[cl[0]].append(cl)
+                watches[cl[1]].append(cl)
         for cl in units:
             self.add_clause(cl)
         return selectors
