@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import os
 import sys
 import time
 
@@ -40,7 +39,6 @@ from .solver import (
     SolverError,
     SolverInternalError,
     UntrustedSolverError,
-    brute_force_maxsat,
     solve_external,
     solve_maxsat,
 )
@@ -74,17 +72,13 @@ def _encode_options(args) -> EncodeOptions:
     return EncodeOptions(weighted=args.mode == "weighted")
 
 
-def _solver_config(args, started: float, external_cmd=None) -> SolverConfig:
+def _solver_config(args, started: float) -> SolverConfig:
     """The run's solver settings; --timeout counts from ``started`` (the
     command's entry), so reading, encoding and loading use it up too."""
     timeout = args.timeout
     if timeout is not None:
         timeout = max(0.0, timeout - (time.monotonic() - started))
-    return SolverConfig(seed=args.seed, timeout=timeout, external_cmd=external_cmd)
-
-
-def _external_command(args) -> str | None:
-    return args.external_cmd or os.environ.get("TTSAT_EXTERNAL_SOLVER")
+    return SolverConfig(seed=args.seed, timeout=timeout)
 
 
 def _write_wcnf(formula, varmap, out_path: str, instance_text: str) -> None:
@@ -137,15 +131,11 @@ def cmd_solve(args) -> int:
     if args.save_wcnf:
         _write_wcnf(formula, varmap, args.save_wcnf, text)
 
-    if args.solver == "external":
-        external_cmd = _external_command(args)
-        if not external_cmd:
-            _err("external solver requested but no command given "
-                 "(use --external-cmd or TTSAT_EXTERNAL_SOLVER)")
-            return EXIT_INPUT
-        result = solve_external(formula, _solver_config(args, started, external_cmd))
+    cfg = _solver_config(args, started)
+    if args.external_command is not None:
+        result = solve_external(formula, args.external_command, cfg.timeout)
     else:
-        result = solve_maxsat(formula, _solver_config(args, started))
+        result = solve_maxsat(formula, cfg)
     if result.model is None:
         return _print_status(result)
 
@@ -160,21 +150,6 @@ def cmd_solve(args) -> int:
             f"validator cost {report.total_cost}, hard violations {len(hard)}"
         )
         return EXIT_INTERNAL
-    if args.check and result.status is MaxSatStatus.OPTIMUM:
-        if formula.num_vars <= 22:
-            reference = brute_force_maxsat(formula)
-            if reference.cost != result.cost:
-                _err(
-                    f"--check failed: brute force optimum {reference.cost} "
-                    f"!= solver {result.cost}"
-                )
-                return EXIT_INTERNAL
-        else:
-            print(
-                f"warning: --check skipped, {formula.num_vars} variables exceed "
-                "the brute-force cap of 22",
-                file=sys.stderr,
-            )
 
     code = _print_status(result)
     if code == EXIT_OK:
@@ -266,14 +241,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="encode, solve, decode, validate, print the grid")
     p.add_argument("instance", help="instance JSON file")
     _add_common_encode_flags(p)
-    p.add_argument("--solver", choices=("builtin", "external"), default="builtin")
-    p.add_argument("--external-cmd", default=None,
-                   help="external solver command template with {input}")
+    p.add_argument("--external-cmd", dest="external_command", metavar="CMD", default=None,
+                   help="solve with this external Max-SAT solver command "
+                        "instead of the builtin one; {input} is the WCNF path")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--timeout", type=float, default=None, help="wall-clock seconds")
     p.add_argument("--format", choices=("text", "csv"), default="text")
-    p.add_argument("--check", action="store_true",
-                   help="cross-check against brute force when small enough")
     p.add_argument("--save-wcnf", default=None, help="also write the WCNF here")
     p.set_defaults(fn=cmd_solve)
 

@@ -113,11 +113,19 @@ class WcnfFormula:
         object.__setattr__(self, "soft_weight_sum", soft_sum)
 
     def hard_satisfied(self, assignment) -> bool:
-        return all(c.satisfied_by(assignment) for c in self.hard_clauses)
+        """Whether a total assignment satisfies every hard clause."""
+        true = _true_literals(assignment)
+        return not any(true.isdisjoint(c.literals) for c in self.hard_clauses)
 
     def falsified_weight(self, assignment) -> int:
         """Total weight of soft clauses falsified by a total assignment."""
-        return sum(c.weight for c in self.soft_clauses if not c.satisfied_by(assignment))
+        true = _true_literals(assignment)
+        return sum(c.weight for c in self.soft_clauses if true.isdisjoint(c.literals))
+
+
+def _true_literals(assignment) -> set[int]:
+    """The literals a ``{variable: bool}`` assignment makes true."""
+    return {v if value else -v for v, value in assignment.items()}
 
 
 def _clause_check(chunk, num_vars, soft_sum):
@@ -200,12 +208,6 @@ class Model:
 
     assignment: dict[int, bool]
     cost: int
-
-    @classmethod
-    def checked(cls, formula: WcnfFormula, assignment) -> "Model":
-        """Build a model, recomputing the cost instead of trusting the caller."""
-        assignment = {v: bool(assignment[v]) for v in range(1, formula.num_vars + 1)}
-        return cls(assignment, formula.falsified_weight(assignment))
 
 
 def write_dimacs(formula: WcnfFormula, comments: tuple[str, ...] = ()) -> str:

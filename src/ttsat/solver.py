@@ -17,8 +17,9 @@ as the SAT core reports it, gets one totalizer whose "at most one member
 violated" output becomes a weighted assumption.  After a model, the next
 stratum is the heaviest weight left on an assumption that model makes
 false, so strata it already satisfies cost no SAT call, and a model that
-makes none false is optimal.  The only budget is the wall-clock deadline
-from ``SolverConfig.timeout``.
+makes none false is optimal.  The model it returns, optimal or best so
+far, must satisfy every hard clause.  The only budget is the wall-clock
+deadline from ``SolverConfig.timeout``.
 
 ``CdclSolver.load`` puts a whole checked ``WcnfFormula`` into a fresh
 solver in one pass, with no per-literal checks; ``add_clause`` keeps its
@@ -26,8 +27,9 @@ full checks for everything added one clause at a time (the cores'
 totalizers, ``solve_sat``).
 
 ``brute_force_maxsat`` is an independent enumeration oracle for small
-formulas, and ``solve_external`` shells out to any solver speaking DIMACS
-WCNF and Max-SAT evaluation output, re-validating whatever it returns.
+formulas, and ``solve_external`` runs a given command line, any solver
+speaking DIMACS WCNF and Max-SAT evaluation output, re-validating whatever
+it returns.
 """
 
 from __future__ import annotations
@@ -86,7 +88,6 @@ class MaxSatStatus(Enum):
 @dataclass(frozen=True)
 class SolverConfig:
     seed: int = 0
-    external_cmd: str | None = None
     timeout: float | None = None
 
 
@@ -631,6 +632,13 @@ def _restrict(model: dict[int, bool], n: int) -> dict[int, bool]:
     return {v: model[v] for v in range(1, n + 1)}
 
 
+def _checked(formula: WcnfFormula, model: dict[int, bool], cost: int) -> Model:
+    """The optimizer's answer, once its model satisfies every hard clause."""
+    if not formula.hard_satisfied(model):
+        raise SolverInternalError("optimizer model violates a hard clause")
+    return Model(model, cost)
+
+
 def solve_maxsat(formula: WcnfFormula, cfg: SolverConfig | None = None) -> MaxSatResult:
     """Exact weighted partial Max-SAT: minimize falsified soft weight by
     stratified core-guided OLL.
@@ -643,12 +651,13 @@ def solve_maxsat(formula: WcnfFormula, cfg: SolverConfig | None = None) -> MaxSa
     weight left on an assumption the whole model (selectors and sum outputs
     included) makes false; when it makes none false it is optimal, its cost
     equal to the lower bound.  A model cheaper than the lower bound, or an
-    optimum whose cost differs from it, raises ``SolverInternalError``.
+    optimum whose cost differs from it, raises ``SolverInternalError``; so
+    does a returned model, optimal or best so far, that violates a hard
+    clause.
     Thresholds fall strictly between models and every core raises the lower
     bound, so the search ends.  When ``cfg.timeout`` runs out the result
     is INDETERMINATE, carrying ``bounds=(lower, upper)`` and the best model
-    found so far, re-checked against ``formula`` (``upper`` is its cost, or
-    None with no model yet)."""
+    found so far (``upper`` is its cost, or None with no model yet)."""
     cfg = cfg or SolverConfig()
     base_n = formula.num_vars
     solver = CdclSolver(seed=cfg.seed)
@@ -672,7 +681,7 @@ def solve_maxsat(formula: WcnfFormula, cfg: SolverConfig | None = None) -> MaxSa
                              key=lambda a: (-weight[a], -a))
         res = solver.solve(assumptions, deadline)
         if res.status is SatStatus.INDETERMINATE:
-            model = None if best_model is None else Model.checked(formula, best_model)
+            model = None if best_model is None else _checked(formula, best_model, best_cost)
             return MaxSatResult(MaxSatStatus.INDETERMINATE, model=model,
                                 bounds=(lower, best_cost))
         if res.status is SatStatus.SAT:
@@ -694,7 +703,7 @@ def solve_maxsat(formula: WcnfFormula, cfg: SolverConfig | None = None) -> MaxSa
                     raise SolverInternalError(
                         f"core-guided accounting drifted: model cost {true_cost}, bound {lower}"
                     )
-                return MaxSatResult(MaxSatStatus.OPTIMUM, lower, Model(model, lower))
+                return MaxSatResult(MaxSatStatus.OPTIMUM, lower, _checked(formula, model, lower))
             threshold = max(pending)
             continue
 
@@ -725,20 +734,23 @@ def solve_maxsat(formula: WcnfFormula, cfg: SolverConfig | None = None) -> MaxSa
                 sums[a] = (outs, k + 1)
 
 
-def solve_external(formula: WcnfFormula, cfg: SolverConfig) -> MaxSatResult:
+def solve_external(formula: WcnfFormula, command: str,
+                   timeout: float | None = None) -> MaxSatResult:
     """Run an external Max-SAT solver over DIMACS WCNF and re-validate its answer.
 
-    The command template must contain an ``{input}`` placeholder for the
-    WCNF path (appended if missing).  The returned model is checked against
-    the formula and the reported cost is recomputed; disagreement raises
-    UntrustedSolverError.  A timeout, an explicit "s UNKNOWN", or a checked
-    model the solver did not prove optimal, is INDETERMINATE (the model's
-    cost is the upper bound); output with no status line raises
-    ExternalSolverError.
+    ``command`` is split like a shell command line; each ``{input}`` in it
+    becomes the path of a temporary WCNF file, which is appended when no
+    token names it.  An empty or blank command raises ExternalSolverError.
+    ``timeout`` bounds the solver process in wall-clock seconds.  The
+    returned model is checked against the formula and the reported cost is
+    recomputed; disagreement raises UntrustedSolverError.  A timeout, an
+    explicit "s UNKNOWN", or a checked model the solver did not prove
+    optimal, is INDETERMINATE (the model's cost is the upper bound); output
+    with no status line raises ExternalSolverError.
     """
-    if not cfg.external_cmd:
-        raise ExternalSolverError("no external solver command configured")
-    tokens = shlex.split(cfg.external_cmd)
+    tokens = shlex.split(command)
+    if not tokens:
+        raise ExternalSolverError("empty external solver command")
     path = None
     try:
         with tempfile.NamedTemporaryFile(
@@ -751,7 +763,7 @@ def solve_external(formula: WcnfFormula, cfg: SolverConfig) -> MaxSatResult:
             argv.append(path)
         try:
             proc = subprocess.run(
-                argv, capture_output=True, text=True, timeout=cfg.timeout
+                argv, capture_output=True, text=True, timeout=timeout
             )
         except FileNotFoundError as exc:
             raise ExternalSolverError(f"external solver not found: {exc}") from None

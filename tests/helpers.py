@@ -1,7 +1,8 @@
 """Shared test utilities: random formulas, an independent extension checker,
 cardinality bounds on a totalizer, the semantic enumeration oracle,
-hand-built model construction, and a SAT budget that runs out after the
-first model."""
+hand-built model construction, a SAT budget that runs out after the
+first model, and a SAT core that answers with a model violating a hard
+clause."""
 
 from __future__ import annotations
 
@@ -178,3 +179,18 @@ def interrupt_after_first_model(monkeypatch):
 
     monkeypatch.setattr(CdclSolver, "solve", solve)
     return models
+
+
+# hard (-1), (-2), (1 2 3); soft (-3 4):2, (-4):1.  The optimum is 1, and
+# the all-false assignment costs 0 but falsifies the hard clause (1 2 3).
+HARD_VIOLATED_BY_ALL_FALSE = WcnfFormula(4, (
+    Clause((-1,)), Clause((-2,)), Clause((1, 2, 3)), Clause((-3, 4), 2), Clause((-4,), 1),
+))
+
+
+def answer_all_false(monkeypatch):
+    """Make every SAT call return the all-false model, satisfied or not."""
+    def solve(self, assumptions=(), deadline=None):
+        return SatResult(SatStatus.SAT, {v: False for v in range(1, self.nvars + 1)})
+
+    monkeypatch.setattr(CdclSolver, "solve", solve)

@@ -5,10 +5,10 @@ import types
 
 import pytest
 
-from helpers import interrupt_after_first_model
+from helpers import HARD_VIOLATED_BY_ALL_FALSE, answer_all_false, interrupt_after_first_model
 from ttsat import cli
 from ttsat.cli import main
-from ttsat.cnf import CnfError, parse_dimacs
+from ttsat.cnf import CnfError, parse_dimacs, write_dimacs
 from ttsat.decode import DecodeError
 from ttsat.sample import sample_text
 from ttsat.solver import MaxSatResult, MaxSatStatus
@@ -78,10 +78,7 @@ class TestSolve:
         assert "s UNSATISFIABLE" in out
 
     def test_external_backend_agrees(self, capsys, sample_path):
-        code, out, _ = run(capsys, [
-            "solve", sample_path, "--solver", "external",
-            "--external-cmd", EXTERNAL_SELF,
-        ])
+        code, out, _ = run(capsys, ["solve", sample_path, "--external-cmd", EXTERNAL_SELF])
         assert code == 0
         assert out.splitlines()[0] == "o 10"
 
@@ -90,7 +87,7 @@ class TestSolve:
         stub.write_text("import time\ntime.sleep(5)\n")
         started = time.monotonic()
         code, out, _ = run(capsys, [
-            "solve", micro_path, "--solver", "external", "--timeout", "0.5",
+            "solve", micro_path, "--timeout", "0.5",
             "--external-cmd", f"{sys.executable} {stub} {{input}}",
         ])
         assert time.monotonic() - started < 4
@@ -101,8 +98,7 @@ class TestSolve:
         stub = tmp_path / "unknown.py"
         stub.write_text("print('s UNKNOWN')\n")
         code, out, _ = run(capsys, [
-            "solve", micro_path, "--solver", "external",
-            "--external-cmd", f"{sys.executable} {stub} {{input}}",
+            "solve", micro_path, "--external-cmd", f"{sys.executable} {stub} {{input}}",
         ])
         assert code == 3
         assert out == "s UNKNOWN\nc bounds 0 ?\n"
@@ -111,23 +107,31 @@ class TestSolve:
         stub = tmp_path / "mute.py"
         stub.write_text("print('o 4')\nprint('s MAYBE')\n")
         code, out, err = run(capsys, [
-            "solve", micro_path, "--solver", "external",
-            "--external-cmd", f"{sys.executable} {stub} {{input}}",
+            "solve", micro_path, "--external-cmd", f"{sys.executable} {stub} {{input}}",
         ])
         assert code == 2
         assert out == ""
         assert "external solver gave no status" in err
 
-    def test_external_without_command(self, capsys, sample_path, monkeypatch):
-        monkeypatch.delenv("TTSAT_EXTERNAL_SOLVER", raising=False)
-        code, _, err = run(capsys, ["solve", sample_path, "--solver", "external"])
-        assert code == 2
-        assert "external" in err
+    def test_external_cmd_selects_external_solver(self, capsys, micro_path, tmp_path,
+                                                  monkeypatch):
+        def builtin(*args):
+            raise AssertionError("the builtin solver ran")
 
-    def test_external_env_var(self, capsys, micro_path, monkeypatch):
-        monkeypatch.setenv("TTSAT_EXTERNAL_SOLVER", EXTERNAL_SELF)
-        code, out, _ = run(capsys, ["solve", micro_path, "--solver", "external"])
-        assert code in (0, 1)
+        monkeypatch.setattr(cli, "solve_maxsat", builtin)
+        stub = tmp_path / "unknown.py"
+        stub.write_text("print('s UNKNOWN')\n")
+        code, out, _ = run(capsys, [
+            "solve", micro_path, "--external-cmd", f"{sys.executable} {stub} {{input}}",
+        ])
+        assert code == 3
+        assert out.startswith("s UNKNOWN\n")
+
+    def test_blank_external_cmd_exit_2(self, capsys, micro_path):
+        code, out, err = run(capsys, ["solve", micro_path, "--external-cmd", " "])
+        assert code == 2
+        assert out == ""
+        assert "empty external solver command" in err
 
     def test_decode_failure_is_internal_exit_4(self, capsys, micro_path, monkeypatch):
         def broken(*args):
@@ -138,15 +142,6 @@ class TestSolve:
         assert code == 4
         assert "true timeslot variables" in err
         assert "s OPTIMUM FOUND" not in out
-
-    def test_check_flag_on_micro(self, capsys, micro_path):
-        code, out, _ = run(capsys, ["solve", micro_path, "--check"])
-        assert code in (0, 1)
-
-    def test_check_flag_skipped_when_large(self, capsys, sample_path):
-        code, _, err = run(capsys, ["solve", sample_path, "--check"])
-        assert code == 0
-        assert "--check skipped" in err
 
     def test_save_wcnf(self, capsys, sample_path, tmp_path):
         target = tmp_path / "saved.wcnf"
@@ -214,6 +209,8 @@ class TestUnknownFlags:
         ["solve", "x.json", "--card", "pairwise"],
         ["encode", "x.json", "-o", "x.wcnf", "--card", "pairwise"],
         ["validate", "x.json", "x.csv", "--card", "seqcounter"],
+        ["solve", "x.json", "--solver", "external"],
+        ["solve", "x.json", "--check"],
     ])
     def test_unknown_argument(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -360,6 +357,15 @@ class TestSolveWcnf:
         assignment = {abs(l): l > 0 for l in lits}
         assert formula.hard_satisfied(assignment)
         assert o_line == f"o {formula.falsified_weight(assignment)}"
+
+    def test_hard_violating_model_exit_4(self, capsys, tmp_path, monkeypatch):
+        wcnf = tmp_path / "f.wcnf"
+        wcnf.write_text(write_dimacs(HARD_VIOLATED_BY_ALL_FALSE), encoding="utf-8")
+        answer_all_false(monkeypatch)
+        code, out, err = run(capsys, ["solve-wcnf", str(wcnf)])
+        assert code == 4
+        assert "s OPTIMUM FOUND" not in out
+        assert "violates a hard clause" in err
 
     def test_timeout_covers_parsing(self, capsys, tmp_path, monkeypatch):
         def slow_parse(text):

@@ -12,7 +12,6 @@ from ttsat import cnf
 from ttsat.cnf import (
     Clause,
     CnfError,
-    Model,
     OutputStatus,
     WcnfFormula,
     parse_dimacs,
@@ -84,6 +83,16 @@ class TestFormula:
         all_false = {1: False, 2: False, 3: False}
         assert WEIGHTED_EXAMPLE.hard_satisfied(all_false)
         assert WEIGHTED_EXAMPLE.falsified_weight(all_false) == 3
+
+    def test_evaluation_matches_clause_by_clause(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            f = random_wcnf(rng, max_vars=8, max_clauses=20)
+            assignment = {v: rng.random() < 0.5 for v in range(1, f.num_vars + 1)}
+            assert f.hard_satisfied(assignment) == all(
+                c.satisfied_by(assignment) for c in f.hard_clauses)
+            assert f.falsified_weight(assignment) == sum(
+                c.weight for c in f.soft_clauses if not c.satisfied_by(assignment))
 
 
 class TestWriteDimacs:
@@ -165,12 +174,6 @@ class TestParseDimacs:
             again = parse_dimacs(text)
             assert again == f, f"round trip broke at formula {i}"
             assert write_dimacs(again) == text, f"round trip broke at formula {i}"
-
-
-class TestModel:
-    def test_checked_recomputes_cost(self):
-        m = Model.checked(WEIGHTED_EXAMPLE, {1: False, 2: False, 3: False})
-        assert m.cost == 3
 
 
 class TestParseSolverOutput:

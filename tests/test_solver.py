@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import interrupt_after_first_model, random_wcnf, semantic_optimum
+from helpers import (
+    HARD_VIOLATED_BY_ALL_FALSE,
+    answer_all_false,
+    interrupt_after_first_model,
+    random_wcnf,
+    semantic_optimum,
+)
 from ttsat import solver as solver_module
 from ttsat.cardinality import totalizer
 from ttsat.cnf import Clause, WcnfFormula
@@ -242,6 +248,27 @@ class TestSolveMaxsatExamples:
         assert res.status is MaxSatStatus.INDETERMINATE
         assert res.model.cost == WEIGHTED.falsified_weight(res.model.assignment) == res.bounds[1]
         assert res.bounds[0] <= 3 <= res.bounds[1]
+
+    def test_hard_violating_model_raises(self, monkeypatch):
+        answer_all_false(monkeypatch)
+        with pytest.raises(SolverInternalError, match="violates a hard clause"):
+            solve_maxsat(HARD_VIOLATED_BY_ALL_FALSE)
+
+    def test_hard_violating_best_model_raises(self, monkeypatch):
+        # a model false on the four base variables and true on the selectors
+        # ends no search; the budget runs out next, so it is the best model
+        calls = []
+
+        def solve(self, assumptions=(), deadline=None):
+            calls.append(assumptions)
+            if len(calls) > 1:
+                return SatResult(SatStatus.INDETERMINATE)
+            return SatResult(SatStatus.SAT, {v: v > 4 for v in range(1, self.nvars + 1)})
+
+        monkeypatch.setattr(CdclSolver, "solve", solve)
+        with pytest.raises(SolverInternalError, match="violates a hard clause"):
+            solve_maxsat(HARD_VIOLATED_BY_ALL_FALSE)
+        assert len(calls) == 2
 
     def test_solver_freed_without_gc(self, monkeypatch):
         # a 9-clause core is relaxed with a totalizer drawing from solver.new_var
@@ -569,14 +596,13 @@ EXTERNAL_SELF = f"{sys.executable} -m ttsat solve-wcnf {{input}}"
 
 class TestExternal:
     def test_agrees_with_builtin(self):
-        cfg = SolverConfig(external_cmd=EXTERNAL_SELF, timeout=60)
-        res = solve_external(WEIGHTED, cfg)
+        res = solve_external(WEIGHTED, EXTERNAL_SELF, timeout=60)
         assert res.status is MaxSatStatus.OPTIMUM
         assert res.cost == solve_maxsat(WEIGHTED).cost == 3
 
     def test_unsat_passthrough(self):
         f = WcnfFormula(1, (Clause((1,)), Clause((-1,))))
-        res = solve_external(f, SolverConfig(external_cmd=EXTERNAL_SELF, timeout=60))
+        res = solve_external(f, EXTERNAL_SELF, timeout=60)
         assert res.status is MaxSatStatus.HARD_UNSAT
 
     def test_lying_solver_rejected(self, tmp_path):
@@ -584,9 +610,9 @@ class TestExternal:
         liar.write_text(
             "print('o 2')\nprint('s OPTIMUM FOUND')\nprint('v -1 -2 -3 0')\n"
         )
-        cfg = SolverConfig(external_cmd=f"{sys.executable} {liar} {{input}}", timeout=60)
+        command = f"{sys.executable} {liar} {{input}}"
         with pytest.raises(UntrustedSolverError, match="claimed cost 2"):
-            solve_external(WEIGHTED, cfg)
+            solve_external(WEIGHTED, command, timeout=60)
 
     def test_infeasible_model_rejected(self, tmp_path):
         liar = tmp_path / "liar.py"
@@ -594,25 +620,24 @@ class TestExternal:
         liar.write_text(
             "print('o 0')\nprint('s OPTIMUM FOUND')\nprint('v 1 2 -3 0')\n"
         )
-        cfg = SolverConfig(external_cmd=f"{sys.executable} {liar} {{input}}", timeout=60)
+        command = f"{sys.executable} {liar} {{input}}"
         with pytest.raises(UntrustedSolverError, match="hard clause"):
-            solve_external(WEIGHTED, cfg)
+            solve_external(WEIGHTED, command, timeout=60)
 
     def test_missing_binary(self):
-        cfg = SolverConfig(external_cmd="/nonexistent/maxsat {input}", timeout=5)
         with pytest.raises(ExternalSolverError, match="not found"):
-            solve_external(WEIGHTED, cfg)
+            solve_external(WEIGHTED, "/nonexistent/maxsat {input}", timeout=5)
 
     def test_no_command(self):
-        with pytest.raises(ExternalSolverError, match="no external solver"):
-            solve_external(WEIGHTED, SolverConfig())
+        for command in ("", "  \t"):
+            with pytest.raises(ExternalSolverError, match="empty external solver command"):
+                solve_external(WEIGHTED, command)
 
     def test_unproven_model_is_indeterminate(self, tmp_path):
         stub = tmp_path / "stub.py"
         # a feasible model costing 4 (the optimum is 3), not claimed optimal
         stub.write_text("print('o 4')\nprint('s SATISFIABLE')\nprint('v -1 -2 3 0')\n")
-        cfg = SolverConfig(external_cmd=f"{sys.executable} {stub} {{input}}", timeout=60)
-        res = solve_external(WEIGHTED, cfg)
+        res = solve_external(WEIGHTED, f"{sys.executable} {stub} {{input}}", timeout=60)
         assert res.status is MaxSatStatus.INDETERMINATE
         assert res.bounds == (0, 4)
         assert res.model.cost == 4
@@ -621,6 +646,6 @@ class TestExternal:
     def test_silent_solver(self, tmp_path):
         quiet = tmp_path / "quiet.py"
         quiet.write_text("pass\n")
-        cfg = SolverConfig(external_cmd=f"{sys.executable} {quiet} {{input}}", timeout=60)
+        command = f"{sys.executable} {quiet} {{input}}"
         with pytest.raises(ExternalSolverError, match="no status"):
-            solve_external(WEIGHTED, cfg)
+            solve_external(WEIGHTED, command, timeout=60)
