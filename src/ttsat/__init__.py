@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .cardinality import exactly_one, totalizer  # noqa: F401
 from .cnf import (  # noqa: F401
     Clause,
-    Model,
     WcnfFormula,
     parse_dimacs,
     parse_solver_output,
@@ -43,6 +42,5 @@ from .solver import (  # noqa: F401
     brute_force_maxsat,
     solve_external,
     solve_maxsat,
-    solve_sat,
 )
 from .sample import load_sample  # noqa: F401

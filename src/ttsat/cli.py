@@ -13,17 +13,16 @@ import sys
 import time
 
 from . import __version__
-from .cnf import CnfError, parse_dimacs, write_dimacs
+from .cnf import parse_dimacs, write_dimacs
 from .decode import (
     DecodeError,
-    TimetableFormatError,
     check_hard,
     compute_cost,
     decode_timetable,
     parse_timetable_csv,
     render_timetable,
 )
-from .encoder import EncodeError, EncodeOptions, encode
+from .encoder import EncodeOptions, encode
 from .model import (
     InstanceError,
     gen_random_instance,
@@ -95,19 +94,19 @@ def _print_status(result) -> int:
     """Print the ``o`` and ``s`` lines of a result and return its exit code.
 
     A result with a model, an optimum or the checked best model of an
-    INDETERMINATE run, starts with ``o <its cost>``; the caller prints the
-    model itself after these lines."""
+    INDETERMINATE run, starts with ``o <its cost>``; an INDETERMINATE one
+    ends with ``c bounds <lower> <its cost, or ? without a model>``.  The
+    caller prints the model itself after these lines."""
     if result.status is MaxSatStatus.HARD_UNSAT:
         print("s UNSATISFIABLE")
         return EXIT_HARD_UNSAT
     if result.model is not None:
-        print(f"o {result.model.cost}")
+        print(f"o {result.cost}")
     if result.status is MaxSatStatus.OPTIMUM:
         print("s OPTIMUM FOUND")
         return EXIT_OK
-    lower, upper = result.bounds or (0, None)
     print("s UNKNOWN")
-    print(f"c bounds {lower} {upper if upper is not None else '?'}")
+    print(f"c bounds {result.lower} {result.cost if result.cost is not None else '?'}")
     return EXIT_INDETERMINATE
 
 
@@ -144,9 +143,9 @@ def cmd_solve(args) -> int:
     timetable = decode_timetable(result.model, varmap, instance)
     report = compute_cost(timetable, instance, opts)
     hard = check_hard(timetable, instance)
-    if hard or report.total_cost != result.model.cost:
+    if hard or report.total_cost != result.cost:
         _err(
-            f"solver/validator mismatch: solver cost {result.model.cost}, "
+            f"solver/validator mismatch: solver cost {result.cost}, "
             f"validator cost {report.total_cost}, hard violations {len(hard)}"
         )
         return EXIT_INTERNAL
@@ -202,7 +201,7 @@ def cmd_solve_wcnf(args) -> int:
     result = solve_maxsat(formula, _solver_config(args, started))
     code = _print_status(result)
     if result.model is not None:
-        lits = [v if result.model.assignment[v] else -v for v in sorted(result.model.assignment)]
+        lits = [v if result.model[v] else -v for v in sorted(result.model)]
         print(f"v {' '.join(str(l) for l in lits)} 0")
     return code
 
@@ -290,12 +289,10 @@ def main(argv=None) -> int:
         # an encoder or solver bug, not an input error
         _err(str(exc))
         return EXIT_INTERNAL
-    except (InstanceError, CnfError, EncodeError, TimetableFormatError, ValueError,
-            OSError) as exc:
-        # OSError: an input that cannot be read or an output that cannot be written
-        _err(str(exc))
-        return EXIT_INPUT
-    except SolverError as exc:
+    except (ValueError, OSError, SolverError) as exc:
+        # every input error is a ValueError; OSError: an input that cannot be
+        # read or an output that cannot be written; SolverError: an external
+        # solver that cannot run or gives no answer
         _err(str(exc))
         return EXIT_INPUT
 

@@ -202,14 +202,6 @@ def _bulk_check(chunk, num_vars, soft_sum):
     return hard, soft, soft_sum
 
 
-@dataclass(frozen=True)
-class Model:
-    """A total truth assignment plus its soft-violation cost."""
-
-    assignment: dict[int, bool]
-    cost: int
-
-
 def write_dimacs(formula: WcnfFormula, comments: tuple[str, ...] = ()) -> str:
     """Serialize to classic WCNF ("p wcnf <vars> <clauses> <top>"), LF endings.
 

@@ -14,7 +14,6 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 
-from .cnf import Model
 from .encoder import EncodeOptions, VarMap
 from .model import Instance, SessionKind, cross_curriculum_pairs
 
@@ -71,27 +70,22 @@ class ViolationReport:
         return sum(e.weight for e in self.entries)
 
 
-def _assignment(model) -> dict[int, bool]:
-    return model.assignment if isinstance(model, Model) else model
-
-
-def decode_timetable(model, varmap: VarMap, instance: Instance) -> Timetable:
+def decode_timetable(model: dict[int, bool], varmap: VarMap, instance: Instance) -> Timetable:
     """Read each session's unique true ct and cr variable off the model.
 
     The model must satisfy the hard clauses; zero or multiple true ct/cr
     variables per session, or day/curriculum variables inconsistent with the
     timeslot choices, raise DecodeError.
     """
-    assign = _assignment(model)
     placements: dict[int, tuple[int, int]] = {}
     for s in instance.sessions:
         label = instance.session_label(s.id)
-        slots = [t.id for t in instance.timeslots if assign[varmap.ct(s.id, t.id)]]
+        slots = [t.id for t in instance.timeslots if model[varmap.ct(s.id, t.id)]]
         if len(slots) != 1:
             raise DecodeError(
                 f"session '{label}' has {len(slots)} true timeslot variables, expected 1"
             )
-        rooms = [r.id for r in instance.rooms if assign[varmap.cr(s.id, r.id)]]
+        rooms = [r.id for r in instance.rooms if model[varmap.cr(s.id, r.id)]]
         if len(rooms) != 1:
             raise DecodeError(
                 f"session '{label}' has {len(rooms)} true room variables, expected 1"
@@ -100,7 +94,7 @@ def decode_timetable(model, varmap: VarMap, instance: Instance) -> Timetable:
         slot_day = instance.timeslots[slots[0]].day
         for d in instance.days:
             expected = d.id == slot_day
-            if assign[varmap.cd(s.id, d.id)] != expected:
+            if model[varmap.cd(s.id, d.id)] != expected:
                 raise DecodeError(
                     f"session '{label}': day variable for '{d.label}' contradicts its timeslot"
                 )
@@ -108,7 +102,7 @@ def decode_timetable(model, varmap: VarMap, instance: Instance) -> Timetable:
         members = instance.sessions_by_curriculum[k.id]
         for t in instance.timeslots:
             expected = any(placements[s][0] == t.id for s in members)
-            if assign[varmap.kt(k.id, t.id)] != expected:
+            if model[varmap.kt(k.id, t.id)] != expected:
                 raise DecodeError(
                     f"curriculum '{k.label}' timeslot variable for "
                     f"'{t.label}' contradicts the session placements"

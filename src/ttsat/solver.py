@@ -21,10 +21,13 @@ makes none false is optimal.  The model it returns, optimal or best so
 far, must satisfy every hard clause.  The only budget is the wall-clock
 deadline from ``SolverConfig.timeout``.
 
-``CdclSolver.load`` puts a whole checked ``WcnfFormula`` into a fresh
-solver in one pass, with no per-literal checks; ``add_clause`` keeps its
-full checks for everything added one clause at a time (the cores'
-totalizers, ``solve_sat``).
+A ``CdclSolver`` is filled in two ways only: ``load`` puts a whole checked
+``WcnfFormula`` into a fresh solver in one pass, with no per-literal checks,
+and ``add_clause`` keeps its full checks for everything added one clause at
+a time (the cores' totalizers).
+
+Every Max-SAT answer is one ``MaxSatResult``: a status, the model as a plain
+``{var: bool}`` dict, that model's cost, and a proven lower bound.
 
 ``brute_force_maxsat`` is an independent enumeration oracle for small
 formulas, and ``solve_external`` runs a given command line, any solver
@@ -48,7 +51,6 @@ import numpy as np
 
 from .cardinality import totalizer
 from .cnf import (
-    Model,
     OutputStatus,
     WcnfFormula,
     gc_paused,
@@ -100,10 +102,16 @@ class SatResult:
 
 @dataclass(frozen=True)
 class MaxSatResult:
+    """``model`` is a total assignment over the formula's variables, or None;
+    ``cost`` is its falsified soft weight, None exactly when there is no
+    model.  ``lower`` is a proven lower bound on the optimum: at OPTIMUM it
+    equals ``cost``, and an INDETERMINATE result reports it with ``cost`` as
+    the upper bound."""
+
     status: MaxSatStatus
     cost: int | None = None
-    model: Model | None = None
-    bounds: tuple[int, int | None] | None = None  # (lower, upper) when indeterminate
+    model: dict[int, bool] | None = None
+    lower: int = 0
 
 
 def _luby(x: int) -> int:
@@ -131,7 +139,7 @@ class CdclSolver:
     Everything is deterministic for a fixed seed and call sequence.
     """
 
-    def __init__(self, num_vars: int = 0, clauses=(), *, seed: int = 0):
+    def __init__(self, *, seed: int = 0):
         self.nvars = 0
         self.ok = True
         # literal-indexed arrays use python's negative indexing: index l is
@@ -154,9 +162,6 @@ class CdclSolver:
         self.learned: list[list[int]] = []
         self.max_learned = 8000
         self._rng = random.Random(seed)
-        self.ensure_vars(num_vars)
-        for c in clauses:
-            self.add_clause(c)
 
     def ensure_vars(self, n: int) -> None:
         if n <= self.nvars:
@@ -518,9 +523,6 @@ class CdclSolver:
         for a in assumptions:
             self.ensure_vars(abs(a))
         self._backtrack(0)
-        if self._propagate() is not None:
-            self.ok = False
-            return SatResult(SatStatus.UNSAT, core=())
         conflicts = 0
         restart_idx = 1
         restart_at = RESTART_BASE * _luby(0)
@@ -573,33 +575,6 @@ class CdclSolver:
                     self._enqueue(lit, None)
 
 
-def solve_sat(clauses, assumptions=(), cfg: SolverConfig | None = None) -> SatResult:
-    """Complete SAT check over hard clauses, with optional assumptions.
-
-    Every SAT answer is re-verified by a direct clause evaluation pass.
-    """
-    cfg = cfg or SolverConfig()
-    clause_lists = [list(map(int, c)) for c in clauses]
-    num_vars = 0
-    for c in clause_lists:
-        for l in c:
-            num_vars = max(num_vars, abs(l))
-    for a in assumptions:
-        num_vars = max(num_vars, abs(int(a)))
-    solver = CdclSolver(num_vars, clause_lists, seed=cfg.seed)
-    deadline = time.monotonic() + cfg.timeout if cfg.timeout is not None else None
-    res = solver.solve(assumptions, deadline)
-    if res.status is SatStatus.SAT:
-        model = res.model
-        for c in clause_lists:
-            if not any(model[abs(l)] == (l > 0) for l in c):
-                raise SolverInternalError(f"model does not satisfy clause {c}")
-        for a in assumptions:
-            if model[abs(a)] != (a > 0):
-                raise SolverInternalError(f"model violates assumption {a}")
-    return res
-
-
 def brute_force_maxsat(formula: WcnfFormula) -> MaxSatResult:
     """Reference optimum by exhaustive enumeration (at most 22 variables)."""
     n = formula.num_vars
@@ -625,18 +600,18 @@ def brute_force_maxsat(formula: WcnfFormula) -> MaxSatResult:
     best = int(np.argmin(cost))
     best_cost = int(cost[best])
     assignment = {v: bool((best >> (v - 1)) & 1) for v in range(1, n + 1)}
-    return MaxSatResult(MaxSatStatus.OPTIMUM, best_cost, Model(assignment, best_cost))
+    return MaxSatResult(MaxSatStatus.OPTIMUM, best_cost, assignment, best_cost)
 
 
 def _restrict(model: dict[int, bool], n: int) -> dict[int, bool]:
     return {v: model[v] for v in range(1, n + 1)}
 
 
-def _checked(formula: WcnfFormula, model: dict[int, bool], cost: int) -> Model:
-    """The optimizer's answer, once its model satisfies every hard clause."""
+def _checked(formula: WcnfFormula, model: dict[int, bool]) -> dict[int, bool]:
+    """The optimizer's model, once it satisfies every hard clause."""
     if not formula.hard_satisfied(model):
         raise SolverInternalError("optimizer model violates a hard clause")
-    return Model(model, cost)
+    return model
 
 
 def solve_maxsat(formula: WcnfFormula, cfg: SolverConfig | None = None) -> MaxSatResult:
@@ -656,8 +631,8 @@ def solve_maxsat(formula: WcnfFormula, cfg: SolverConfig | None = None) -> MaxSa
     clause.
     Thresholds fall strictly between models and every core raises the lower
     bound, so the search ends.  When ``cfg.timeout`` runs out the result
-    is INDETERMINATE, carrying ``bounds=(lower, upper)`` and the best model
-    found so far (``upper`` is its cost, or None with no model yet)."""
+    is INDETERMINATE, carrying the lower bound reached and the best model
+    found so far with its cost (both None with no model yet)."""
     cfg = cfg or SolverConfig()
     base_n = formula.num_vars
     solver = CdclSolver(seed=cfg.seed)
@@ -681,9 +656,8 @@ def solve_maxsat(formula: WcnfFormula, cfg: SolverConfig | None = None) -> MaxSa
                              key=lambda a: (-weight[a], -a))
         res = solver.solve(assumptions, deadline)
         if res.status is SatStatus.INDETERMINATE:
-            model = None if best_model is None else _checked(formula, best_model, best_cost)
-            return MaxSatResult(MaxSatStatus.INDETERMINATE, model=model,
-                                bounds=(lower, best_cost))
+            model = None if best_model is None else _checked(formula, best_model)
+            return MaxSatResult(MaxSatStatus.INDETERMINATE, best_cost, model, lower)
         if res.status is SatStatus.SAT:
             model = _restrict(res.model, base_n)
             true_cost = formula.falsified_weight(model)
@@ -703,7 +677,7 @@ def solve_maxsat(formula: WcnfFormula, cfg: SolverConfig | None = None) -> MaxSa
                     raise SolverInternalError(
                         f"core-guided accounting drifted: model cost {true_cost}, bound {lower}"
                     )
-                return MaxSatResult(MaxSatStatus.OPTIMUM, lower, _checked(formula, model, lower))
+                return MaxSatResult(MaxSatStatus.OPTIMUM, lower, _checked(formula, model), lower)
             threshold = max(pending)
             continue
 
@@ -739,59 +713,51 @@ def solve_external(formula: WcnfFormula, command: str,
     """Run an external Max-SAT solver over DIMACS WCNF and re-validate its answer.
 
     ``command`` is split like a shell command line; each ``{input}`` in it
-    becomes the path of a temporary WCNF file, which is appended when no
-    token names it.  An empty or blank command raises ExternalSolverError.
-    ``timeout`` bounds the solver process in wall-clock seconds.  The
-    returned model is checked against the formula and the reported cost is
-    recomputed; disagreement raises UntrustedSolverError.  A timeout, an
-    explicit "s UNKNOWN", or a checked model the solver did not prove
-    optimal, is INDETERMINATE (the model's cost is the upper bound); output
-    with no status line raises ExternalSolverError.
+    becomes the path of a WCNF file in a temporary directory, which is
+    appended when no token names it and removed once the solver exits.  An
+    empty or blank command raises ExternalSolverError.  ``timeout`` bounds
+    the solver process in wall-clock seconds.  The returned model is checked
+    against the formula and the reported cost is recomputed; disagreement
+    raises UntrustedSolverError.  A timeout, an explicit "s UNKNOWN", or a
+    checked model the solver did not prove optimal, is INDETERMINATE (with a
+    model, its cost is the upper bound); output with no status line raises
+    ExternalSolverError.
     """
     tokens = shlex.split(command)
     if not tokens:
         raise ExternalSolverError("empty external solver command")
-    path = None
-    try:
-        with tempfile.NamedTemporaryFile(
-            "w", suffix=".wcnf", delete=False, encoding="utf-8"
-        ) as handle:
-            path = handle.name
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "formula.wcnf")
+        with open(path, "w", encoding="utf-8") as handle:
             handle.write(write_dimacs(formula))
         argv = [t.replace("{input}", path) for t in tokens]
         if path not in argv:
             argv.append(path)
         try:
-            proc = subprocess.run(
-                argv, capture_output=True, text=True, timeout=timeout
-            )
+            proc = subprocess.run(argv, capture_output=True, text=True, timeout=timeout)
         except FileNotFoundError as exc:
             raise ExternalSolverError(f"external solver not found: {exc}") from None
         except subprocess.TimeoutExpired:
-            return MaxSatResult(MaxSatStatus.INDETERMINATE, bounds=(0, None))
-        out = parse_solver_output(proc.stdout, num_vars=formula.num_vars)
-        if out.status is OutputStatus.UNSAT:
-            return MaxSatResult(MaxSatStatus.HARD_UNSAT)
-        if out.status is OutputStatus.UNKNOWN:
-            if not out.stated:
-                raise ExternalSolverError(
-                    f"external solver gave no status (exit code {proc.returncode})"
-                )
-            if out.model is None:
-                return MaxSatResult(MaxSatStatus.INDETERMINATE, bounds=(0, None))
-        if out.model is None:
-            raise UntrustedSolverError("external solver reported SAT without a model")
-        if not formula.hard_satisfied(out.model):
-            raise UntrustedSolverError("external model violates a hard clause")
-        recomputed = formula.falsified_weight(out.model)
-        if out.cost is not None and out.cost != recomputed:
-            raise UntrustedSolverError(
-                f"external solver claimed cost {out.cost}, model costs {recomputed}"
+            return MaxSatResult(MaxSatStatus.INDETERMINATE)
+    out = parse_solver_output(proc.stdout, num_vars=formula.num_vars)
+    if out.status is OutputStatus.UNSAT:
+        return MaxSatResult(MaxSatStatus.HARD_UNSAT)
+    if out.status is OutputStatus.UNKNOWN:
+        if not out.stated:
+            raise ExternalSolverError(
+                f"external solver gave no status (exit code {proc.returncode})"
             )
-        model = Model(dict(out.model), recomputed)
-        if out.status is not OutputStatus.OPTIMUM:
-            return MaxSatResult(MaxSatStatus.INDETERMINATE, model=model, bounds=(0, recomputed))
-        return MaxSatResult(MaxSatStatus.OPTIMUM, recomputed, model)
-    finally:
-        if path is not None and os.path.exists(path):
-            os.unlink(path)
+        if out.model is None:
+            return MaxSatResult(MaxSatStatus.INDETERMINATE)
+    if out.model is None:
+        raise UntrustedSolverError("external solver reported SAT without a model")
+    if not formula.hard_satisfied(out.model):
+        raise UntrustedSolverError("external model violates a hard clause")
+    recomputed = formula.falsified_weight(out.model)
+    if out.cost is not None and out.cost != recomputed:
+        raise UntrustedSolverError(
+            f"external solver claimed cost {out.cost}, model costs {recomputed}"
+        )
+    if out.status is not OutputStatus.OPTIMUM:
+        return MaxSatResult(MaxSatStatus.INDETERMINATE, recomputed, out.model)
+    return MaxSatResult(MaxSatStatus.OPTIMUM, recomputed, out.model, recomputed)

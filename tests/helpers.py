@@ -1,8 +1,8 @@
 """Shared test utilities: random formulas, an independent extension checker,
 cardinality bounds on a totalizer, the semantic enumeration oracle,
-hand-built model construction, a SAT budget that runs out after the
-first model, and a SAT core that answers with a model violating a hard
-clause."""
+hand-built model construction, a checked SAT call on a fresh solver, a
+SAT budget that runs out after the first model, and a SAT core that answers
+with a model violating a hard clause."""
 
 from __future__ import annotations
 
@@ -161,6 +161,19 @@ def assignment_for_placement(instance, varmap, placements):
                 sid in placements and placements[sid][0] == t.id for sid in members
             )
     return assignment
+
+
+def solve_clauses(clauses, assumptions=(), seed=0, deadline=None):
+    """Solve hard clauses under assumptions on a fresh CdclSolver; a SAT
+    model must satisfy every clause and assumption."""
+    solver = CdclSolver(seed=seed)
+    for c in clauses:
+        solver.add_clause(c)
+    res = solver.solve(assumptions, deadline)
+    if res.status is SatStatus.SAT:
+        for c in [*clauses, *((a,) for a in assumptions)]:
+            assert any(res.model[abs(l)] == (l > 0) for l in c), f"model violates {c}"
+    return res
 
 
 def interrupt_after_first_model(monkeypatch):

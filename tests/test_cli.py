@@ -31,9 +31,10 @@ def micro_path(tmp_path):
     return str(tmp_path / "micro.json")
 
 
-def gives_up(lower, upper):
-    """Stand-in for solve_maxsat that returns INDETERMINATE with these bounds."""
-    return lambda formula, cfg: MaxSatResult(MaxSatStatus.INDETERMINATE, bounds=(lower, upper))
+def gives_up(lower):
+    """Stand-in for solve_maxsat that returns INDETERMINATE with this lower
+    bound and no model."""
+    return lambda formula, cfg: MaxSatResult(MaxSatStatus.INDETERMINATE, lower=lower)
 
 
 def run(capsys, argv):
@@ -336,10 +337,10 @@ class TestSolveWcnf:
     def test_unknown_prints_bounds(self, capsys, tmp_path, monkeypatch):
         wcnf = tmp_path / "f.wcnf"
         wcnf.write_text("p wcnf 1 1 2\n1 1 0\n", encoding="utf-8")
-        monkeypatch.setattr(cli, "solve_maxsat", gives_up(3, 7))
+        monkeypatch.setattr(cli, "solve_maxsat", gives_up(3))
         code, out, _ = run(capsys, ["solve-wcnf", str(wcnf)])
         assert code == 3
-        assert out == "s UNKNOWN\nc bounds 3 7\n"
+        assert out == "s UNKNOWN\nc bounds 3 ?\n"
 
     def test_interrupted_run_prints_best_model(self, capsys, tmp_path, monkeypatch):
         wcnf = tmp_path / "f.wcnf"

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from helpers import all_placements, assignment_for_placement, semantic_optimum
+from helpers import all_placements, assignment_for_placement, semantic_optimum, solve_clauses
 from ttsat.cnf import write_dimacs
 from ttsat.decode import check_hard, compute_cost
 from ttsat.encoder import (
@@ -23,7 +23,7 @@ from ttsat.encoder import (
     timeslot_unavailability,
 )
 from ttsat.model import gen_random_instance, parse_instance
-from ttsat.solver import solve_maxsat, solve_sat
+from ttsat.solver import solve_maxsat
 
 
 def by_label(instance):
@@ -351,7 +351,7 @@ class TestMeetingCount:
                                    courses=1, curricula=1, overlap_density=0)
         formula, vm = encode(inst, EncodeOptions())
         s1, s2 = inst.courses[0].sessions
-        res = solve_sat([c.literals for c in formula.hard_clauses])
+        res = solve_clauses([c.literals for c in formula.hard_clauses])
         assert res.status.value == "sat"
         # sessions forced onto distinct slots
         m = res.model
@@ -368,7 +368,7 @@ class TestMeetingCount:
         doc["courses"][0]["second"]["forbidden"] = []
         instance = parse_instance(json.dumps(doc))
         formula, vm = encode(instance, EncodeOptions())
-        res = solve_sat([c.literals for c in formula.hard_clauses])
+        res = solve_clauses([c.literals for c in formula.hard_clauses])
         assert res.status.value == "unsat"
 
 

@@ -3,6 +3,8 @@ import heapq
 import itertools
 import random
 import sys
+import tempfile
+import time
 import types
 import weakref
 
@@ -16,6 +18,7 @@ from helpers import (
     interrupt_after_first_model,
     random_wcnf,
     semantic_optimum,
+    solve_clauses,
 )
 from ttsat import solver as solver_module
 from ttsat.cardinality import totalizer
@@ -29,12 +32,12 @@ from ttsat.solver import (
     SatResult,
     SatStatus,
     SolverConfig,
+    SolverError,
     SolverInternalError,
     UntrustedSolverError,
     brute_force_maxsat,
     solve_external,
     solve_maxsat,
-    solve_sat,
 )
 
 UNSAT_4 = [(1, -2), (-1, 3), (2, 3), (-3,)]
@@ -62,34 +65,34 @@ def php(holes):
 
 class TestSolveSat:
     def test_four_clause_formula_unsat(self):
-        assert solve_sat(UNSAT_4).status is SatStatus.UNSAT
+        assert solve_clauses(UNSAT_4).status is SatStatus.UNSAT
 
     def test_empty_clause_set_sat(self):
-        res = solve_sat([])
+        res = solve_clauses([])
         assert res.status is SatStatus.SAT
         assert res.model == {}
 
     def test_assumption_conflict_core(self):
-        res = solve_sat([(1,)], assumptions=[-1])
+        res = solve_clauses([(1,)], assumptions=[-1])
         assert res.status is SatStatus.UNSAT
         assert res.core == (-1,)
 
     def test_model_is_verified(self):
-        res = solve_sat([(1, 2), (-1, 2), (1, -2)])
+        res = solve_clauses([(1, 2), (-1, 2), (1, -2)])
         assert res.status is SatStatus.SAT
         assert res.model[1] and res.model[2]
 
     def test_timeout_yields_indeterminate(self):
-        res = solve_sat(php(5), cfg=SolverConfig(timeout=0))
+        res = solve_clauses(php(5), deadline=time.monotonic())
         assert res.status is SatStatus.INDETERMINATE
 
     def test_php_unsat(self):
-        assert solve_sat(php(4)).status is SatStatus.UNSAT
+        assert solve_clauses(php(4)).status is SatStatus.UNSAT
 
     def test_deterministic_model(self):
         clauses = [(1, 2, 3), (-1, -2), (-2, -3), (3, 1)]
-        a = solve_sat(clauses, cfg=SolverConfig(seed=5))
-        b = solve_sat(clauses, cfg=SolverConfig(seed=5))
+        a = solve_clauses(clauses, seed=5)
+        b = solve_clauses(clauses, seed=5)
         assert a.model == b.model
 
     def test_core_is_subset_and_unsat(self):
@@ -103,16 +106,17 @@ class TestSolveSat:
                 v if rng.random() < 0.5 else -v
                 for v in rng.sample(range(1, n + 1), min(n, 4))
             ]
-            res = solve_sat(clauses, assumptions)
+            res = solve_clauses(clauses, assumptions)
             if res.status is not SatStatus.UNSAT:
                 continue
             checked += 1
             assert set(res.core) <= set(assumptions)
-            again = solve_sat(clauses, list(res.core))
+            again = solve_clauses(clauses, list(res.core))
             assert again.status is SatStatus.UNSAT
 
     def test_incremental_addition(self):
-        solver = CdclSolver(2, [(1, 2)])
+        solver = CdclSolver()
+        solver.add_clause((1, 2))
         assert solver.solve().status is SatStatus.SAT
         solver.add_clause((-1,))
         solver.add_clause((-2,))
@@ -133,7 +137,8 @@ def clause_over(n):
 
 class TestCdclSolver:
     def test_rescale_reranks_heap(self):
-        solver = CdclSolver(3)
+        solver = CdclSolver()
+        solver.ensure_vars(3)
         solver.var_inc = 5e99
         solver._bump(2)
         solver.var_inc = 2e100
@@ -142,7 +147,9 @@ class TestCdclSolver:
         assert solver._pick_branch() == 1
 
     def test_pick_is_argmax_and_heap_stays_bounded(self, monkeypatch):
-        solver = CdclSolver(0, php(6))
+        solver = CdclSolver()
+        for c in php(6):
+            solver.add_clause(c)
         pushes = 0
         compactions = 0
 
@@ -176,7 +183,9 @@ class TestCdclSolver:
     def test_incremental_against_brute_force(self, data):
         """new_var and add_clause between solve calls, crossing the literal
         arrays' capacity several times, against exhaustive enumeration."""
-        solver = CdclSolver(data.draw(st.integers(1, 2)), seed=data.draw(st.integers(0, 3)))
+        n = data.draw(st.integers(1, 2))
+        solver = CdclSolver(seed=data.draw(st.integers(0, 3)))
+        solver.ensure_vars(n)
         clauses = []
         for _ in range(data.draw(st.integers(1, 5))):
             for _ in range(data.draw(st.integers(0, 2))):
@@ -200,7 +209,7 @@ class TestCdclSolver:
             else:
                 assert res.status is SatStatus.UNSAT
                 assert set(res.core) <= set(assumptions)
-                assert solve_sat(clauses, res.core).status is SatStatus.UNSAT
+                assert solve_clauses(clauses, res.core).status is SatStatus.UNSAT
 
 
 class TestSolveMaxsatExamples:
@@ -213,7 +222,7 @@ class TestSolveMaxsatExamples:
         res = solve_maxsat(PARTIAL)
         assert res.cost == 1
         # the model must satisfy both hard clauses
-        assert PARTIAL.hard_satisfied(res.model.assignment)
+        assert PARTIAL.hard_satisfied(res.model)
 
     def test_weighted_cost_three(self):
         res = solve_maxsat(WEIGHTED)
@@ -233,12 +242,12 @@ class TestSolveMaxsatExamples:
     def test_indeterminate_bounds(self):
         res = solve_maxsat(WEIGHTED, SolverConfig(timeout=0))
         assert res.status is MaxSatStatus.INDETERMINATE
-        lower, upper = res.bounds
-        assert lower == 0 and (upper is None or upper >= 3)
+        assert res.lower == 0 and (res.cost is None or res.cost >= 3)
+        assert (res.cost is None) == (res.model is None)
 
     def test_model_cost_is_checked(self):
         res = solve_maxsat(WEIGHTED)
-        assert res.model.cost == res.cost == WEIGHTED.falsified_weight(res.model.assignment)
+        assert res.cost == res.lower == WEIGHTED.falsified_weight(res.model)
 
     def test_interrupted_run_keeps_best_model(self, monkeypatch):
         # the budget runs out on the SAT call after the first stratum's model
@@ -246,8 +255,8 @@ class TestSolveMaxsatExamples:
         res = solve_maxsat(WEIGHTED)
         assert models
         assert res.status is MaxSatStatus.INDETERMINATE
-        assert res.model.cost == WEIGHTED.falsified_weight(res.model.assignment) == res.bounds[1]
-        assert res.bounds[0] <= 3 <= res.bounds[1]
+        assert res.cost == WEIGHTED.falsified_weight(res.model)
+        assert res.lower <= 3 <= res.cost
 
     def test_hard_violating_model_raises(self, monkeypatch):
         answer_all_false(monkeypatch)
@@ -319,7 +328,7 @@ def solves_like_brute_force(formula, seed=0):
     ref = brute_force_maxsat(formula)
     assert res.status is ref.status is MaxSatStatus.OPTIMUM
     assert res.cost == ref.cost
-    assert res.model.cost == formula.falsified_weight(res.model.assignment) == ref.cost
+    assert res.cost == formula.falsified_weight(res.model) == ref.cost
     return res.cost
 
 
@@ -517,7 +526,7 @@ class TestBruteForce:
     def test_single_hard_unit(self):
         f = WcnfFormula(1, (Clause((1,)),))
         res = brute_force_maxsat(f)
-        assert res.cost == 0 and res.model.assignment[1] is True
+        assert res.cost == 0 and res.model[1] is True
 
     def test_cap_enforced(self):
         f = WcnfFormula(23, (Clause((23,)),))
@@ -639,9 +648,34 @@ class TestExternal:
         stub.write_text("print('o 4')\nprint('s SATISFIABLE')\nprint('v -1 -2 3 0')\n")
         res = solve_external(WEIGHTED, f"{sys.executable} {stub} {{input}}", timeout=60)
         assert res.status is MaxSatStatus.INDETERMINATE
-        assert res.bounds == (0, 4)
-        assert res.model.cost == 4
-        assert res.model.assignment == {1: False, 2: False, 3: True}
+        assert res.lower == 0 and res.cost == 4
+        assert res.model == {1: False, 2: False, 3: True}
+
+    @pytest.mark.parametrize("answer, expected", [
+        ("print('o 3')\nprint('s OPTIMUM FOUND')\nprint('v -1 -2 -3 0')\n", MaxSatStatus.OPTIMUM),
+        ("import time\ntime.sleep(5)\n", MaxSatStatus.INDETERMINATE),
+        # the optimum claimed with a model violating the hard clause (~x | z)
+        ("print('o 0')\nprint('s OPTIMUM FOUND')\nprint('v 1 2 -3 0')\n", UntrustedSolverError),
+        (None, ExternalSolverError),
+    ], ids=["optimum", "timeout", "untrusted", "missing-binary"])
+    def test_no_file_left_behind(self, tmp_path, monkeypatch, answer, expected):
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        seen = tmp_path / "seen.txt"
+        stub = tmp_path / "stub.py"
+        # the stub records the WCNF path it is given, then answers
+        stub.write_text(f"import sys\nopen({str(seen)!r}, 'w').write(sys.argv[1])\n{answer}")
+        command = (f"{sys.executable} {stub} {{input}}" if answer is not None
+                   else "/nonexistent/maxsat {input}")
+        try:
+            got = solve_external(WEIGHTED, command, timeout=2).status
+        except SolverError as exc:
+            got = type(exc)
+        assert got is expected
+        if answer is not None:
+            assert seen.read_text().startswith(str(scratch))
+        assert list(scratch.iterdir()) == []
 
     def test_silent_solver(self, tmp_path):
         quiet = tmp_path / "quiet.py"
@@ -649,3 +683,32 @@ class TestExternal:
         command = f"{sys.executable} {quiet} {{input}}"
         with pytest.raises(ExternalSolverError, match="no status"):
             solve_external(WEIGHTED, command, timeout=60)
+
+
+class TestResultContract:
+    """Every result that carries a model states that model's cost; its lower
+    bound is at most that cost, and equal to it at OPTIMUM."""
+
+    @pytest.mark.parametrize("case, status", [
+        ("optimum", MaxSatStatus.OPTIMUM),
+        ("interrupted", MaxSatStatus.INDETERMINATE),
+        ("external-unproven", MaxSatStatus.INDETERMINATE),
+        ("brute-force", MaxSatStatus.OPTIMUM),
+    ], ids=["optimum", "interrupted", "external-unproven", "brute-force"])
+    def test_cost_is_the_models(self, monkeypatch, tmp_path, case, status):
+        if case == "interrupted":
+            interrupt_after_first_model(monkeypatch)
+        if case in ("optimum", "interrupted"):
+            res = solve_maxsat(WEIGHTED)
+        elif case == "brute-force":
+            res = brute_force_maxsat(WEIGHTED)
+        else:
+            stub = tmp_path / "stub.py"
+            stub.write_text("print('o 4')\nprint('s SATISFIABLE')\nprint('v -1 -2 3 0')\n")
+            res = solve_external(WEIGHTED, f"{sys.executable} {stub} {{input}}", timeout=60)
+        assert res.status is status
+        assert res.cost == WEIGHTED.falsified_weight(res.model)
+        if status is MaxSatStatus.INDETERMINATE:
+            assert res.lower <= res.cost
+        else:
+            assert res.lower == res.cost
