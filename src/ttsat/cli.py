@@ -23,14 +23,7 @@ from .decode import (
     render_timetable,
 )
 from .encoder import EncodeOptions, encode
-from .model import (
-    InstanceError,
-    gen_random_instance,
-    parse_instance,
-    serialize_instance,
-    validate_instance,
-    validation_errors,
-)
+from .model import gen_random_instance, parse_instance, serialize_instance, validate_instance
 from .sample import sample_text
 from .solver import (
     MaxSatStatus,
@@ -57,13 +50,8 @@ def _load_instance(path: str):
     with open(path, encoding="utf-8") as handle:
         text = handle.read()
     instance = parse_instance(text)
-    findings = validate_instance(instance)
-    for f in findings:
-        if f.level == "warning":
-            print(f"warning: {f.message}", file=sys.stderr)
-    errors = validation_errors(findings)
-    if errors:
-        raise InstanceError("; ".join(f.message for f in errors))
+    for f in validate_instance(instance):
+        print(f"warning: {f.message}", file=sys.stderr)
     return instance, text
 
 

@@ -259,7 +259,10 @@ def parse_timetable_csv(text: str, instance: Instance) -> Timetable:
     slot_by_label = {t.label: t.id for t in instance.timeslots}
     room_by_label = {r.label: r.id for r in instance.rooms}
 
-    rows = list(csv.reader(io.StringIO(text)))
+    try:
+        rows = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        raise TimetableFormatError(f"malformed CSV: {exc}") from None
     rows = [r for r in rows if r and any(cell.strip() for cell in r)]
     # tolerate result lines ("o ...", "s ...", "c ...") ahead of the grid
     while rows and rows[0][0].strip() != "room":

@@ -21,17 +21,11 @@ from dataclasses import dataclass
 
 from .cardinality import exactly_one
 from .cnf import Clause, WcnfFormula, gc_paused
-from .model import (
-    Instance,
-    SessionKind,
-    cross_curriculum_pairs,
-    validate_instance,
-    validation_errors,
-)
+from .model import Instance, SessionKind, cross_curriculum_pairs
 
 
 class EncodeError(ValueError):
-    """Instance cannot be encoded (invalid or structurally infeasible)."""
+    """A variable index outside the VarMap."""
 
 
 UNAVAILABILITY_WEIGHT = 10  # the paper's price of a forbidden timeslot
@@ -267,10 +261,6 @@ def room_assignment(instance: Instance, varmap: VarMap) -> list[Clause]:
     for s in instance.sessions:
         if s.kind is SessionKind.LAB:
             eligible = list(instance.lab_rooms)
-            if not eligible:
-                raise EncodeError(
-                    f"session '{instance.session_label(s.id)}' is a lab but no lab room exists"
-                )
         else:
             eligible = [r.id for r in instance.rooms]
         lits = [varmap.cr(s.id, r) for r in eligible]
@@ -311,12 +301,6 @@ def encode_with_families(
     collector is paused while the clauses are built (see ``cnf.gc_paused``).
     """
     opts = opts or EncodeOptions()
-    errors = validation_errors(validate_instance(instance))
-    if errors:
-        raise EncodeError(f"instance is invalid: {errors[0].message}")
-    if not instance.sessions:
-        raise EncodeError("instance has no sessions to schedule")
-
     varmap = VarMap(instance)
     clauses: list[Clause] = []
     families: dict[str, list[int]] = {name: [] for name in FAMILY_ORDER}

@@ -1,8 +1,11 @@
-"""Timetabling instance model: types, JSON parsing, validation, generation.
+"""Timetabling instance model: types, JSON parsing, warnings, generation.
 
 An instance file is a UTF-8 JSON document with label-based cross references;
-parsing assigns dense integer ids in file order.  Instances are immutable
-after construction and safe to share across threads.
+parsing assigns dense integer ids in file order.  ``instance_from_doc`` is
+the one place where an instance is checked: it raises ``ParseError`` for
+every invalid instance, so the rest of the package never re-validates one.
+``validate_instance`` only reports warnings about a valid instance.
+Instances are immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -98,6 +101,12 @@ class RegistrationGroup:
 
 @dataclass(frozen=True)
 class Instance:
+    """A valid timetabling instance.  Build one only through
+    ``instance_from_doc`` (``parse_instance``, ``gen_random_instance`` and
+    ``load_sample`` all do), which guarantees in-range ids, at least one
+    day, timeslot, room and course, a timeslot on every day, a course in
+    every curriculum, and a lab room whenever a session is a lab."""
+
     days: tuple[Day, ...]
     timeslots: tuple[Timeslot, ...]
     rooms: tuple[Room, ...]
@@ -111,8 +120,7 @@ class Instance:
     def slots_by_day(self) -> dict[int, tuple[int, ...]]:
         out: dict[int, list[int]] = {d.id: [] for d in self.days}
         for t in self.timeslots:
-            if t.day in out:
-                out[t.day].append(t.id)
+            out[t.day].append(t.id)
         return {d: tuple(ts) for d, ts in out.items()}
 
     @cached_property
@@ -138,7 +146,7 @@ class Instance:
 
 @dataclass(frozen=True)
 class Finding:
-    level: str  # "error" | "warning"
+    level: str  # "warning"; no instance that parses has an "error"
     message: str
 
 
@@ -176,10 +184,14 @@ def parse_instance(text: str) -> Instance:
         raise ParseError(
             f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise ParseError("JSON nests too deeply") from None
     return instance_from_doc(doc)
 
 
 def instance_from_doc(doc) -> Instance:
+    """Check a decoded instance document and build its Instance; an
+    invalid document raises ``ParseError``."""
     doc = _as_obj(doc, "instance")
     for key in ("days", "timeslots", "rooms", "staff", "courses", "curricula", "registrations"):
         _get(doc, key, "instance", list)
@@ -297,6 +309,18 @@ def instance_from_doc(doc) -> Instance:
             raise ParseError(f"registration #{i}: students must be positive")
         groups.append(RegistrationGroup(tuple(sorted(set(ids))), int(students)))
 
+    # rules over the resolved instance; the ones broken are reported together
+    days_with_slots = {t.day for t in timeslots}
+    broken = [f"day '{d.label}' owns no timeslots" for d in days if d.id not in days_with_slots]
+    broken += [f"curriculum '{k.label}' contains no courses" for k in curricula if not k.courses]
+    lab = next((s for s in sessions if s.kind is SessionKind.LAB), None)
+    if lab is not None and not any(r.is_lab for r in rooms):
+        broken.append(f"session '{course_labels[lab.course]}/lab' is a lab but no lab room exists")
+    if broken:
+        raise ParseError("; ".join(broken))
+    if not courses:
+        raise ParseError("instance has no sessions to schedule")
+
     return Instance(
         days=days,
         timeslots=tuple(timeslots),
@@ -361,91 +385,31 @@ def serialize_instance(instance: Instance) -> str:
 
 
 def validate_instance(instance: Instance) -> list[Finding]:
-    """Semantic checks: errors for broken invariants, warnings for
-    satisfiability red flags. Returns findings instead of raising."""
+    """Satisfiability red flags of a valid instance, as warnings: a single
+    timeslot, a session that soft-forbids every timeslot, and a curriculum
+    with more sessions than timeslots.  Invalid instances never get here;
+    ``instance_from_doc`` rejects them."""
     findings: list[Finding] = []
-    err = lambda msg: findings.append(Finding("error", msg))
     warn = lambda msg: findings.append(Finding("warning", msg))
 
     n_slots = len(instance.timeslots)
-    if not instance.rooms:
-        err("at least one room is required")
-    if not instance.days:
-        err("at least one day is required")
-    if n_slots == 0:
-        err("at least one timeslot is required")
-    elif n_slots < 2:
+    if n_slots < 2:
         warn("every course needs 2 distinct timeslots, only 1 exists")
-
-    for t in instance.timeslots:
-        if not 0 <= t.day < len(instance.days):
-            err(f"timeslot '{t.label}' references missing day id {t.day}")
-    for d in instance.days:
-        if not instance.slots_by_day.get(d.id):
-            err(f"day '{d.label}' owns no timeslots")
-
-    for r in instance.rooms:
-        if r.capacity < 0:
-            err(f"room '{r.label}' has negative capacity")
-
-    seen_course_curriculum: dict[int, int] = {}
-    for k in instance.curricula:
-        if not k.courses:
-            err(f"curriculum '{k.label}' contains no courses")
-        for cid in k.courses:
-            if cid in seen_course_curriculum:
-                err(
-                    f"course '{instance.courses[cid].label}' appears in more than one curriculum"
-                )
-            seen_course_curriculum[cid] = k.id
-    for c in instance.courses:
-        if seen_course_curriculum.get(c.id) != c.curriculum:
-            err(f"course '{c.label}' is not listed by its own curriculum")
-        lec, snd = c.sessions
-        if instance.sessions[lec].kind is not SessionKind.LECTURE:
-            err(f"course '{c.label}': first session must be a lecture")
-        if instance.sessions[snd].kind is SessionKind.LECTURE:
-            err(f"course '{c.label}': second session must be a section or lab")
-        for sid in c.sessions:
-            if instance.sessions[sid].course != c.id:
-                err(f"course '{c.label}': session back-reference mismatch")
-
-    has_lab_room = bool(instance.lab_rooms)
     for s in instance.sessions:
-        label = instance.session_label(s.id)
-        if s.enrollment < 0:
-            err(f"session '{label}' has negative enrollment")
-        if not 0 <= s.staff < len(instance.staff):
-            err(f"session '{label}' references missing staff id {s.staff}")
-        bad = [t for t in s.forbidden_timeslots if not 0 <= t < n_slots]
-        if bad:
-            err(f"session '{label}' forbids unknown timeslot ids {sorted(bad)}")
-        elif n_slots and len(s.forbidden_timeslots) == n_slots:
-            warn(f"session '{label}': all timeslots are soft-forbidden")
-        if s.kind is SessionKind.LAB and not has_lab_room:
-            err(f"session '{label}' is a lab but no lab room exists")
-
+        if len(s.forbidden_timeslots) == n_slots:
+            warn(f"session '{instance.session_label(s.id)}': all timeslots are soft-forbidden")
     for k in instance.curricula:
-        need = len(instance.sessions_by_curriculum.get(k.id, ()))
+        need = len(instance.sessions_by_curriculum[k.id])
         if need > n_slots:
             warn(
                 f"curriculum '{k.label}' needs {need} distinct timeslots, "
                 f"only {n_slots} exist"
             )
-
-    for i, g in enumerate(instance.registration_groups):
-        if g.students < 1:
-            err(f"registration group #{i} has nonpositive student count")
-        if len(g.courses) < 2:
-            err(f"registration group #{i} lists fewer than two courses")
-        for cid in g.courses:
-            if not 0 <= cid < len(instance.courses):
-                err(f"registration group #{i} references missing course id {cid}")
-
     return findings
 
 
 def validation_errors(findings: list[Finding]) -> list[Finding]:
+    """The error-level findings: always none for ``validate_instance``."""
     return [f for f in findings if f.level == "error"]
 
 
@@ -475,7 +439,7 @@ def gen_random_instance(
     curricula: int = 2,
     overlap_density: float = 0.5,
 ) -> Instance:
-    """Deterministic random instance; always validates with zero errors."""
+    """Deterministic random instance, built through ``instance_from_doc``."""
     if min(days, slots_per_day, rooms, courses, curricula) < 1:
         raise ValueError("all size parameters must be positive")
     if curricula > courses:

@@ -58,6 +58,26 @@ class TestSolve:
         assert code == 0
         assert "room,t1,t2,t3,t4,t5" in out
 
+    def test_invalid_instance_exit_2(self, capsys, tmp_path):
+        doc = json.loads(sample_text())
+        doc["curricula"].append("k9")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, ["solve", str(bad)])
+        assert code == 2
+        assert out == ""
+        assert err == "error: curriculum 'k9' contains no courses\n"
+
+    @pytest.mark.parametrize("command", ["solve", "encode", "validate"])
+    def test_deeply_nested_json_exit_2(self, capsys, tmp_path, command):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+        extra = {"solve": [], "encode": ["-o", str(tmp_path / "x.wcnf")],
+                 "validate": [str(tmp_path / "grid.csv")]}[command]
+        code, _, err = run(capsys, [command, str(deep), *extra])
+        assert code == 2
+        assert err == "error: JSON nests too deeply\n"
+
     def test_missing_file(self, capsys):
         code, out, err = run(capsys, ["solve", "/nonexistent/file.json"])
         assert code == 2
@@ -289,6 +309,14 @@ class TestValidate:
         code, _, err = run(capsys, ["validate", sample_path, str(csv_path)])
         assert code == 2
         assert "not total" in err
+
+    def test_oversized_cell_exit_2(self, capsys, sample_path, tmp_path):
+        csv_path = tmp_path / "big.csv"
+        csv_path.write_text("room," + "x" * 200_000 + "\n", encoding="utf-8")
+        code, out, err = run(capsys, ["validate", sample_path, str(csv_path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: malformed CSV: field larger than field limit")
 
 
 class TestGen:

@@ -18,6 +18,34 @@ def doc_of(sample_json):
     return json.loads(sample_json)
 
 
+def add_empty_day(doc):
+    doc["days"].append("d9")
+
+
+def add_empty_curriculum(doc):
+    doc["curricula"].append("k9")
+
+
+def drop_lab_rooms(doc):
+    for r in doc["rooms"]:
+        r["lab"] = False
+
+
+def drop_courses(doc):
+    doc["courses"], doc["curricula"], doc["registrations"] = [], [], []
+
+
+# the rules the parser alone checks once every reference has resolved
+RESOLVED_RULES = [
+    pytest.param(add_empty_day, "day 'd9' owns no timeslots", id="empty-day"),
+    pytest.param(add_empty_curriculum, "curriculum 'k9' contains no courses",
+                 id="empty-curriculum"),
+    pytest.param(drop_lab_rooms, "session 'CS101/lab' is a lab but no lab room exists",
+                 id="lab-without-lab-room"),
+    pytest.param(drop_courses, "instance has no sessions to schedule", id="no-courses"),
+]
+
+
 class TestParse:
     def test_sample_counts(self, sample_instance):
         i = sample_instance
@@ -84,6 +112,24 @@ class TestParse:
         doc["courses"][0]["second"]["kind"] = "seminar"
         with pytest.raises(ParseError, match="'section' or 'lab'"):
             parse_instance(json.dumps(doc))
+
+    @pytest.mark.parametrize("breaks, message", RESOLVED_RULES)
+    def test_resolved_rule(self, sample_json, breaks, message):
+        doc = doc_of(sample_json)
+        breaks(doc)
+        with pytest.raises(ParseError) as exc:
+            parse_instance(json.dumps(doc))
+        assert str(exc.value) == message
+
+    def test_resolved_rules_reported_together(self, sample_json):
+        doc = doc_of(sample_json)
+        add_empty_day(doc)
+        add_empty_curriculum(doc)
+        with pytest.raises(ParseError) as exc:
+            parse_instance(json.dumps(doc))
+        assert str(exc.value) == (
+            "day 'd9' owns no timeslots; curriculum 'k9' contains no courses"
+        )
 
 
 class TestValidate:
