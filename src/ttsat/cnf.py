@@ -10,6 +10,14 @@ once each, when the formula is built.  The check runs in numpy over
 numpy cannot hold as int64, is checked again clause by clause, which raises
 the ``CnfError`` of its first bad clause.
 
+DIMACS WCNF goes out and comes in in bulk.  ``write_dimacs`` builds one flat
+list of tokens and joins it once.  ``parse_dimacs`` reads its clause lines
+in blocks of about ``PARSE_CHUNK`` characters, each with one
+``np.fromstring``; a block that numpy might read otherwise than the
+per-line reader (CR line ends, comments, "h" lines, odd tokens) goes to the
+per-line reader, so the clauses and the ``line N: ...`` errors are the
+same either way.
+
 Building a large formula allocates hundreds of thousands of clause objects
 and frees none of them, so the cyclic garbage collector's passes over them
 find nothing to free.  ``gc_paused`` switches it off while the encoder,
@@ -21,6 +29,7 @@ from __future__ import annotations
 import gc
 import numbers
 import operator
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
@@ -30,6 +39,8 @@ import numpy as np
 
 # clauses per bulk check; bounds the check's temporary arrays
 CHECK_CHUNK = 1 << 14
+# characters per block of clause lines that parse_dimacs reads in numpy
+PARSE_CHUNK = 1 << 20
 
 
 class CnfError(ValueError):
@@ -206,13 +217,34 @@ def write_dimacs(formula: WcnfFormula, comments: tuple[str, ...] = ()) -> str:
     """Serialize to classic WCNF ("p wcnf <vars> <clauses> <top>"), LF endings.
 
     Clause order is preserved exactly; hard clauses carry the top weight.
+    The clause lines are one flat list of tokens (weight, literals, "0\\n"
+    per clause) joined once.  A literal's text comes from a table of
+    ``str(l)`` for every literal, indexed by ``l`` itself (negative ``l``
+    from the end); the table is built only when ``num_vars`` is at most the
+    formula's literal count, so its size stays bounded by the formula's,
+    and ``str`` serves otherwise.  A comment that holds a line break raises
+    ``CnfError``, since the reader would take its second line for a clause.
     """
-    lines = [f"c {c}" for c in comments]
-    lines.append(f"p wcnf {formula.num_vars} {len(formula.clauses)} {formula.top}")
+    for c in comments:
+        if c.splitlines() not in ([c], []):
+            raise CnfError(f"comment {c!r} contains a line break")
+    head = "".join(f"c {c}\n" for c in comments)
+    head += f"p wcnf {formula.num_vars} {len(formula.clauses)} {formula.top}\n"
+    n = formula.num_vars
+    if n <= sum(map(len, map(_literals, formula.clauses))):
+        table = [str(l) for l in range(n + 1)] + [str(l) for l in range(-n, 0)]
+        literal_text = table.__getitem__
+    else:
+        literal_text = str
+    top = str(formula.top)
+    tokens = []
+    append = tokens.append
     for c in formula.clauses:
-        w = formula.top if c.is_hard else c.weight
-        lines.append(f"{w} {' '.join(map(str, c.literals))} 0")
-    return "\n".join(lines) + "\n"
+        w = c.weight
+        append(top if w is None else str(w))
+        tokens += map(literal_text, c.literals)
+        append("0\n")
+    return head + " ".join(tokens).replace("\n ", "\n")
 
 
 @gc_paused()
@@ -222,11 +254,71 @@ def parse_dimacs(text: str) -> WcnfFormula:
 
     Only syntax is checked here, with line numbers: at most one header, and
     it comes before every clause.  ``WcnfFormula`` checks the clauses
-    themselves."""
-    num_vars = num_clauses = top = None
+    themselves.
+
+    The leading comment and header lines go to the per-line reader; the
+    rest is cut at newlines into blocks of about ``PARSE_CHUNK``
+    characters.  A block that numpy provably reads as the per-line reader
+    would is read in numpy (``_read_clause_block``); any other goes to the
+    per-line reader with its true starting line number, so the clauses and
+    the ``line N: ...`` errors are those of reading the text line by line."""
+    header, clauses = _read_clauses(text)
+    num_vars, num_clauses, top = header or (None, None, None)
+    if not clauses and num_vars is None:
+        raise CnfError("no header and no clauses found")
+    if num_clauses is not None and len(clauses) != num_clauses:
+        raise CnfError(
+            f"header declares {num_clauses} clauses but file contains {len(clauses)}"
+        )
+    if num_vars is None:
+        num_vars = max((abs(l) for c in clauses for l in c.literals), default=0)
+    return WcnfFormula(num_vars, tuple(clauses), top)
+
+
+def _read_clauses(text):
+    """The header ``(num_vars, num_clauses, top)``, or None, and the clauses
+    of ``text``, read block by block."""
+    header = None
     clauses: list[Clause] = []
+    lineno = 1
+    for block in _blocks(text):
+        read = _read_clause_block(block, None if header is None else header[2])
+        if read is None:
+            lines = block.splitlines()
+            header = _read_lines(lines, lineno, header, clauses)
+            lineno += len(lines)
+        else:
+            clauses += read
+            lineno += len(read)
+    return header, clauses
+
+
+def _blocks(text):
+    """Cut ``text`` after newlines: first the leading comment and header
+    lines, then blocks of about ``PARSE_CHUNK`` characters (a longer line
+    makes a longer block).  Any text after the last newline is a block of
+    its own, so every other block ends with a newline."""
+    pos, n = 0, len(text)
+    while text.startswith(("c", "p"), pos):
+        pos = text.find("\n", pos) + 1 or n
+    if pos:
+        yield text[:pos]
+    while pos < n:
+        end = text.rfind("\n", pos, pos + PARSE_CHUNK) + 1
+        if end <= pos:
+            end = text.find("\n", pos + PARSE_CHUNK) + 1 or n
+        yield text[pos:end]
+        pos = end
+
+
+def _read_lines(lines, lineno, header, clauses):
+    """The per-line reader: appends the clauses of ``lines`` (the first is
+    line ``lineno`` of the file) to ``clauses``.  ``header`` is the
+    ``(num_vars, num_clauses, top)`` read so far, or None; returns it as it
+    stands after these lines."""
+    top = None if header is None else header[2]
     append = clauses.append
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=lineno):
         tokens = line.split()
         if tokens and tokens[-1] == "0":
             # the common line, "<weight> <literal>... 0", in one conversion
@@ -244,14 +336,14 @@ def parse_dimacs(text: str) -> WcnfFormula:
         if not s or s.startswith("c"):
             continue
         if s.startswith("p"):
-            if num_vars is not None or clauses:
-                where = "second header" if num_vars is not None else "header after clauses"
+            if header is not None or clauses:
+                where = "second header" if header is not None else "header after clauses"
                 raise CnfError(f"line {lineno}: {where} {s!r}")
             parts = s.split()
             if len(parts) != 5 or parts[1] != "wcnf":
                 raise CnfError(f"line {lineno}: malformed header {s!r}")
             try:
-                num_vars, num_clauses, top = (int(x) for x in parts[2:])
+                header = num_vars, num_clauses, top = tuple(int(x) for x in parts[2:])
             except ValueError:
                 raise CnfError(f"line {lineno}: malformed header {s!r}") from None
             if num_vars < 1 or num_clauses < 0 or top < 1:
@@ -267,15 +359,50 @@ def parse_dimacs(text: str) -> WcnfFormula:
         if weight is not None and top is not None and weight >= top:
             weight = None
         append(Clause(lits, weight))
-    if not clauses and num_vars is None:
-        raise CnfError("no header and no clauses found")
-    if num_clauses is not None and len(clauses) != num_clauses:
-        raise CnfError(
-            f"header declares {num_clauses} clauses but file contains {len(clauses)}"
-        )
-    if num_vars is None:
-        num_vars = max((abs(l) for c in clauses for l in c.literals), default=0)
-    return WcnfFormula(num_vars, tuple(clauses), top)
+    return header
+
+
+# deleting these leaves nothing of a block of plain clause lines
+_CLAUSE_LINE_CHARS = str.maketrans("", "", "0123456789 -\n")
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _read_clause_block(block, top):
+    """The clauses of a block of "<weight> <literal>... 0" lines, read with
+    one ``np.fromstring``; None when the per-line reader might read the
+    block otherwise.
+
+    The checks leave only tokens of an optional "-" and digits, on which
+    numpy and ``int`` agree unless the token passes int64, where numpy
+    saturates: only digits, spaces, "-" and newlines (no other line
+    separator, no "c", "p" or "h" line); every "-" after a space and before
+    a digit; every line, the last included, ends in " 0\n", and that 0 is
+    the line's only zero value (no "-0", "00", blank line or trailing
+    space); no saturated value.  A line " 0" reads as it does per line, as
+    a clause of no literals whose weight is its terminator."""
+    lines = block.count("\n")
+    if not (block.endswith("\n") and not block.translate(_CLAUSE_LINE_CHARS)
+            and block.count(" 0\n") == lines
+            and block.count("-") == block.count(" -") and "- " not in block):
+        return None
+    with warnings.catch_warnings():
+        # numpy 1.x reports unparsed text with a warning, 2.x with ValueError
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            values = np.fromstring(block, dtype=np.int64, sep=" ")
+        except (ValueError, DeprecationWarning):
+            return None
+    ends = np.flatnonzero(values == 0)
+    if len(ends) != lines or values.max() == _INT64_MAX or values.min() == -_INT64_MAX - 1:
+        return None
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    weights = values[starts].astype(object)
+    if top is not None:
+        # no value read here reaches int64's max, so min() keeps the test exact
+        weights[values[starts] >= min(top, _INT64_MAX)] = None
+    flat = values.tolist()
+    literals = [tuple(flat[a:b]) for a, b in zip((starts + 1).tolist(), ends.tolist())]
+    return list(map(Clause, literals, weights.tolist()))
 
 
 class OutputStatus(Enum):

@@ -1,8 +1,8 @@
-"""Shared test utilities: random formulas, an independent extension checker,
-cardinality bounds on a totalizer, the semantic enumeration oracle,
-hand-built model construction, a checked SAT call on a fresh solver, a
-SAT budget that runs out after the first model, and a SAT core that answers
-with a model violating a hard clause."""
+"""Shared test utilities: random formulas, the line-by-line WCNF writer, an
+independent extension checker, cardinality bounds on a totalizer, the
+semantic enumeration oracle, hand-built model construction, a checked SAT
+call on a fresh solver, a SAT budget that runs out after the first model,
+and a SAT core that answers with a model violating a hard clause."""
 
 from __future__ import annotations
 
@@ -25,6 +25,17 @@ def random_wcnf(rng, max_vars=18, max_clauses=60, max_weight=9, hard_fraction=0.
         weight = None if rng.random() < hard_fraction else rng.randint(1, max_weight)
         clauses.append(Clause(lits, weight))
     return WcnfFormula(n, tuple(clauses))
+
+
+def reference_write_dimacs(formula, comments=()):
+    """``write_dimacs`` one f-string line at a time: the reference the bulk
+    writer must match byte for byte."""
+    lines = [f"c {c}" for c in comments]
+    lines.append(f"p wcnf {formula.num_vars} {len(formula.clauses)} {formula.top}")
+    for c in formula.clauses:
+        w = formula.top if c.is_hard else c.weight
+        lines.append(f"{w} {' '.join(map(str, c.literals))} 0")
+    return "\n".join(lines) + "\n"
 
 
 def extendable(clauses, base_assignment):

@@ -1,5 +1,7 @@
 import gc
 import random
+import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_wcnf
+from helpers import random_wcnf, reference_write_dimacs
 from ttsat import cnf
 from ttsat.cnf import (
     Clause,
@@ -106,6 +108,18 @@ class TestWriteDimacs:
 
     def test_lf_endings_only(self):
         assert "\r" not in write_dimacs(WEIGHTED_EXAMPLE)
+
+    @pytest.mark.parametrize("comment", ["a\nb", "a\r", "\x0b", "x\u2028y", "\n", "tail\r\n"])
+    def test_comment_with_line_break_rejected(self, comment):
+        # written as is, its second line would read back as a bad clause line
+        with pytest.raises(CnfError) as err:
+            write_dimacs(WEIGHTED_EXAMPLE, comments=("tool 1.0", comment))
+        assert str(err.value) == f"comment {comment!r} contains a line break"
+
+    def test_empty_comment_accepted(self):
+        text = write_dimacs(WEIGHTED_EXAMPLE, comments=("",))
+        assert text.startswith("c \np wcnf")
+        assert parse_dimacs(text) == WEIGHTED_EXAMPLE
 
 
 class TestParseDimacs:
@@ -409,3 +423,148 @@ class TestGcPaused:
             assert gc.isenabled() is enabled
         finally:
             (gc.enable if was else gc.disable)()
+
+
+CLI_COMMENTS = ("ttsat 0.1.0", "instance sha256 0123456789abcdef")
+SINGLE_LINE_COMMENTS = st.text(max_size=12).filter(lambda c: c.splitlines() in ([c], []))
+
+
+class TestBulkWriter:
+    @settings(deadline=None)
+    @given(well_formed_formulas(), st.lists(SINGLE_LINE_COMMENTS, max_size=3).map(tuple))
+    def test_matches_reference_writer(self, formula, comments):
+        assert write_dimacs(formula, comments) == reference_write_dimacs(formula, comments)
+
+    @pytest.mark.parametrize("formula", [
+        WcnfFormula(10**6, (Clause((1, -2)), Clause((-3,), 4), Clause((999_999, 2)))),
+        WcnfFormula(BIG, (Clause((1, 2)), Clause((BIG, -(BIG - 1)), 3))),
+        WcnfFormula(2, (Clause((np.int64(1), np.int32(-2)), np.int64(3)), Clause((2,)))),
+        WcnfFormula(1, ()),
+    ], ids=["num-vars-1e6", "num-vars-near-2-62", "numpy-integers", "no-clauses"])
+    def test_sparse_and_unusual_formulas(self, formula):
+        # a literal table over 2**62 variables would not fit in memory
+        assert write_dimacs(formula, CLI_COMMENTS) == reference_write_dimacs(formula, CLI_COMMENTS)
+
+
+def outcome(read, text):
+    """What ``read`` makes of ``text``: its result's repr (which tells a
+    numpy integer from an int) or its CnfError message."""
+    try:
+        return "read", repr(read(text))
+    except CnfError as exc:
+        return "error", str(exc)
+
+
+def read_per_line(text):
+    """``cnf._read_clauses`` done by the per-line reader alone, in one pass
+    over the whole text."""
+    clauses = []
+    return cnf._read_lines(text.splitlines(), 1, None, clauses), clauses
+
+
+def read_like_per_line(text, chunk):
+    """Assert that the block reader, with blocks of about ``chunk``
+    characters, reads ``text`` as the per-line reader does, and so does
+    ``parse_dimacs`` after it."""
+    with mock.patch.object(cnf, "PARSE_CHUNK", chunk):
+        got = outcome(cnf._read_clauses, text), outcome(parse_dimacs, text)
+    with mock.patch.object(cnf, "_read_clauses", read_per_line):
+        want = outcome(read_per_line, text), outcome(parse_dimacs, text)
+    assert got == want, f"PARSE_CHUNK={chunk}"
+
+
+# tokens and lines that numpy reads otherwise than the per-line reader, or
+# that the block reader must not take for plain clause lines
+ODD_TOKENS = [
+    "-", "-0", "00", "007", "-007", "2-3", "--3", "+3", "h", "x", "\t",
+    "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\u0663",
+    str(2**63 - 1), str(2**63), str(-2**63), str(-2**63 - 1), str(2**64 + 5), str(10**20),
+]
+ODD_LINES = [
+    "", " ", "0", " 0", "5 0", "c comment", "c", "p wcnf 6 3 13", "p cnf 6 3", "h 1 2 0",
+    "h -3 0", "-5 1 0", "5 1", "5 1 -0", "5 1 00", "5 1 0 ", " 5 1 0", "5 1 0\r", "5\t1 0",
+]
+ODD_LINE_ENDS = ["\r\n", "\r", "\x0b", "\x0c", "\x85", "\u2028"]
+
+
+@st.composite
+def dimacs_like_texts(draw):
+    """Clause lines after no header, a header, or the CLI's comments and a
+    header.  Each line may hold an odd token, be an odd line or end oddly,
+    rarely enough that a block often holds one oddity among plain lines."""
+    lines = draw(st.sampled_from([[], ["p wcnf 6 6 13"], [*(f"c {c}" for c in CLI_COMMENTS), "p wcnf 6 6 13"]]))
+    lines = [line + "\n" for line in lines]
+    for _ in range(draw(st.integers(0, 8))):
+        tokens = [str(draw(st.integers(1, 15)))]
+        tokens += map(str, draw(st.lists(st.integers(-6, 6).filter(bool), max_size=3)))
+        tokens.append("0")
+        oddity = draw(st.integers(0, 7))
+        if oddity == 0:
+            tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(ODD_TOKENS)))
+        line = draw(st.sampled_from(ODD_LINES)) if oddity == 1 else " ".join(tokens)
+        lines.append(line + (draw(st.sampled_from(ODD_LINE_ENDS)) if oddity == 2 else "\n"))
+    text = "".join(lines)
+    return text[:-1] if text.endswith("\n") and draw(st.booleans()) else text
+
+
+def strtoll_fromstring(string, dtype, sep):
+    """A laxer ``np.fromstring``: like C's strtoll it clamps to int64, and
+    it needs no space before a "-"."""
+    tokens = re.findall(r"-?[0-9]+", string)
+    return np.array([min(max(int(t), -2**63), 2**63 - 1) for t in tokens], dtype)
+
+
+class TestBlockReader:
+    # the block reader's checks must not rest on how strictly numpy parses
+    @pytest.mark.parametrize("fromstring", [np.fromstring, strtoll_fromstring],
+                             ids=["numpy", "strtoll"])
+    @pytest.mark.parametrize("odd", ODD_LINES + [f"5 {t} 1 0" for t in ODD_TOKENS]
+                             + [f"5 1 0{end}" for end in ODD_LINE_ENDS])
+    def test_odd_line_read_like_per_line(self, odd, fromstring):
+        lines = [*(f"c {c}" for c in CLI_COMMENTS), "p wcnf 6 4 13",
+                 "3 1 -2 0", "13 2 3 0", odd, "7 -4 5 6 0"]
+        with mock.patch.object(np, "fromstring", fromstring):
+            for text in ("\n".join(lines) + "\n", "\n".join(lines[3:]), odd):
+                for chunk in range(1, len(text) + 2):
+                    read_like_per_line(text, chunk)
+
+    def test_top_beyond_int64(self):
+        text = f"p wcnf 2 3 {2**64}\n5 1 0\n{2**64} 2 0\n{2**63 - 2} -1 2 0\n"
+        for chunk in range(1, len(text) + 2):
+            read_like_per_line(text, chunk)
+        assert [c.weight for c in parse_dimacs(text).clauses] == [5, None, 2**63 - 2]
+
+    @settings(deadline=None, max_examples=300)
+    @given(dimacs_like_texts(), st.integers(1, 48))
+    def test_read_like_per_line(self, text, chunk):
+        read_like_per_line(text, chunk)
+
+    @settings(deadline=None)
+    @given(well_formed_formulas(), st.sampled_from([(), CLI_COMMENTS]), st.integers(1, 64))
+    def test_well_formed_blocks_stay_in_numpy(self, formula, comments, chunk):
+        text = write_dimacs(formula, comments)
+        per_line = []
+        read_lines = cnf._read_lines
+
+        def spy(lines, *args):
+            per_line.extend(lines)
+            return read_lines(lines, *args)
+
+        with mock.patch.object(cnf, "PARSE_CHUNK", chunk), \
+                mock.patch.object(cnf, "_read_lines", spy):
+            assert parse_dimacs(text) == formula
+        assert per_line == text.splitlines()[:len(comments) + 1]
+
+    def test_numpy_1_parse_warning_reads_per_line(self):
+        # numpy 1.x warns, where 2.x raises, and returns what it could read
+        fromstring = np.fromstring
+
+        def numpy_1_fromstring(string, dtype, sep):
+            warnings.warn("string or file could not be read to its end", DeprecationWarning)
+            values = fromstring(string, dtype=dtype, sep=sep)
+            values[values != 0] = 1
+            return values
+
+        with mock.patch.object(np, "fromstring", numpy_1_fromstring), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert parse_dimacs(write_dimacs(WEIGHTED_EXAMPLE)) == WEIGHTED_EXAMPLE
