@@ -7,7 +7,6 @@ from .cnf import (  # noqa: F401
     Clause,
     WcnfFormula,
     parse_dimacs,
-    parse_solver_output,
     write_dimacs,
 )
 from .decode import (  # noqa: F401

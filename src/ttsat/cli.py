@@ -112,11 +112,9 @@ def cmd_encode(args) -> int:
 
 def cmd_solve(args) -> int:
     started = time.monotonic()
-    instance, text = _load_instance(args.instance)
+    instance, _ = _load_instance(args.instance)
     opts = _encode_options(args)
     formula, varmap = encode(instance, opts)
-    if args.save_wcnf:
-        _write_wcnf(formula, varmap, args.save_wcnf, text)
 
     cfg = _solver_config(args, started)
     if args.external_command is not None:
@@ -234,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--timeout", type=float, default=None, help="wall-clock seconds")
     p.add_argument("--format", choices=("text", "csv"), default="text")
-    p.add_argument("--save-wcnf", default=None, help="also write the WCNF here")
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("validate", help="check a rendered CSV timetable against an instance")

@@ -1,4 +1,4 @@
-"""Weighted CNF formulas, DIMACS WCNF serialization, and solver-output parsing.
+"""Weighted CNF formulas and DIMACS WCNF serialization.
 
 Literals are nonzero integers: ``v`` means variable ``v`` is true, ``-v``
 means it is false.  A clause weight of ``None`` marks the clause as hard;
@@ -32,7 +32,6 @@ import operator
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from enum import Enum
 from itertools import chain, compress, repeat
 
 import numpy as np
@@ -319,19 +318,6 @@ def _read_lines(lines, lineno, header, clauses):
     top = None if header is None else header[2]
     append = clauses.append
     for lineno, line in enumerate(lines, start=lineno):
-        tokens = line.split()
-        if tokens and tokens[-1] == "0":
-            # the common line, "<weight> <literal>... 0", in one conversion
-            try:
-                ints = tuple(map(int, tokens))
-            except ValueError:
-                pass
-            else:
-                weight = ints[0]
-                if top is not None and weight >= top:
-                    weight = None
-                append(Clause(ints[1:-1], weight))
-                continue
         s = line.strip()
         if not s or s.startswith("c"):
             continue
@@ -349,6 +335,7 @@ def _read_lines(lines, lineno, header, clauses):
             if num_vars < 1 or num_clauses < 0 or top < 1:
                 raise CnfError(f"line {lineno}: malformed header {s!r}")
             continue
+        tokens = s.split()
         if tokens[-1] != "0":
             raise CnfError(f"line {lineno}: clause missing terminating 0")
         try:
@@ -403,82 +390,3 @@ def _read_clause_block(block, top):
     flat = values.tolist()
     literals = [tuple(flat[a:b]) for a, b in zip((starts + 1).tolist(), ends.tolist())]
     return list(map(Clause, literals, weights.tolist()))
-
-
-class OutputStatus(Enum):
-    OPTIMUM = "OPTIMUM"
-    SAT = "SAT"
-    UNSAT = "UNSAT"
-    UNKNOWN = "UNKNOWN"
-
-
-@dataclass(frozen=True)
-class SolverOutput:
-    status: OutputStatus
-    cost: int | None
-    model: dict[int, bool] | None
-    # an "s" line named the status: UNKNOWN with it is the solver's own
-    # verdict, UNKNOWN without it means the output carried no status at all
-    stated: bool = False
-
-
-def parse_solver_output(text: str, num_vars: int | None = None) -> SolverOutput:
-    """Read Max-SAT evaluation style output: "o <cost>", "s <status>", "v" lines.
-
-    The last "o" line and the last "s" line win; an "s" line with a tag
-    other than OPTIMUM FOUND, SAT..., UNSAT... or UNKNOWN states nothing.
-    "v" lines may carry signed literals (classic) or a single contiguous
-    0/1 string.  With ``num_vars`` given, literals out of range are an
-    error and unmentioned variables default to false.
-    """
-    status = OutputStatus.UNKNOWN
-    stated = False
-    cost = None
-    vtokens: list[str] = []
-    for line in text.splitlines():
-        s = line.strip()
-        if s.startswith("o ") or s == "o":
-            parts = s.split()
-            if len(parts) == 2:
-                try:
-                    cost = int(parts[1])
-                except ValueError:
-                    raise CnfError(f"bad objective line {s!r}") from None
-        elif s.startswith("s "):
-            tag = s[2:].strip().upper()
-            stated = True
-            if tag == "OPTIMUM FOUND":
-                status = OutputStatus.OPTIMUM
-            elif tag.startswith("UNSAT"):
-                status = OutputStatus.UNSAT
-            elif tag.startswith("SAT"):
-                status = OutputStatus.SAT
-            else:
-                status = OutputStatus.UNKNOWN
-                stated = tag == "UNKNOWN"
-        elif s.startswith("v ") or s == "v":
-            vtokens.extend(s[1:].split())
-    model = None
-    if vtokens:
-        if len(vtokens) == 1 and len(vtokens[0]) > 1 and set(vtokens[0]) <= {"0", "1"}:
-            bits = vtokens[0]
-            model = {i + 1: bits[i] == "1" for i in range(len(bits))}
-        else:
-            model = {}
-            for tok in vtokens:
-                try:
-                    lit = int(tok)
-                except ValueError:
-                    raise CnfError(f"bad literal {tok!r} in model line") from None
-                if lit == 0:
-                    continue
-                model[abs(lit)] = lit > 0
-        if num_vars is not None:
-            for var in model:
-                if var > num_vars:
-                    raise CnfError(
-                        f"model mentions variable {var} beyond num_vars={num_vars}"
-                    )
-            for var in range(1, num_vars + 1):
-                model.setdefault(var, False)
-    return SolverOutput(status, cost, model, stated)

@@ -129,29 +129,16 @@ class VarMap:
         return f"aux({tag} #{ordinal})"
 
 
-FAMILY_ORDER = (
-    "link_ct_cd",
-    "link_ct_kt",
-    "curriculum_clashes",
-    "registration_clashes",
-    "teacher_clashes",
-    "room_clashes",
-    "timeslot_unavailability",
-    "room_capacity",
-    "room_assignment",
-    "meeting_count",
-)
-
-
-def link_ct_cd(instance: Instance, session_id: int, varmap: VarMap) -> list[Clause]:
-    """Tie a session's timeslot variables to its day variables, both ways."""
+def link_ct_cd(instance: Instance, varmap: VarMap) -> list[Clause]:
+    """Tie each session's timeslot variables to its day variables, both ways."""
     out = []
-    for t in instance.timeslots:
-        out.append(Clause((-varmap.ct(session_id, t.id), varmap.cd(session_id, t.day))))
-    for d in instance.days:
-        lits = [-varmap.cd(session_id, d.id)]
-        lits += [varmap.ct(session_id, t) for t in instance.slots_by_day[d.id]]
-        out.append(Clause(tuple(lits)))
+    for s in instance.sessions:
+        for t in instance.timeslots:
+            out.append(Clause((-varmap.ct(s.id, t.id), varmap.cd(s.id, t.day))))
+        for d in instance.days:
+            lits = [-varmap.cd(s.id, d.id)]
+            lits += [varmap.ct(s.id, t) for t in instance.slots_by_day[d.id]]
+            out.append(Clause(tuple(lits)))
     return out
 
 
@@ -194,6 +181,11 @@ def _pair_clash_clauses(instance, varmap, pairs):
         for t in instance.timeslots:
             out.append(Clause((-varmap.ct(a, t.id), -varmap.ct(b, t.id))))
     return out
+
+
+def curriculum_clashes(instance: Instance, varmap: VarMap) -> list[Clause]:
+    """Sessions of one curriculum never share a slot."""
+    return _pair_clash_clauses(instance, varmap, _curriculum_session_pairs(instance))
 
 
 def teacher_clashes(instance: Instance, varmap: VarMap) -> list[Clause]:
@@ -293,37 +285,28 @@ def encode(instance: Instance, opts: EncodeOptions | None = None) -> tuple[WcnfF
 @gc_paused()
 def encode_with_families(
     instance: Instance, opts: EncodeOptions | None = None
-) -> tuple[WcnfFormula, VarMap, dict[str, list[int]]]:
-    """Like encode(), also reporting which clause indices each family emitted.
+) -> tuple[WcnfFormula, VarMap, dict[str, range | list[int]]]:
+    """Like encode(), also reporting which clause indices each family emitted:
+    a ``range`` for each family, in emission order.
 
     A clause shared by curriculum_clashes and teacher_clashes appears once in
-    the formula but is indexed under both families.  The cyclic garbage
-    collector is paused while the clauses are built (see ``cnf.gc_paused``).
+    the formula but is indexed under both families, so teacher_clashes is a
+    list: those shared indices, then its own.  The cyclic garbage collector
+    is paused while the clauses are built (see ``cnf.gc_paused``).
     """
     opts = opts or EncodeOptions()
     varmap = VarMap(instance)
     clauses: list[Clause] = []
-    families: dict[str, list[int]] = {name: [] for name in FAMILY_ORDER}
+    families: dict[str, range | list[int]] = {}
 
     def emit(family: str, clause_list):
         start = len(clauses)
         clauses.extend(clause_list)
-        families[family].extend(range(start, len(clauses)))
+        families[family] = range(start, len(clauses))
 
-    for s in instance.sessions:
-        emit("link_ct_cd", link_ct_cd(instance, s.id, varmap))
+    emit("link_ct_cd", link_ct_cd(instance, varmap))
     emit("link_ct_kt", link_ct_kt(instance, varmap))
-
-    staff_pairs = set(_staff_session_pairs(instance))
-    for a, b in _curriculum_session_pairs(instance):
-        shared = (a, b) in staff_pairs
-        for t in instance.timeslots:
-            idx = len(clauses)
-            families["curriculum_clashes"].append(idx)
-            if shared:
-                families["teacher_clashes"].append(idx)
-            clauses.append(Clause((-varmap.ct(a, t.id), -varmap.ct(b, t.id))))
-
+    emit("curriculum_clashes", curriculum_clashes(instance, varmap))
     emit("registration_clashes", registration_clashes(instance, varmap, opts))
     emit("teacher_clashes", teacher_clashes(instance, varmap))
     emit("room_clashes", room_clashes(instance, varmap))
@@ -331,6 +314,18 @@ def encode_with_families(
     emit("room_capacity", room_capacity(instance, varmap, opts))
     emit("room_assignment", room_assignment(instance, varmap))
     emit("meeting_count", meeting_count(instance, varmap))
+
+    # curriculum_clashes emits T clauses per pair, in pair order
+    T = len(instance.timeslots)
+    first = families["curriculum_clashes"].start
+    staff_pairs = set(_staff_session_pairs(instance))
+    shared = [
+        idx
+        for i, pair in enumerate(_curriculum_session_pairs(instance))
+        if pair in staff_pairs
+        for idx in range(first + i * T, first + (i + 1) * T)
+    ]
+    families["teacher_clashes"] = shared + list(families["teacher_clashes"])
 
     formula = WcnfFormula(varmap.num_vars, tuple(clauses))
     return formula, varmap, families

@@ -41,6 +41,7 @@ import heapq
 import os
 import random
 import shlex
+import signal
 import subprocess
 import tempfile
 import time
@@ -50,13 +51,7 @@ from enum import Enum
 import numpy as np
 
 from .cardinality import totalizer
-from .cnf import (
-    OutputStatus,
-    WcnfFormula,
-    gc_paused,
-    parse_solver_output,
-    write_dimacs,
-)
+from .cnf import CnfError, WcnfFormula, gc_paused, write_dimacs
 
 
 class SolverError(RuntimeError):
@@ -716,12 +711,10 @@ def solve_external(formula: WcnfFormula, command: str,
     becomes the path of a WCNF file in a temporary directory, which is
     appended when no token names it and removed once the solver exits.  An
     empty or blank command raises ExternalSolverError.  ``timeout`` bounds
-    the solver process in wall-clock seconds.  The returned model is checked
-    against the formula and the reported cost is recomputed; disagreement
-    raises UntrustedSolverError.  A timeout, an explicit "s UNKNOWN", or a
-    checked model the solver did not prove optimal, is INDETERMINATE (with a
-    model, its cost is the upper bound); output with no status line raises
-    ExternalSolverError.
+    the solver process in wall-clock seconds; a timeout is INDETERMINATE.
+    The solver runs in a session of its own, and whatever of that session is
+    still running when the call ends is killed, the solver's own children
+    too.  ``_read_answer`` reads and checks what it printed.
     """
     tokens = shlex.split(command)
     if not tokens:
@@ -734,30 +727,90 @@ def solve_external(formula: WcnfFormula, command: str,
         if path not in argv:
             argv.append(path)
         try:
-            proc = subprocess.run(argv, capture_output=True, text=True, timeout=timeout)
+            proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                    text=True, start_new_session=True)
         except FileNotFoundError as exc:
             raise ExternalSolverError(f"external solver not found: {exc}") from None
-        except subprocess.TimeoutExpired:
-            return MaxSatResult(MaxSatStatus.INDETERMINATE)
-    out = parse_solver_output(proc.stdout, num_vars=formula.num_vars)
-    if out.status is OutputStatus.UNSAT:
+        with proc:
+            try:
+                stdout, _ = proc.communicate(timeout=timeout)
+            except subprocess.TimeoutExpired:
+                return MaxSatResult(MaxSatStatus.INDETERMINATE)
+            finally:
+                try:
+                    os.killpg(proc.pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+    return _read_answer(stdout, formula, proc.returncode)
+
+
+def _read_answer(text: str, formula: WcnfFormula, returncode: int) -> MaxSatResult:
+    """The checked result of Max-SAT evaluation output: "o <cost>",
+    "s <status>" and "v" lines.
+
+    The last "o" line wins, and so does the last "s" line: its tag is
+    OPTIMUM FOUND, SAT..., UNSAT... or UNKNOWN, and any other tag states no
+    status.  "v" lines carry signed literals (classic) or one 0/1 string; a
+    variable beyond the formula's is a CnfError, and unmentioned variables
+    are false.  No status raises ExternalSolverError.  UNSAT is HARD_UNSAT,
+    and UNKNOWN without a model INDETERMINATE; any other answer needs a
+    model that satisfies every hard clause and costs what an "o" line
+    claims, else UntrustedSolverError.  Such a model is the OPTIMUM when
+    the tag is OPTIMUM FOUND, else INDETERMINATE with its cost as the upper
+    bound.
+    """
+    tag = None
+    cost = None
+    vtokens: list[str] = []
+    for line in text.splitlines():
+        s = line.strip()
+        if s.startswith("o ") or s == "o":
+            parts = s.split()
+            if len(parts) == 2:
+                try:
+                    cost = int(parts[1])
+                except ValueError:
+                    raise CnfError(f"bad objective line {s!r}") from None
+        elif s.startswith("s "):
+            said = s[2:].strip().upper()
+            tag = ("UNSAT" if said.startswith("UNSAT") else "SAT" if said.startswith("SAT")
+                   else said if said in ("OPTIMUM FOUND", "UNKNOWN") else None)
+        elif s.startswith("v ") or s == "v":
+            vtokens.extend(s[1:].split())
+    model = None
+    if vtokens:
+        bits = vtokens[0]
+        if len(vtokens) == 1 and len(bits) > 1 and set(bits) <= {"0", "1"}:
+            model = {v: b == "1" for v, b in enumerate(bits, start=1)}
+        else:
+            model = {}
+            for tok in vtokens:
+                try:
+                    lit = int(tok)
+                except ValueError:
+                    raise CnfError(f"bad literal {tok!r} in model line") from None
+                if lit:
+                    model[abs(lit)] = lit > 0
+        n = formula.num_vars
+        beyond = next((v for v in model if v > n), None)
+        if beyond is not None:
+            raise CnfError(f"model mentions variable {beyond} beyond num_vars={n}")
+        model = {v: model.get(v, False) for v in range(1, n + 1)}
+    if tag is None:
+        raise ExternalSolverError(f"external solver gave no status (exit code {returncode})")
+    if tag == "UNSAT":
         return MaxSatResult(MaxSatStatus.HARD_UNSAT)
-    if out.status is OutputStatus.UNKNOWN:
-        if not out.stated:
-            raise ExternalSolverError(
-                f"external solver gave no status (exit code {proc.returncode})"
-            )
-        if out.model is None:
+    if model is None:
+        if tag == "UNKNOWN":
             return MaxSatResult(MaxSatStatus.INDETERMINATE)
-    if out.model is None:
         raise UntrustedSolverError("external solver reported SAT without a model")
-    if not formula.hard_satisfied(out.model):
+    if not formula.hard_satisfied(model):
         raise UntrustedSolverError("external model violates a hard clause")
-    recomputed = formula.falsified_weight(out.model)
-    if out.cost is not None and out.cost != recomputed:
+    recomputed = formula.falsified_weight(model)
+    if cost is not None and cost != recomputed:
         raise UntrustedSolverError(
-            f"external solver claimed cost {out.cost}, model costs {recomputed}"
+            f"external solver claimed cost {cost}, model costs {recomputed}"
         )
-    if out.status is not OutputStatus.OPTIMUM:
-        return MaxSatResult(MaxSatStatus.INDETERMINATE, recomputed, out.model)
-    return MaxSatResult(MaxSatStatus.OPTIMUM, recomputed, out.model, recomputed)
+    if tag != "OPTIMUM FOUND":
+        return MaxSatResult(MaxSatStatus.INDETERMINATE, recomputed, model)
+    return MaxSatResult(MaxSatStatus.OPTIMUM, recomputed, model, recomputed)

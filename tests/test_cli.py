@@ -164,12 +164,6 @@ class TestSolve:
         assert "true timeslot variables" in err
         assert "s OPTIMUM FOUND" not in out
 
-    def test_save_wcnf(self, capsys, sample_path, tmp_path):
-        target = tmp_path / "saved.wcnf"
-        code, _, _ = run(capsys, ["solve", sample_path, "--save-wcnf", str(target)])
-        assert code == 0
-        assert target.exists() and (tmp_path / "saved.wcnf.map").exists()
-
     def test_seed_does_not_change_cost(self, capsys, sample_path):
         _, out_a, _ = run(capsys, ["solve", sample_path, "--seed", "1"])
         _, out_b, _ = run(capsys, ["solve", sample_path, "--seed", "2"])
@@ -232,6 +226,7 @@ class TestUnknownFlags:
         ["validate", "x.json", "x.csv", "--card", "seqcounter"],
         ["solve", "x.json", "--solver", "external"],
         ["solve", "x.json", "--check"],
+        ["solve", "x.json", "--save-wcnf", "x.wcnf"],
     ])
     def test_unknown_argument(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -434,14 +429,13 @@ class TestSolveWcnf:
 
 
 class TestUnwritableOutput:
-    @pytest.mark.parametrize("command", ["encode", "gen", "sample", "solve --save-wcnf"])
+    @pytest.mark.parametrize("command", ["encode", "gen", "sample"])
     def test_missing_directory_exit_2(self, capsys, sample_path, tmp_path, command):
         out = str(tmp_path / "missing" / "out")
         argv = {
             "encode": ["encode", sample_path, "-o", out],
             "gen": ["gen", "--seed", "1", "-o", out],
             "sample": ["sample", "-o", out],
-            "solve --save-wcnf": ["solve", sample_path, "--save-wcnf", out],
         }[command]
         code, stdout, err = run(capsys, argv)
         assert code == 2

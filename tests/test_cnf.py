@@ -14,13 +14,19 @@ from ttsat import cnf
 from ttsat.cnf import (
     Clause,
     CnfError,
-    OutputStatus,
     WcnfFormula,
     parse_dimacs,
-    parse_solver_output,
     write_dimacs,
 )
-from ttsat.solver import solve_maxsat
+from ttsat.solver import (
+    ExternalSolverError,
+    MaxSatResult,
+    MaxSatStatus,
+    SolverError,
+    UntrustedSolverError,
+    _read_answer,
+    solve_maxsat,
+)
 
 # the running micro example: hard (x | ~y), (~x | z); soft (y | z):3, (~z):4
 WEIGHTED_EXAMPLE = WcnfFormula(
@@ -190,47 +196,61 @@ class TestParseDimacs:
             assert write_dimacs(again) == text, f"round trip broke at formula {i}"
 
 
+def read_answer(text):
+    return _read_answer(text, WEIGHTED_EXAMPLE, 0)
+
+
 class TestParseSolverOutput:
+    """The external solver's answer, read by ``solver._read_answer`` for
+    WEIGHTED_EXAMPLE: all false costs 3, the optimum."""
+
     def test_optimum_with_model(self):
-        out = parse_solver_output("o 3\ns OPTIMUM FOUND\nv -1 -2 -3 0\n")
-        assert out.status is OutputStatus.OPTIMUM
-        assert out.cost == 3
-        assert out.model == {1: False, 2: False, 3: False}
+        res = read_answer("o 3\ns OPTIMUM FOUND\nv -1 -2 -3 0\n")
+        assert res.status is MaxSatStatus.OPTIMUM
+        assert res.cost == res.lower == 3
+        assert res.model == {1: False, 2: False, 3: False}
 
     def test_unsat_has_no_model(self):
-        out = parse_solver_output("s UNSATISFIABLE\n")
-        assert out.status is OutputStatus.UNSAT
-        assert out.model is None
+        res = read_answer("s UNSATISFIABLE\nv -1 -2 -3 0\n")
+        assert res == MaxSatResult(MaxSatStatus.HARD_UNSAT)
 
     def test_last_objective_line_wins(self):
-        out = parse_solver_output("o 10\no 4\ns OPTIMUM FOUND\nv 1 -2 0")
-        assert out.cost == 4
-        assert out.model == {1: True, 2: False}
+        assert read_answer("o 10\no 3\ns OPTIMUM FOUND\nv -1 -2 -3 0").cost == 3
+        with pytest.raises(UntrustedSolverError, match="claimed cost 10"):
+            read_answer("o 3\no 10\ns OPTIMUM FOUND\nv -1 -2 -3 0")
 
     def test_binary_model_string(self):
-        out = parse_solver_output("s OPTIMUM FOUND\no 0\nv 0110\n", num_vars=4)
-        assert out.model == {1: False, 2: True, 3: True, 4: False}
+        res = read_answer("s SATISFIABLE\no 4\nv 001\n")
+        assert res.model == {1: False, 2: False, 3: True}
+        with pytest.raises(CnfError, match="variable 4 beyond num_vars=3"):
+            read_answer("s SATISFIABLE\nv 0010\n")
 
     def test_missing_status_is_unknown(self):
-        assert parse_solver_output("o 1\n").status is OutputStatus.UNKNOWN
+        """With no status the answer is unknown: an error naming the exit code."""
+        with pytest.raises(ExternalSolverError, match=r"gave no status \(exit code 7\)"):
+            _read_answer("o 3\nv -1 -2 -3 0\n", WEIGHTED_EXAMPLE, 7)
 
     def test_explicit_unknown_is_stated(self):
-        assert not parse_solver_output("o 1\n").stated
-        assert not parse_solver_output("s MAYBE\n").stated
-        out = parse_solver_output("s SATISFIABLE\ns UNKNOWN\n")
-        assert (out.status, out.stated) == (OutputStatus.UNKNOWN, True)
+        """Only a recognised last "s" line states a status; UNKNOWN is one."""
+        for text in ("o 1\n", "s MAYBE\n", "s UNKNOWN\ns MAYBE\n", "s \n"):
+            with pytest.raises(ExternalSolverError, match="no status"):
+                read_answer(text)
+        res = read_answer("s SATISFIABLE\ns UNKNOWN\n")
+        assert res == MaxSatResult(MaxSatStatus.INDETERMINATE)
 
     def test_model_beyond_num_vars_rejected(self):
-        with pytest.raises(CnfError, match="beyond"):
-            parse_solver_output("s OPTIMUM FOUND\nv 9 0\n", num_vars=3)
+        for status in ("OPTIMUM FOUND", "UNSATISFIABLE", "UNKNOWN"):
+            with pytest.raises(CnfError, match="beyond"):
+                read_answer(f"s {status}\nv 9 0\n")
 
     def test_unmentioned_vars_default_false(self):
-        out = parse_solver_output("s OPTIMUM FOUND\nv 2 0\n", num_vars=3)
-        assert out.model == {1: False, 2: True, 3: False}
+        res = read_answer("s SATISFIABLE\nv 3 0\n")
+        assert res.model == {1: False, 2: False, 3: True}
 
     def test_multiline_model(self):
-        out = parse_solver_output("s OPTIMUM FOUND\nv 1 -2\nv 3 0\n")
-        assert out.model == {1: True, 2: False, 3: True}
+        res = read_answer("s SATISFIABLE\nv 1 -2\nv 3 0\n")
+        assert res.model == {1: True, 2: False, 3: True}
+        assert res.cost == 4
 
 
 def well_formed(entry, num_vars):
@@ -267,6 +287,12 @@ ANY_CLAUSE = st.builds(
     st.none() | st.integers(-1, 5),
 )
 DIMACS_LIKE = st.text(alphabet="0123456789 -hpwcnfosv\n", max_size=80)
+ANSWER_LIKE = st.lists(
+    st.sampled_from(["o 3", "o x", "o", "s OPTIMUM FOUND", "s SATISFIABLE", "s UNSATISFIABLE",
+                     "s UNKNOWN", "s MAYBE", "v -1 -2 -3 0", "v 1 2", "v 001", "v 9 0", "v x"])
+    | st.text(alphabet="0123456789 -osv", max_size=12),
+    max_size=6,
+).map("\n".join)
 
 
 class TestProperties:
@@ -279,11 +305,11 @@ class TestProperties:
             pass
 
     @settings(deadline=None)
-    @given(st.text(max_size=80) | DIMACS_LIKE, st.none() | st.integers(1, 8))
-    def test_parse_solver_output_raises_only_cnf_error(self, text, num_vars):
+    @given(st.text(max_size=80) | DIMACS_LIKE | ANSWER_LIKE, st.integers(-1, 2))
+    def test_read_answer_raises_only_cnf_or_solver_error(self, text, returncode):
         try:
-            parse_solver_output(text, num_vars)
-        except CnfError:
+            _read_answer(text, WEIGHTED_EXAMPLE, returncode)
+        except (CnfError, SolverError):
             pass
 
     @settings(deadline=None)

@@ -66,9 +66,11 @@ class TestLinkFamilies:
     def test_ct_cd_for_one_session(self, sample_instance):
         vm = VarMap(sample_instance)
         cs101_lec = sample_instance.courses[0].sessions[0]
-        clauses = link_ct_cd(sample_instance, cs101_lec, vm)
-        assert len(clauses) == 5 + 3
-        lits = {c.literals for c in clauses}
+        own = {vm.ct(cs101_lec, t) for t in range(5)} | {vm.cd(cs101_lec, d) for d in range(3)}
+        # each clause opens with a negated variable of the session it links
+        lits = {c.literals for c in link_ct_cd(sample_instance, vm) if -c.literals[0] in own}
+        assert len(lits) == 5 + 3
+        assert {abs(l) for c in lits for l in c} == own
         assert (-vm.ct(cs101_lec, 0), vm.cd(cs101_lec, 0)) in lits
         # day d3 owns only t5
         assert (-vm.cd(cs101_lec, 2), vm.ct(cs101_lec, 4)) in lits

@@ -22,7 +22,7 @@ from helpers import (
 )
 from ttsat import solver as solver_module
 from ttsat.cardinality import totalizer
-from ttsat.cnf import Clause, WcnfFormula
+from ttsat.cnf import Clause, CnfError, WcnfFormula
 from ttsat.encoder import EncodeOptions, encode
 from ttsat.model import gen_random_instance
 from ttsat.solver import (
@@ -683,6 +683,67 @@ class TestExternal:
         command = f"{sys.executable} {quiet} {{input}}"
         with pytest.raises(ExternalSolverError, match="no status"):
             solve_external(WEIGHTED, command, timeout=60)
+
+    def test_timeout_kills_the_solvers_children(self, tmp_path):
+        marker = tmp_path / "marker"
+        child = tmp_path / "child.py"
+        child.write_text(f"import time\ntime.sleep(2)\nopen({str(marker)!r}, 'w').close()\n")
+        stub = tmp_path / "stub.py"
+        # a wrapper whose child would write the marker after about 2 s
+        stub.write_text(
+            "import subprocess, sys, time\n"
+            f"subprocess.Popen([sys.executable, {str(child)!r}])\n"
+            "time.sleep(30)\n"
+        )
+        res = solve_external(WEIGHTED, f"{sys.executable} {stub} {{input}}", timeout=1)
+        assert res.status is MaxSatStatus.INDETERMINATE
+        time.sleep(3)
+        assert not marker.exists()
+
+
+NO_STATUS = "external solver gave no status (exit code 0)"
+NO_MODEL = "external solver reported SAT without a model"
+ALL_FALSE = {1: False, 2: False, 3: False}
+ONLY_3 = {1: False, 2: False, 3: True}
+
+
+class TestAnswerMapping:
+    """How each Max-SAT evaluation answer maps to a result or an error, for
+    WEIGHTED: all false costs 3, the optimum; only x3 true costs 4."""
+
+    @pytest.mark.parametrize("answer, expected", [
+        ("o 3\ns OPTIMUM FOUND\nv -1 -2 -3 0\n", (MaxSatStatus.OPTIMUM, 3, ALL_FALSE, 3)),
+        ("s UNSATISFIABLE\n", (MaxSatStatus.HARD_UNSAT, None, None, 0)),
+        ("s UNSATISFIABLE\nv -1 -2 -3 0\n", (MaxSatStatus.HARD_UNSAT, None, None, 0)),
+        ("o 4\ns SATISFIABLE\nv -1 -2 3 0\n", (MaxSatStatus.INDETERMINATE, 4, ONLY_3, 0)),
+        ("s SATISFIABLE\n", (UntrustedSolverError, NO_MODEL)),
+        ("o 3\ns OPTIMUM FOUND\n", (UntrustedSolverError, NO_MODEL)),
+        ("s UNKNOWN\n", (MaxSatStatus.INDETERMINATE, None, None, 0)),
+        ("s UNKNOWN\nv -1 -2 3 0\n", (MaxSatStatus.INDETERMINATE, 4, ONLY_3, 0)),
+        ("", (ExternalSolverError, NO_STATUS)),
+        ("s MAYBE\n", (ExternalSolverError, NO_STATUS)),
+        ("s SATISFIABLE\ns MAYBE\n", (ExternalSolverError, NO_STATUS)),
+        ("s SATISFIABLE\ns UNKNOWN\n", (MaxSatStatus.INDETERMINATE, None, None, 0)),
+        ("o x\ns OPTIMUM FOUND\nv -1 -2 -3 0\n", (CnfError, "bad objective line 'o x'")),
+        ("s OPTIMUM FOUND\nv 9 0\n", (CnfError, "model mentions variable 9 beyond num_vars=3")),
+        ("o 4\ns SATISFIABLE\nv 001\n", (MaxSatStatus.INDETERMINATE, 4, ONLY_3, 0)),
+        ("o 0\ns OPTIMUM FOUND\nv 1 2 -3 0\n",
+         (UntrustedSolverError, "external model violates a hard clause")),
+        ("o 2\ns OPTIMUM FOUND\nv -1 -2 -3 0\n",
+         (UntrustedSolverError, "external solver claimed cost 2, model costs 3")),
+    ])
+    def test_answer(self, tmp_path, answer, expected):
+        stub = tmp_path / "stub.py"
+        stub.write_text(f"import sys\nsys.stdout.write({answer!r})\n")
+        command = f"{sys.executable} {stub} {{input}}"
+        if isinstance(expected[0], MaxSatStatus):
+            res = solve_external(WEIGHTED, command, timeout=60)
+            assert (res.status, res.cost, res.model, res.lower) == expected
+        else:
+            error, message = expected
+            with pytest.raises(error) as exc:
+                solve_external(WEIGHTED, command, timeout=60)
+            assert type(exc.value) is error and str(exc.value) == message
 
 
 class TestResultContract:
