@@ -4,24 +4,47 @@ Literals are nonzero integers: ``v`` means variable ``v`` is true, ``-v``
 means it is false.  A clause weight of ``None`` marks the clause as hard;
 hard clauses are serialized with the formula's top weight.
 
-``Clause`` is a plain record; ``WcnfFormula`` is where clauses are checked,
-once each, when the formula is built.  The check runs in numpy over
-``CHECK_CHUNK`` clauses at a time; a chunk that fails, or whose literals
-numpy cannot hold as int64, is checked again clause by clause, which raises
-the ``CnfError`` of its first bad clause.
+Storage.  A ``WcnfFormula`` holds its clauses once, as three parallel
+pieces: one flat int64 array of every literal in formula order, an int64
+array of clause offsets (clause ``i`` is ``literals[offsets[i]:offsets[i +
+1]]``) and a list of per-clause weights (Python ints, ``None`` for hard).
+No Python object is kept per clause.
 
-DIMACS WCNF goes out and comes in in bulk.  ``write_dimacs`` builds one flat
-list of tokens and joins it once.  ``parse_dimacs`` reads its clause lines
-in blocks of about ``PARSE_CHUNK`` characters, each with one
-``np.fromstring``; a block that numpy might read otherwise than the
-per-line reader (CR line ends, comments, "h" lines, odd tokens) goes to the
-per-line reader, so the clauses and the ``line N: ...`` errors are the
-same either way.
+Views.  ``clauses``, ``hard_clauses`` and ``soft_clauses`` are
+``ClauseView``s over those arrays, the last two through an array of clause
+numbers.  A view is a read-only sequence of ``Clause``: it builds a
+``Clause`` only when indexed or iterated, takes ``len()`` from its offsets,
+and compares with another view by array equality (with a tuple or list of
+``Clause``, clause by clause).  Bulk code reads a view's ``arrays()``
+instead: ``write_dimacs``, the formula's check and model evaluation, and
+the SAT core's loading.  The encoder's families and ``parse_dimacs`` build
+views directly, with ``clause_block`` and ``concat_clauses``.
 
-Building a large formula allocates hundreds of thousands of clause objects
-and frees none of them, so the cyclic garbage collector's passes over them
-find nothing to free.  ``gc_paused`` switches it off while the encoder,
-``parse_dimacs`` and the solver's loading loop build their clauses.
+Checking.  ``Clause`` and ``ClauseView`` are unchecked; ``WcnfFormula``
+checks every clause once, when it is built.  Given any iterable of
+``Clause``, it first converts it to the same arrays; an entry that is no
+``Clause`` or holds a value int64 cannot is malformed, and the per-clause
+check names the first bad clause.  Given a view, it first checks that the
+view's arrays are clause arrays (int64 literals and offsets that cut them
+into clauses, int or None weights).  The check proper runs in numpy on the
+arrays, ``CLAUSE_CHUNK`` clauses at a time, then re-checks only the first
+bad clause on its own, which raises that clause's ``CnfError``; the message
+is the one a clause-by-clause check gives.  ``num_vars`` must fit int64, as
+every literal must.  A formula's arrays are read-only.
+
+DIMACS WCNF goes out and comes in in bulk.  ``write_dimacs`` formats the
+arrays ``CLAUSE_CHUNK`` clauses at a time, each chunk as one token array
+joined once, and joins the chunks' text.  ``parse_dimacs`` reads its clause
+lines in blocks of about ``PARSE_CHUNK`` characters, each with one
+``np.fromstring`` whose values become the block's arrays; a block that
+numpy might read otherwise than the per-line reader (CR line ends,
+comments, "h" lines, odd tokens) goes to the per-line reader, so the
+clauses and the ``line N: ...`` errors are the same either way.
+
+``gc_paused`` switches the cyclic garbage collector off around the code
+that still builds one Python object per clause: the per-line reader and
+the solver's loading loop.  Such code allocates many objects and frees
+none, so the collector's passes over them find nothing to free.
 """
 
 from __future__ import annotations
@@ -30,16 +53,20 @@ import gc
 import numbers
 import operator
 import warnings
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
 
 import numpy as np
 
-# clauses per bulk check; bounds the check's temporary arrays
-CHECK_CHUNK = 1 << 14
 # characters per block of clause lines that parse_dimacs reads in numpy
 PARSE_CHUNK = 1 << 20
+# clauses per step of the work that makes temporaries per literal or per
+# clause (the formula's check, a view's iteration, the solver's loading,
+# write_dimacs), so that those stay small
+CLAUSE_CHUNK = 1 << 14
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 class CnfError(ValueError):
@@ -77,72 +104,292 @@ class Clause:
         return any(assignment[abs(l)] == (l > 0) for l in self.literals)
 
 
+def _offsets(lengths) -> np.ndarray:
+    """Clause offsets from clause lengths: 0, then their running sum."""
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return offsets
+
+
+class ClauseView(Sequence):
+    """Read-only sequence of ``Clause`` over flat clause arrays.
+
+    Clause ``i`` of the arrays is ``literals[offsets[i]:offsets[i + 1]]``
+    with weight ``weights[i]``; ``index``, when given, is the int array of
+    the clause numbers the view shows, in order.  A ``Clause`` is built
+    only when the view is indexed or iterated.  Views compare with views by
+    their arrays, and with a tuple or list clause by clause.  Unchecked:
+    ``WcnfFormula`` checks clauses."""
+
+    __slots__ = ("_literals", "_offsets", "_weights", "_index")
+
+    def __init__(self, literals, offsets, weights, index=None):
+        self._literals = literals
+        self._offsets = offsets
+        self._weights = weights
+        self._index = index
+
+    def __len__(self):
+        return len(self._weights) if self._index is None else len(self._index)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            index = np.arange(*i.indices(len(self))) if self._index is None else self._index[i]
+            return ClauseView(self._literals, self._offsets, self._weights, index)
+        i = operator.index(i)
+        n = len(self)
+        if not -n <= i < n:
+            raise IndexError("clause index out of range")
+        j = i % n if self._index is None else int(self._index[i])
+        start, end = self._offsets[j:j + 2].tolist()
+        return Clause(tuple(self._literals[start:end].tolist()), self._weights[j])
+
+    def __iter__(self):
+        for start in range(0, len(self), CLAUSE_CHUNK):
+            literals, offsets, weights = self[start:start + CLAUSE_CHUNK].arrays()
+            flat = literals.tolist()
+            bounds = offsets.tolist()
+            lits = map(tuple, map(flat.__getitem__, map(slice, bounds, bounds[1:])))
+            yield from map(Clause, lits, weights)
+
+    def __eq__(self, other):
+        if isinstance(other, ClauseView):
+            mine, theirs = self.arrays(), other.arrays()
+            return (np.array_equal(mine[1], theirs[1]) and np.array_equal(mine[0], theirs[0])
+                    and mine[2] == theirs[2])
+        if isinstance(other, (tuple, list)):
+            return len(self) == len(other) and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    def __hash__(self):
+        # equal views, and a view and an equal tuple, hash alike
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return f"ClauseView({list(self)!r})"
+
+    @property
+    def weights(self) -> list:
+        """The weights of the view's clauses, in order (None for hard)."""
+        if self._index is None:
+            return list(self._weights)
+        return list(map(self._weights.__getitem__, self._index.tolist()))
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, list]:
+        """``(literals, offsets, weights)`` of the view's own clauses, in
+        order: the stored arrays themselves for a view of every clause
+        (not to be modified), gathered copies for any other."""
+        if self._index is None:
+            return self._literals, self._offsets, self._weights
+        starts = self._offsets[self._index]
+        lengths = self._offsets[self._index + 1] - starts
+        offsets = _offsets(lengths)
+        positions = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], lengths)
+        return self._literals[positions], offsets, self.weights
+
+
+def clause_block(literals, weights=None) -> ClauseView:
+    """A view over new arrays, one clause per sequence of integer literals
+    in ``literals``; ``weights`` gives one weight per clause, and None (the
+    default) makes every clause hard.  Raises TypeError on a value that is
+    not an integer and OverflowError on one that passes int64."""
+    literals = list(literals)
+    lengths = np.fromiter(map(len, literals), dtype=np.int64, count=len(literals))
+    flat = np.fromiter(map(operator.index, chain.from_iterable(literals)),
+                       dtype=np.int64, count=int(lengths.sum()))
+    if weights is None:
+        weights = [None] * len(literals)
+    else:
+        weights = [w if w is None or type(w) is int else operator.index(w) for w in weights]
+    return ClauseView(flat, _offsets(lengths), weights)
+
+
+def concat_clauses(blocks) -> ClauseView:
+    """One view over new arrays holding the clauses of ``blocks`` (views), in order."""
+    parts = [block.arrays() for block in blocks]
+    if not parts:
+        return clause_block(())
+    literals = np.concatenate([p[0] for p in parts])
+    lengths = np.concatenate([np.diff(p[1]) for p in parts])
+    weights = list(chain.from_iterable(p[2] for p in parts))
+    return ClauseView(literals, _offsets(lengths), weights)
+
+
+_literals = operator.attrgetter("literals")
+_weight = operator.attrgetter("weight")
+
+
+def _clause_view(clauses) -> ClauseView:
+    """``clause_block`` of a sequence of ``Clause``; TypeError on any other entry."""
+    if not all(issubclass(t, Clause) for t in set(map(type, clauses))):
+        raise TypeError("expected Clause")
+    return clause_block(map(_literals, clauses), map(_weight, clauses))
+
+
 @dataclass(frozen=True)
 class WcnfFormula:
     """Ordered weighted clause set.
 
-    ``top`` is the hard-clause sentinel weight and must exceed the sum of all
-    soft weights.  When not given it defaults to that sum plus one.
-    Construction checks every clause: nonempty, integer literals, no literal
-    0, no variable twice, every variable within ``num_vars``, soft weights at
-    least 1.  It checks ``CHECK_CHUNK`` clauses at a time in numpy and
-    re-checks a chunk clause by clause only to name its first bad clause, so
-    the ``CnfError`` is the same either way.  The same pass keeps the hard
-    and soft clauses apart, in formula order.
+    ``clauses`` is any iterable of ``Clause``, or a ``ClauseView``; either
+    way the formula stores it as arrays and shows it as a ``ClauseView``
+    (see the module docstring).  ``top`` is the hard-clause sentinel weight
+    and must exceed the sum of all soft weights.  When not given it
+    defaults to that sum plus one.  Construction checks every clause:
+    nonempty, integer literals, no literal 0, no variable twice, every
+    variable within ``num_vars``, soft weights integers of at least 1.  A
+    bad formula raises the ``CnfError`` of its first bad clause.
+    ``hard_clauses`` and ``soft_clauses`` show the hard and the soft
+    clauses, each in formula order.
     """
 
     num_vars: int
-    clauses: tuple[Clause, ...]
+    clauses: Sequence[Clause]
     top: int | None = None
-    hard_clauses: tuple[Clause, ...] = field(init=False, repr=False, compare=False)
-    soft_clauses: tuple[Clause, ...] = field(init=False, repr=False, compare=False)
+    hard_clauses: ClauseView = field(init=False, repr=False, compare=False)
+    soft_clauses: ClauseView = field(init=False, repr=False, compare=False)
     soft_weight_sum: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        clauses = tuple(self.clauses)
         num_vars = self.num_vars
         if num_vars < 1:
             raise CnfError("formula needs at least one variable")
-        hard, soft = [], []
-        soft_sum = 0
-        for start in range(0, len(clauses), CHECK_CHUNK):
-            chunk = clauses[start:start + CHECK_CHUNK]
-            checked = _bulk_check(chunk, num_vars, soft_sum)
-            if checked is None:
-                checked = _clause_check(chunk, num_vars, soft_sum)
-            chunk_hard, chunk_soft, soft_sum = checked
-            hard += chunk_hard
-            soft += chunk_soft
+        if num_vars > _INT64_MAX:
+            raise CnfError(f"num_vars={num_vars} does not fit in int64, as every literal must")
+        source = self.clauses
+        if isinstance(source, ClauseView):
+            literals, offsets, weights = _view_arrays(source, num_vars)
+        else:
+            source = tuple(source)
+            try:
+                literals, offsets, weights = _clause_view(source).arrays()
+            except (TypeError, OverflowError):
+                # an entry numpy cannot hold is malformed; the per-clause
+                # check names the first bad one
+                _clause_check(source, num_vars)
+                raise
+        hard = np.fromiter(map(operator.is_, weights, repeat(None)),
+                           dtype=bool, count=len(weights))
+        soft_weights = list(compress(weights, (~hard).tolist()))
+        if not set(map(type, soft_weights)) <= {int}:
+            # only a view's weights can be other than int
+            _clause_check(source, num_vars)
+            raise CnfError(_VIEW_TYPES)
+        bad = _first_bad_clause(literals, offsets, num_vars)
+        if min(soft_weights, default=1) < 1:
+            light = next(i for i, w in enumerate(weights) if w is not None and w < 1)
+            bad = light if bad is None else min(bad, light)
+        if bad is not None:
+            _clause_check((source[bad],), num_vars)
+        soft_sum = sum(soft_weights)
         top = soft_sum + 1 if self.top is None else int(self.top)
         if top <= soft_sum:
             raise CnfError(f"top weight {top} must exceed soft weight sum {soft_sum}")
-        object.__setattr__(self, "clauses", clauses)
+        literals.flags.writeable = offsets.flags.writeable = False
+        object.__setattr__(self, "clauses", ClauseView(literals, offsets, weights))
         object.__setattr__(self, "top", top)
-        object.__setattr__(self, "hard_clauses", tuple(hard))
-        object.__setattr__(self, "soft_clauses", tuple(soft))
+        object.__setattr__(self, "hard_clauses",
+                           ClauseView(literals, offsets, weights, np.flatnonzero(hard)))
+        object.__setattr__(self, "soft_clauses",
+                           ClauseView(literals, offsets, weights, np.flatnonzero(~hard)))
         object.__setattr__(self, "soft_weight_sum", soft_sum)
 
     def hard_satisfied(self, assignment) -> bool:
         """Whether a total assignment satisfies every hard clause."""
-        true = _true_literals(assignment)
-        return not any(true.isdisjoint(c.literals) for c in self.hard_clauses)
+        return bool(self._satisfied(assignment)[self.hard_clauses._index].all())
 
     def falsified_weight(self, assignment) -> int:
         """Total weight of soft clauses falsified by a total assignment."""
-        true = _true_literals(assignment)
-        return sum(c.weight for c in self.soft_clauses if true.isdisjoint(c.literals))
+        falsified = ~self._satisfied(assignment)[self.soft_clauses._index]
+        return sum(compress(self.soft_clauses.weights, falsified.tolist()))
+
+    def _satisfied(self, assignment) -> np.ndarray:
+        """Per clause, whether a ``{variable: bool}`` assignment makes one of
+        its literals true."""
+        # literal l is true iff truth[l]: -v indexes from the end, and a
+        # variable the assignment leaves out makes neither literal true
+        truth = np.zeros(2 * self.num_vars + 1, dtype=bool)
+        variables = np.fromiter(assignment, dtype=np.int64, count=len(assignment))
+        values = np.fromiter(assignment.values(), dtype=bool, count=len(assignment))
+        known = (variables >= 1) & (variables <= self.num_vars)
+        truth[variables[known]] = values[known]
+        truth[-variables[known]] = ~values[known]
+        literals, offsets, _ = self.clauses.arrays()
+        if not len(literals):
+            return np.zeros(0, dtype=bool)
+        return np.logical_or.reduceat(truth[literals], offsets[:-1])
 
 
-def _true_literals(assignment) -> set[int]:
-    """The literals a ``{variable: bool}`` assignment makes true."""
-    return {v if value else -v for v, value in assignment.items()}
+_VIEW_TYPES = "a ClauseView needs int64 literals and weights that are int or None"
 
 
-def _clause_check(chunk, num_vars, soft_sum):
-    """Check clauses one by one; returns (hard, soft, soft_sum plus their
-    soft weights) or raises the ``CnfError`` of the first bad clause."""
-    hard, soft = [], []
-    for c in chunk:
+def _view_arrays(view, num_vars):
+    """``view.arrays()``, once they are known to be clause arrays: 1-D int64
+    literals and offsets, the offsets running from 0 to the literal count
+    without decreasing, one weight per clause.  Other arrays raise
+    ``CnfError``: the per-clause check's, for a view that shows a literal
+    that is no integer, else one that names what the arrays lack.  The
+    formula checks the weights' types itself."""
+    try:
+        literals, offsets, weights = view.arrays()
+        cut = (isinstance(literals, np.ndarray) and literals.ndim == 1
+               and isinstance(offsets, np.ndarray) and offsets.ndim == 1
+               and offsets.dtype == np.int64 and len(offsets) == len(weights) + 1
+               and offsets[0] == 0 and offsets[-1] == len(literals)
+               and not (offsets[1:] < offsets[:-1]).any())
+    except (IndexError, TypeError, ValueError):
+        cut = False
+    if not cut:
+        raise CnfError("a ClauseView's offsets must cut its literals into one clause per weight")
+    if literals.dtype != np.int64:
+        _clause_check(view, num_vars)
+        raise CnfError(_VIEW_TYPES)
+    return literals, offsets, weights
+
+
+def _first_bad_clause(literals, offsets, num_vars):
+    """The number of the first clause that is empty, holds a variable
+    outside 1..num_vars (literal 0 included) or repeats a variable; None
+    when every clause is sound.  ``num_vars`` fits int64.  The clauses are
+    checked ``CLAUSE_CHUNK`` at a time, or fewer when the chunk's (clause,
+    variable) keys would pass int64: only where variables pass about
+    2**63 / CLAUSE_CHUNK, down to one clause a chunk near 2**63."""
+    # the keys hold no variable above this: one outside 1..num_vars becomes 0
+    largest = min(num_vars, max(int(literals.max(initial=0)), -int(literals.min(initial=0))))
+    step = max(1, min(CLAUSE_CHUNK, _INT64_MAX // (largest + 1)))
+    for start in range(0, len(offsets) - 1, step):
+        bounds = offsets[start:start + step + 1]
+        bad = _first_bad_in_chunk(literals[bounds[0]:bounds[-1]], bounds - bounds[0], num_vars)
+        if bad is not None:
+            return start + bad
+    return None
+
+
+def _first_bad_in_chunk(literals, offsets, num_vars):
+    """``_first_bad_clause`` of one chunk, its offsets counted from 0."""
+    lengths = np.diff(offsets)
+    n = len(lengths)
+    variables = np.abs(literals)  # abs(-2**63) stays negative: outside below
+    outside = (variables < 1) | (variables > num_vars)
+    first = [np.flatnonzero(lengths < 1)[:1],
+             np.searchsorted(offsets, np.flatnonzero(outside)[:1], side="right") - 1]
+    # such a clause is bad already; 0 keeps the (clause, variable) keys in range
+    variables[outside] = 0
+    # a variable repeats within a clause iff a (clause, variable) key
+    # repeats; the keys stay below n * span, which the chunk's size keeps
+    # at most 2**63
+    span = int(variables.max(initial=0)) + 1
+    base = np.arange(0, n * span, span, dtype=np.int64)  # each clause's first key
+    keys = variables + np.repeat(base, lengths)
+    keys.sort(kind="stable")  # adaptive: the keys are already sorted by clause
+    repeat_key = keys[1:][keys[1:] == keys[:-1]][:1]
+    first.append(np.searchsorted(base, repeat_key, side="right") - 1)
+    bad = np.concatenate(first)
+    return int(bad.min()) if len(bad) else None
+
+
+def _clause_check(clauses, num_vars):
+    """Check clauses one by one, raising the ``CnfError`` of the first bad one."""
+    for c in clauses:
         if not isinstance(c, Clause):
             raise CnfError(f"expected Clause, got {type(c).__name__}")
         lits = c.literals
@@ -159,97 +406,61 @@ def _clause_check(chunk, num_vars, soft_sum):
             raise CnfError(
                 f"variable {max(variables)} in clause {lits} exceeds num_vars={num_vars}"
             )
-        if c.weight is None:
-            hard.append(c)
-        else:
+        if c.weight is not None:
+            if not isinstance(c.weight, numbers.Integral):
+                raise CnfError(f"soft clause weight must be an integer, got {c.weight!r}")
             if c.weight < 1:
                 raise CnfError(f"soft clause weight must be >= 1, got {c.weight}")
-            soft.append(c)
-            soft_sum += c.weight
-    return hard, soft, soft_sum
-
-
-_literals = operator.attrgetter("literals")
-_weight = operator.attrgetter("weight")
-
-
-def _bulk_check(chunk, num_vars, soft_sum):
-    """The checks of ``_clause_check`` over a whole chunk at once.  Returns
-    its result, or None when the chunk fails or holds values numpy does not
-    represent exactly (non-int literals, or any beyond int64); the caller
-    then runs ``_clause_check`` on the chunk."""
-    if not all(issubclass(t, Clause) for t in set(map(type, chunk))):
-        return None
-    try:
-        lits = list(map(_literals, chunk))
-        lengths = np.fromiter(map(len, lits), dtype=np.intp, count=len(lits))
-        flat = np.array(list(chain.from_iterable(lits)))
-        weights = list(map(_weight, chunk))
-        is_hard = list(map(operator.is_, weights, repeat(None)))
-        is_soft = list(map(operator.not_, is_hard))
-        hard = list(compress(chunk, is_hard))
-        soft = list(compress(chunk, is_soft))
-        soft_weights = list(compress(weights, is_soft))
-        if any(map(operator.lt, soft_weights, repeat(1))):
-            return None
-        soft_sum = sum(soft_weights, soft_sum)
-    except (TypeError, ValueError):
-        return None
-    if lengths.min() < 1 or flat.dtype != np.int64 or flat.ndim != 1:
-        return None
-    variables = np.abs(flat)  # -2**63 stays negative and fails the next test
-    if variables.min() < 1 or int(variables.max()) > num_vars:
-        return None
-    # a variable repeats within a clause iff (clause, variable) keys repeat;
-    # a chunk whose keys would pass int64 goes to the per-clause check
-    span = int(variables.max()) + 1
-    if len(chunk) * span >= 2**63:
-        return None
-    keys = np.repeat(np.arange(len(chunk), dtype=np.int64), lengths) * span + variables
-    keys.sort(kind="stable")  # adaptive: the keys are already sorted by clause
-    if (keys[1:] == keys[:-1]).any():
-        return None
-    return hard, soft, soft_sum
 
 
 def write_dimacs(formula: WcnfFormula, comments: tuple[str, ...] = ()) -> str:
     """Serialize to classic WCNF ("p wcnf <vars> <clauses> <top>"), LF endings.
 
     Clause order is preserved exactly; hard clauses carry the top weight.
-    The clause lines are one flat list of tokens (weight, literals, "0\\n"
-    per clause) joined once.  A literal's text comes from a table of
-    ``str(l)`` for every literal, indexed by ``l`` itself (negative ``l``
-    from the end); the table is built only when ``num_vars`` is at most the
-    formula's literal count, so its size stays bounded by the formula's,
-    and ``str`` serves otherwise.  A comment that holds a line break raises
-    ``CnfError``, since the reader would take its second line for a clause.
+    The clause lines are formatted ``CLAUSE_CHUNK`` clauses at a time, each
+    chunk as one array of tokens (weight, literals, "0\\n" per clause)
+    filled from the formula's arrays and joined once, so the temporaries
+    stay the size of a chunk and the text is built by one final join.  A
+    literal's text comes from a table of ``str(l)`` for every literal,
+    indexed by ``l + num_vars``; the table is built only when ``num_vars``
+    is at most the formula's literal count, so its size stays bounded by
+    the formula's, and ``str`` serves otherwise.  A comment that holds a
+    line break raises ``CnfError``, since the reader would take its second
+    line for a clause.
     """
     for c in comments:
         if c.splitlines() not in ([c], []):
             raise CnfError(f"comment {c!r} contains a line break")
     head = "".join(f"c {c}\n" for c in comments)
     head += f"p wcnf {formula.num_vars} {len(formula.clauses)} {formula.top}\n"
+    literals, offsets, weights = formula.clauses.arrays()
     n = formula.num_vars
-    if n <= sum(map(len, map(_literals, formula.clauses))):
-        table = [str(l) for l in range(n + 1)] + [str(l) for l in range(-n, 0)]
-        literal_text = table.__getitem__
-    else:
-        literal_text = str
-    top = str(formula.top)
-    tokens = []
-    append = tokens.append
-    for c in formula.clauses:
-        w = c.weight
-        append(top if w is None else str(w))
-        tokens += map(literal_text, c.literals)
-        append("0\n")
-    return head + " ".join(tokens).replace("\n ", "\n")
+    table = (np.array([str(l) for l in range(-n, n + 1)], dtype=object)
+             if n <= len(literals) else None)
+    weight_text = {w: str(formula.top if w is None else w) for w in set(weights)}
+    pieces = [head]
+    for start in range(0, len(weights), CLAUSE_CHUNK):
+        bounds = offsets[start:start + CLAUSE_CHUNK + 1]
+        lits = literals[bounds[0]:bounds[-1]]
+        if table is not None:
+            literal_text = table[lits + n]
+        else:
+            literal_text = np.array(list(map(str, lits.tolist())), dtype=object)
+        chunk = bounds - bounds[0]  # the chunk's clause offsets, from 0
+        shift = 2 * np.arange(len(chunk) - 1)
+        tokens = np.empty(len(lits) + 2 * len(shift), dtype=object)
+        tokens[chunk[:-1] + shift] = list(map(weight_text.__getitem__,
+                                              weights[start:start + CLAUSE_CHUNK]))
+        tokens[np.arange(len(lits)) + np.repeat(shift + 1, np.diff(chunk))] = literal_text
+        tokens[chunk[1:] + shift + 1] = "0\n"
+        pieces.append(" ".join(tokens.tolist()).replace("\n ", "\n"))
+    return "".join(pieces)
 
 
-@gc_paused()
 def parse_dimacs(text: str) -> WcnfFormula:
     """Parse WCNF text. Classic headers are canonical; the header-less
-    "h"-marker variant is accepted too. Weights >= top normalize to hard.
+    "h"-marker variant is accepted too, its ``num_vars`` the largest
+    variable.  Weights >= top normalize to hard.
 
     Only syntax is checked here, with line numbers: at most one header, and
     it comes before every clause.  ``WcnfFormula`` checks the clauses
@@ -260,36 +471,50 @@ def parse_dimacs(text: str) -> WcnfFormula:
     characters.  A block that numpy provably reads as the per-line reader
     would is read in numpy (``_read_clause_block``); any other goes to the
     per-line reader with its true starting line number, so the clauses and
-    the ``line N: ...`` errors are those of reading the text line by line."""
-    header, clauses = _read_clauses(text)
+    the ``line N: ...`` errors are those of reading the text line by line.
+    The blocks' clauses are joined into one set of arrays, unless a literal
+    read per line passes int64; the formula is then built from ``Clause``
+    objects, and its check names the first bad clause."""
+    header, blocks = _read_clauses(text)
     num_vars, num_clauses, top = header or (None, None, None)
-    if not clauses and num_vars is None:
+    count = sum(map(len, blocks))
+    if not count and num_vars is None:
         raise CnfError("no header and no clauses found")
-    if num_clauses is not None and len(clauses) != num_clauses:
+    if num_clauses is not None and count != num_clauses:
         raise CnfError(
-            f"header declares {num_clauses} clauses but file contains {len(clauses)}"
+            f"header declares {num_clauses} clauses but file contains {count}"
         )
+    try:
+        clauses = concat_clauses(
+            b if isinstance(b, ClauseView) else _clause_view(b) for b in blocks)
+    except OverflowError:
+        clauses = [c for block in blocks for c in block]
     if num_vars is None:
-        num_vars = max((abs(l) for c in clauses for l in c.literals), default=0)
-    return WcnfFormula(num_vars, tuple(clauses), top)
+        if isinstance(clauses, ClauseView):
+            literals = clauses.arrays()[0]
+            num_vars = max(int(literals.max(initial=0)), -int(literals.min(initial=0)))
+        else:
+            num_vars = max((abs(l) for c in clauses for l in c.literals), default=0)
+    return WcnfFormula(num_vars, clauses, top)
 
 
 def _read_clauses(text):
     """The header ``(num_vars, num_clauses, top)``, or None, and the clauses
-    of ``text``, read block by block."""
+    of ``text`` as a list of blocks, in order: a ``ClauseView`` for each
+    block read in numpy, a list of ``Clause`` for each read per line."""
     header = None
-    clauses: list[Clause] = []
+    blocks: list = []
     lineno = 1
     for block in _blocks(text):
         read = _read_clause_block(block, None if header is None else header[2])
         if read is None:
             lines = block.splitlines()
-            header = _read_lines(lines, lineno, header, clauses)
+            header = _read_lines(lines, lineno, header, blocks)
             lineno += len(lines)
         else:
-            clauses += read
+            blocks.append(read)
             lineno += len(read)
-    return header, clauses
+    return header, blocks
 
 
 def _blocks(text):
@@ -310,19 +535,22 @@ def _blocks(text):
         pos = end
 
 
-def _read_lines(lines, lineno, header, clauses):
+@gc_paused()
+def _read_lines(lines, lineno, header, blocks):
     """The per-line reader: appends the clauses of ``lines`` (the first is
-    line ``lineno`` of the file) to ``clauses``.  ``header`` is the
-    ``(num_vars, num_clauses, top)`` read so far, or None; returns it as it
-    stands after these lines."""
+    line ``lineno`` of the file), as one list of ``Clause``, to ``blocks``,
+    the blocks read before them.  ``header`` is the ``(num_vars,
+    num_clauses, top)`` read so far, or None; returns it as it stands after
+    these lines."""
     top = None if header is None else header[2]
+    clauses: list[Clause] = []
     append = clauses.append
     for lineno, line in enumerate(lines, start=lineno):
         s = line.strip()
         if not s or s.startswith("c"):
             continue
         if s.startswith("p"):
-            if header is not None or clauses:
+            if header is not None or clauses or any(map(len, blocks)):
                 where = "second header" if header is not None else "header after clauses"
                 raise CnfError(f"line {lineno}: {where} {s!r}")
             parts = s.split()
@@ -346,18 +574,18 @@ def _read_lines(lines, lineno, header, clauses):
         if weight is not None and top is not None and weight >= top:
             weight = None
         append(Clause(lits, weight))
+    blocks.append(clauses)
     return header
 
 
 # deleting these leaves nothing of a block of plain clause lines
 _CLAUSE_LINE_CHARS = str.maketrans("", "", "0123456789 -\n")
-_INT64_MAX = np.iinfo(np.int64).max
 
 
 def _read_clause_block(block, top):
     """The clauses of a block of "<weight> <literal>... 0" lines, read with
-    one ``np.fromstring``; None when the per-line reader might read the
-    block otherwise.
+    one ``np.fromstring`` whose values become the view's arrays; None when
+    the per-line reader might read the block otherwise.
 
     The checks leave only tokens of an optional "-" and digits, on which
     numpy and ``int`` agree unless the token passes int64, where numpy
@@ -383,10 +611,12 @@ def _read_clause_block(block, top):
     if len(ends) != lines or values.max() == _INT64_MAX or values.min() == -_INT64_MAX - 1:
         return None
     starts = np.concatenate(([0], ends[:-1] + 1))
+    is_literal = np.ones(len(values), dtype=bool)
+    is_literal[starts] = False
+    is_literal[ends] = False
     weights = values[starts].astype(object)
     if top is not None:
         # no value read here reaches int64's max, so min() keeps the test exact
         weights[values[starts] >= min(top, _INT64_MAX)] = None
-    flat = values.tolist()
-    literals = [tuple(flat[a:b]) for a, b in zip((starts + 1).tolist(), ends.tolist())]
-    return list(map(Clause, literals, weights.tolist()))
+    lengths = np.maximum(ends - starts - 1, 0)
+    return ClauseView(values[is_literal], _offsets(lengths), weights.tolist())

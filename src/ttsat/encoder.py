@@ -12,6 +12,11 @@ Hard families tie the variable blocks together and forbid clashes; the
 soft families price registration conflicts, forbidden timeslots, and room
 capacity overflows.  Clause emission order is fixed (family by family, then
 instance order), so encoding the same instance twice is byte-identical.
+
+Each family returns its clauses as one ``cnf.ClauseView`` block, and the
+formula is those blocks joined.  ``room_clashes``, most of a large
+instance's clauses, is built by numpy broadcasting; the other families
+build one literal tuple per clause.
 """
 
 from __future__ import annotations
@@ -19,8 +24,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cardinality import exactly_one
-from .cnf import Clause, WcnfFormula, gc_paused
+from .cnf import ClauseView, WcnfFormula, clause_block, concat_clauses
 from .model import Instance, SessionKind, cross_curriculum_pairs
 
 
@@ -129,32 +136,31 @@ class VarMap:
         return f"aux({tag} #{ordinal})"
 
 
-def link_ct_cd(instance: Instance, varmap: VarMap) -> list[Clause]:
+def link_ct_cd(instance: Instance, varmap: VarMap) -> ClauseView:
     """Tie each session's timeslot variables to its day variables, both ways."""
     out = []
     for s in instance.sessions:
         for t in instance.timeslots:
-            out.append(Clause((-varmap.ct(s.id, t.id), varmap.cd(s.id, t.day))))
+            out.append((-varmap.ct(s.id, t.id), varmap.cd(s.id, t.day)))
         for d in instance.days:
             lits = [-varmap.cd(s.id, d.id)]
             lits += [varmap.ct(s.id, t) for t in instance.slots_by_day[d.id]]
-            out.append(Clause(tuple(lits)))
-    return out
+            out.append(lits)
+    return clause_block(out)
 
 
-def link_ct_kt(instance: Instance, varmap: VarMap) -> list[Clause]:
+def link_ct_kt(instance: Instance, varmap: VarMap) -> ClauseView:
     """Tie session timeslot variables to curriculum timeslot variables."""
     out = []
     for s in instance.sessions:
         k = instance.courses[s.course].curriculum
         for t in instance.timeslots:
-            out.append(Clause((-varmap.ct(s.id, t.id), varmap.kt(k, t.id))))
+            out.append((-varmap.ct(s.id, t.id), varmap.kt(k, t.id)))
     for k in instance.curricula:
         members = instance.sessions_by_curriculum[k.id]
         for t in instance.timeslots:
-            lits = [-varmap.kt(k.id, t.id)] + [varmap.ct(s, t.id) for s in members]
-            out.append(Clause(tuple(lits)))
-    return out
+            out.append([-varmap.kt(k.id, t.id)] + [varmap.ct(s, t.id) for s in members])
+    return clause_block(out)
 
 
 def _curriculum_session_pairs(instance: Instance) -> list[tuple[int, int]]:
@@ -176,19 +182,17 @@ def _staff_session_pairs(instance: Instance) -> list[tuple[int, int]]:
 
 
 def _pair_clash_clauses(instance, varmap, pairs):
-    out = []
-    for a, b in pairs:
-        for t in instance.timeslots:
-            out.append(Clause((-varmap.ct(a, t.id), -varmap.ct(b, t.id))))
-    return out
+    return clause_block(
+        (-varmap.ct(a, t.id), -varmap.ct(b, t.id)) for a, b in pairs for t in instance.timeslots
+    )
 
 
-def curriculum_clashes(instance: Instance, varmap: VarMap) -> list[Clause]:
+def curriculum_clashes(instance: Instance, varmap: VarMap) -> ClauseView:
     """Sessions of one curriculum never share a slot."""
     return _pair_clash_clauses(instance, varmap, _curriculum_session_pairs(instance))
 
 
-def teacher_clashes(instance: Instance, varmap: VarMap) -> list[Clause]:
+def teacher_clashes(instance: Instance, varmap: VarMap) -> ClauseView:
     """Same-staff sessions never share a slot; pairs already forced apart by
     a shared curriculum are skipped (the clause would be identical)."""
     cur = set(_curriculum_session_pairs(instance))
@@ -196,58 +200,59 @@ def teacher_clashes(instance: Instance, varmap: VarMap) -> list[Clause]:
     return _pair_clash_clauses(instance, varmap, pairs)
 
 
-def registration_clashes(instance: Instance, varmap: VarMap, opts: EncodeOptions) -> list[Clause]:
+def registration_clashes(instance: Instance, varmap: VarMap, opts: EncodeOptions) -> ClauseView:
     """Soft clause per cross-curriculum registered pair, session pair, and slot."""
-    out = []
+    out, weights = [], []
     for (c1, c2), students in cross_curriculum_pairs(instance).items():
         w = opts.registration_weight(students)
         for s1 in instance.courses[c1].sessions:
             for s2 in instance.courses[c2].sessions:
                 for t in instance.timeslots:
-                    out.append(
-                        Clause((-varmap.ct(s1, t.id), -varmap.ct(s2, t.id)), weight=w)
-                    )
-    return out
+                    out.append((-varmap.ct(s1, t.id), -varmap.ct(s2, t.id)))
+                    weights.append(w)
+    return clause_block(out, weights)
 
 
-def room_clashes(instance: Instance, varmap: VarMap) -> list[Clause]:
+def room_clashes(instance: Instance, varmap: VarMap) -> ClauseView:
     """At most one session per room per timeslot: for sessions a < b, the
-    clause (-ct(a,t), -ct(b,t), -cr(a,r), -cr(b,r))."""
-    out = []
+    clause (-ct(a,t), -ct(b,t), -cr(a,r), -cr(b,r)), room by room, then
+    timeslot by timeslot, then pair by pair in ``itertools.combinations``
+    order.  One broadcast builds them all, shaped (room, timeslot, pair,
+    literal)."""
     sids = [s.id for s in instance.sessions]
-    neg_ct = [[-varmap.ct(s, t.id) for s in sids] for t in instance.timeslots]
-    for r in instance.rooms:
-        neg_cr = [-varmap.cr(s, r.id) for s in sids]
-        for slot in neg_ct:
-            out.extend(
-                Clause((cta, ctb, cra, crb))
-                for (cta, cra), (ctb, crb) in itertools.combinations(zip(slot, neg_cr), 2)
-            )
-    return out
+    neg_ct = -np.array([[varmap.ct(s, t.id) for s in sids] for t in instance.timeslots],
+                       dtype=np.int64).reshape(len(instance.timeslots), len(sids))
+    neg_cr = -np.array([[varmap.cr(s, r.id) for s in sids] for r in instance.rooms],
+                       dtype=np.int64).reshape(len(instance.rooms), len(sids))
+    a, b = np.triu_indices(len(sids), 1)  # row-major: combinations order
+    R, T, P = len(neg_cr), len(neg_ct), len(a)
+    lits = np.empty((R, T, P, 4), dtype=np.int64)
+    lits[..., 0] = neg_ct[:, a]
+    lits[..., 1] = neg_ct[:, b]
+    lits[..., 2] = neg_cr[:, None, a]
+    lits[..., 3] = neg_cr[:, None, b]
+    n = R * T * P
+    return ClauseView(lits.reshape(-1), np.arange(0, 4 * n + 1, 4, dtype=np.int64), [None] * n)
 
 
-def timeslot_unavailability(instance: Instance, varmap: VarMap, opts: EncodeOptions) -> list[Clause]:
+def timeslot_unavailability(instance: Instance, varmap: VarMap, opts: EncodeOptions) -> ClauseView:
     """Soft unit against each forbidden (session, timeslot) placement."""
-    w = opts.unavailability_soft_weight()
-    out = []
-    for s in instance.sessions:
-        for t in sorted(s.forbidden_timeslots):
-            out.append(Clause((-varmap.ct(s.id, t),), weight=w))
-    return out
+    out = [(-varmap.ct(s.id, t),) for s in instance.sessions for t in sorted(s.forbidden_timeslots)]
+    return clause_block(out, [opts.unavailability_soft_weight()] * len(out))
 
 
-def room_capacity(instance: Instance, varmap: VarMap, opts: EncodeOptions) -> list[Clause]:
+def room_capacity(instance: Instance, varmap: VarMap, opts: EncodeOptions) -> ClauseView:
     """Soft unit against each room too small for a session's enrollment."""
-    out = []
+    out, weights = [], []
     for s in instance.sessions:
         for r in instance.rooms:
             if r.capacity < s.enrollment:
-                w = opts.capacity_weight(s.enrollment - r.capacity)
-                out.append(Clause((-varmap.cr(s.id, r.id),), weight=w))
-    return out
+                out.append((-varmap.cr(s.id, r.id),))
+                weights.append(opts.capacity_weight(s.enrollment - r.capacity))
+    return clause_block(out, weights)
 
 
-def room_assignment(instance: Instance, varmap: VarMap) -> list[Clause]:
+def room_assignment(instance: Instance, varmap: VarMap) -> ClauseView:
     """Exactly one room per session; labs restricted to lab rooms."""
     out = []
     for s in instance.sessions:
@@ -257,23 +262,23 @@ def room_assignment(instance: Instance, varmap: VarMap) -> list[Clause]:
             eligible = [r.id for r in instance.rooms]
         lits = [varmap.cr(s.id, r) for r in eligible]
         tag = f"room_assignment/{instance.session_label(s.id)}/totalizer"
-        out.extend(Clause(c) for c in exactly_one(lits, varmap.allocator(tag)))
+        out += exactly_one(lits, varmap.allocator(tag))
         if s.kind is SessionKind.LAB:
             for r in instance.rooms:
                 if not r.is_lab:
-                    out.append(Clause((-varmap.cr(s.id, r.id),)))
-    return out
+                    out.append((-varmap.cr(s.id, r.id),))
+    return clause_block(out)
 
 
-def meeting_count(instance: Instance, varmap: VarMap) -> list[Clause]:
+def meeting_count(instance: Instance, varmap: VarMap) -> ClauseView:
     """Exactly one timeslot per session.  Together with the sibling-session
     curriculum clash this schedules each course twice a week in distinct slots."""
     out = []
     for s in instance.sessions:
         lits = [varmap.ct(s.id, t.id) for t in instance.timeslots]
         tag = f"meeting_count/{instance.session_label(s.id)}/totalizer"
-        out.extend(Clause(c) for c in exactly_one(lits, varmap.allocator(tag)))
-    return out
+        out += exactly_one(lits, varmap.allocator(tag))
+    return clause_block(out)
 
 
 def encode(instance: Instance, opts: EncodeOptions | None = None) -> tuple[WcnfFormula, VarMap]:
@@ -282,7 +287,6 @@ def encode(instance: Instance, opts: EncodeOptions | None = None) -> tuple[WcnfF
     return formula, varmap
 
 
-@gc_paused()
 def encode_with_families(
     instance: Instance, opts: EncodeOptions | None = None
 ) -> tuple[WcnfFormula, VarMap, dict[str, range | list[int]]]:
@@ -291,18 +295,19 @@ def encode_with_families(
 
     A clause shared by curriculum_clashes and teacher_clashes appears once in
     the formula but is indexed under both families, so teacher_clashes is a
-    list: those shared indices, then its own.  The cyclic garbage collector
-    is paused while the clauses are built (see ``cnf.gc_paused``).
+    list: those shared indices, then its own.
     """
     opts = opts or EncodeOptions()
     varmap = VarMap(instance)
-    clauses: list[Clause] = []
+    blocks: list[ClauseView] = []
     families: dict[str, range | list[int]] = {}
+    count = 0
 
-    def emit(family: str, clause_list):
-        start = len(clauses)
-        clauses.extend(clause_list)
-        families[family] = range(start, len(clauses))
+    def emit(family: str, block: ClauseView):
+        nonlocal count
+        blocks.append(block)
+        families[family] = range(count, count + len(block))
+        count += len(block)
 
     emit("link_ct_cd", link_ct_cd(instance, varmap))
     emit("link_ct_kt", link_ct_kt(instance, varmap))
@@ -327,5 +332,5 @@ def encode_with_families(
     ]
     families["teacher_clashes"] = shared + list(families["teacher_clashes"])
 
-    formula = WcnfFormula(varmap.num_vars, tuple(clauses))
+    formula = WcnfFormula(varmap.num_vars, concat_clauses(blocks))
     return formula, varmap, families

@@ -38,6 +38,7 @@ it returns.
 from __future__ import annotations
 
 import heapq
+import operator
 import os
 import random
 import shlex
@@ -47,11 +48,12 @@ import tempfile
 import time
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress, repeat
 
 import numpy as np
 
 from .cardinality import totalizer
-from .cnf import CnfError, WcnfFormula, gc_paused, write_dimacs
+from .cnf import CLAUSE_CHUNK, CnfError, WcnfFormula, gc_paused, write_dimacs
 
 
 class SolverError(RuntimeError):
@@ -199,23 +201,40 @@ class CdclSolver:
         """Load a checked formula into a fresh solver in one pass and return
         one fresh selector per soft clause, in formula order.
 
-        Each soft clause becomes the hard clause ``(lits v sel)``.
-        ``WcnfFormula`` has already ruled out non-integer literals, literal
-        0, repeated variables and variables past ``num_vars``, so each
-        clause of two or more literals is watched as given, unassigned at
-        level 0.  The hard units go last, through ``add_clause``, whose
-        propagation repairs every watch they falsify."""
+        Each soft clause becomes the hard clause ``(lits v sel)``.  The
+        clause lists, hard clauses first and then soft ones, each in
+        formula order, are slices of ``tolist()`` of the formula's literal
+        array, ``CLAUSE_CHUNK`` clauses at a time, taken through a table of
+        one int object per literal value, so that the lists share those
+        objects and the temporaries stay small.  ``WcnfFormula`` has
+        already ruled out non-integer literals, literal 0, repeated
+        variables and variables past ``num_vars``, so each clause of two or
+        more literals is watched as given, unassigned at level 0.  The hard
+        units go last, through ``add_clause``, whose propagation repairs
+        every watch they falsify."""
         if self.nvars or not self.ok:
             raise ValueError("load needs a fresh solver")
         base = formula.num_vars
-        softs = formula.soft_clauses
-        self.ensure_vars(base + len(softs))
+        self.ensure_vars(base + len(formula.soft_clauses))
         selectors = list(range(base + 1, self.nvars + 1))
         watches = self.watches
         orig = self.orig_clauses
         units = []
-        clauses = [list(c.literals) for c in formula.hard_clauses]
-        clauses += [[*c.literals, sel] for c, sel in zip(softs, selectors)]
+        literals, offsets, weights = formula.clauses.arrays()
+        # one int object per literal value, indexed by the literal (-v from the end)
+        table = np.concatenate((np.arange(base + 1), np.arange(-base, 0))).astype(object)
+        lists = []
+        for start in range(0, len(weights), CLAUSE_CHUNK):
+            bounds = offsets[start:start + CLAUSE_CHUNK + 1]
+            flat = table[literals[bounds[0]:bounds[-1]]].tolist()
+            bounds = (bounds - bounds[0]).tolist()
+            lists += map(flat.__getitem__, map(slice, bounds, bounds[1:]))
+        is_hard = list(map(operator.is_, weights, repeat(None)))
+        clauses = list(compress(lists, is_hard))
+        softs = list(compress(lists, map(operator.not_, is_hard)))
+        for cl, sel in zip(softs, selectors):
+            cl.append(sel)
+        clauses += softs
         for cl in clauses:
             if len(cl) == 1:
                 units.append(cl)
@@ -637,7 +656,7 @@ def solve_maxsat(formula: WcnfFormula, cfg: SolverConfig | None = None) -> MaxSa
     # -sel re-activates it.  Cores are reported in terms of those assumptions.
     selectors = solver.load(formula)
     # assumption literal -> its weight left
-    weight = {-sel: c.weight for c, sel in zip(formula.soft_clauses, selectors)}
+    weight = {-sel: w for w, sel in zip(formula.soft_clauses.weights, selectors)}
     # -outs[k], "at most k of a core's members violated" -> (outs, k)
     sums: dict[int, tuple[list[int], int]] = {}
 
@@ -712,9 +731,13 @@ def solve_external(formula: WcnfFormula, command: str,
     appended when no token names it and removed once the solver exits.  An
     empty or blank command raises ExternalSolverError.  ``timeout`` bounds
     the solver process in wall-clock seconds; a timeout is INDETERMINATE.
-    The solver runs in a session of its own, and whatever of that session is
-    still running when the call ends is killed, the solver's own children
-    too.  ``_read_answer`` reads and checks what it printed.
+    The solver's stdout goes to a file in the same directory and its stderr
+    is discarded, and the call waits for the solver process to exit, not
+    for its output to close: a child that outlives it and keeps the output
+    open does not hold the answer back.  The solver runs in a session of
+    its own, and whatever of that session is still running when the call
+    ends is killed, the solver's own children too.  ``_read_answer`` reads
+    and checks what it printed.
     """
     tokens = shlex.split(command)
     if not tokens:
@@ -726,14 +749,15 @@ def solve_external(formula: WcnfFormula, command: str,
         argv = [t.replace("{input}", path) for t in tokens]
         if path not in argv:
             argv.append(path)
-        try:
-            proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                                    text=True, start_new_session=True)
-        except FileNotFoundError as exc:
-            raise ExternalSolverError(f"external solver not found: {exc}") from None
-        with proc:
+        out_path = os.path.join(tmp, "stdout")
+        with open(out_path, "wb") as out:
             try:
-                stdout, _ = proc.communicate(timeout=timeout)
+                proc = subprocess.Popen(argv, stdout=out, stderr=subprocess.DEVNULL,
+                                        start_new_session=True)
+            except FileNotFoundError as exc:
+                raise ExternalSolverError(f"external solver not found: {exc}") from None
+            try:
+                proc.wait(timeout=timeout)
             except subprocess.TimeoutExpired:
                 return MaxSatResult(MaxSatStatus.INDETERMINATE)
             finally:
@@ -741,6 +765,9 @@ def solve_external(formula: WcnfFormula, command: str,
                     os.killpg(proc.pid, signal.SIGKILL)
                 except ProcessLookupError:
                     pass
+                proc.wait()
+        with open(out_path, encoding="utf-8", errors="replace") as handle:
+            stdout = handle.read()
     return _read_answer(stdout, formula, proc.returncode)
 
 

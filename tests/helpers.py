@@ -1,8 +1,9 @@
-"""Shared test utilities: random formulas, the line-by-line WCNF writer, an
-independent extension checker, cardinality bounds on a totalizer, the
-semantic enumeration oracle, hand-built model construction, a checked SAT
-call on a fresh solver, a SAT budget that runs out after the first model,
-and a SAT core that answers with a model violating a hard clause."""
+"""Shared test utilities: random formulas, the clause-by-clause room clash
+family, the line-by-line WCNF writer, an independent extension checker,
+cardinality bounds on a totalizer, the semantic enumeration oracle,
+hand-built model construction, a checked SAT call on a fresh solver, a SAT
+budget that runs out after the first model, and a SAT core that answers
+with a model violating a hard clause."""
 
 from __future__ import annotations
 
@@ -25,6 +26,23 @@ def random_wcnf(rng, max_vars=18, max_clauses=60, max_weight=9, hard_fraction=0.
         weight = None if rng.random() < hard_fraction else rng.randint(1, max_weight)
         clauses.append(Clause(lits, weight))
     return WcnfFormula(n, tuple(clauses))
+
+
+def reference_room_clashes(instance, varmap):
+    """``encoder.room_clashes`` one ``Clause`` at a time, as a generator per
+    (room, timeslot): the reference its broadcast must match clause by
+    clause."""
+    out = []
+    sids = [s.id for s in instance.sessions]
+    neg_ct = [[-varmap.ct(s, t.id) for s in sids] for t in instance.timeslots]
+    for r in instance.rooms:
+        neg_cr = [-varmap.cr(s, r.id) for s in sids]
+        for slot in neg_ct:
+            out.extend(
+                Clause((cta, ctb, cra, crb))
+                for (cta, cra), (ctb, crb) in itertools.combinations(zip(slot, neg_cr), 2)
+            )
+    return out
 
 
 def reference_write_dimacs(formula, comments=()):

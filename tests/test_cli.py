@@ -427,6 +427,16 @@ class TestSolveWcnf:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("text", [f"p wcnf {2**63} 1 5\n5 1 0\n", f"h {2**63} 0\n"],
+                             ids=["header", "headerless"])
+    def test_num_vars_past_int64_exit_2(self, capsys, tmp_path, text):
+        wcnf = tmp_path / "big.wcnf"
+        wcnf.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, ["solve-wcnf", str(wcnf)])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: num_vars={2**63} does not fit in int64, as every literal must\n"
+
 
 class TestUnwritableOutput:
     @pytest.mark.parametrize("command", ["encode", "gen", "sample"])

@@ -268,7 +268,8 @@ def well_formed(entry, num_vars):
 
 
 @st.composite
-def well_formed_formulas(draw):
+def well_formed_clauses(draw):
+    """``(num_vars, clauses, top)`` that WcnfFormula must accept."""
     n = draw(st.integers(1, 12))
     clauses = []
     for _ in range(draw(st.integers(0, 20))):
@@ -278,7 +279,11 @@ def well_formed_formulas(draw):
         clauses.append(Clause(tuple(v if s else -v for v, s in zip(variables, signs)), weight))
     soft_sum = sum(c.weight for c in clauses if not c.is_hard)
     top = draw(st.none() | st.integers(soft_sum + 1, soft_sum + 5))
-    return WcnfFormula(n, tuple(clauses), top)
+    return n, tuple(clauses), top
+
+
+def well_formed_formulas():
+    return well_formed_clauses().map(lambda args: WcnfFormula(*args))
 
 
 ANY_CLAUSE = st.builds(
@@ -335,12 +340,18 @@ class TestProperties:
 
 
 def reference_check(entries, num_vars):
-    """The per-clause check on its own: (hard, soft, soft sum) or the error."""
+    """The per-clause check on its own: (hard, soft, soft sum) or the error.
+    A ``num_vars`` past int64 is rejected before any clause, since the
+    formula's literals must fit int64."""
     try:
-        hard, soft, soft_sum = cnf._clause_check(tuple(entries), num_vars, 0)
+        if num_vars >= 2**63:
+            raise CnfError(f"num_vars={num_vars} does not fit in int64, as every literal must")
+        cnf._clause_check(tuple(entries), num_vars)
     except Exception as exc:
         return type(exc), str(exc)
-    return tuple(hard), tuple(soft), soft_sum
+    hard = tuple(c for c in entries if c.is_hard)
+    soft = tuple(c for c in entries if not c.is_hard)
+    return hard, soft, sum(c.weight for c in soft)
 
 
 def formula_check(entries, num_vars):
@@ -349,7 +360,12 @@ def formula_check(entries, num_vars):
         f = WcnfFormula(num_vars, tuple(entries))
     except Exception as exc:
         return type(exc), str(exc)
-    return f.hard_clauses, f.soft_clauses, f.soft_weight_sum
+    return tuple(f.hard_clauses), tuple(f.soft_clauses), f.soft_weight_sum
+
+
+def arrays_of(clauses):
+    """The literal and offset arrays of a sequence of ``Clause``, unchecked."""
+    return cnf._clause_view(tuple(clauses)).arrays()[:2]
 
 
 BAD_LAST_CLAUSES = [
@@ -359,6 +375,7 @@ BAD_LAST_CLAUSES = [
     (Clause((1, -9)), "variable 9 in clause (1, -9) exceeds num_vars=8"),
     (Clause((1,), 0), "soft clause weight must be >= 1, got 0"),
     ((1, 2), "expected Clause, got tuple"),
+    (Clause((1,), 2.5), "soft clause weight must be an integer, got 2.5"),
 ]
 
 BIG = 2**62 + 5  # a header num_vars near 2**62: clause keys would pass int64
@@ -368,7 +385,7 @@ class TestBulkCheck:
     @pytest.mark.parametrize("bad, message", BAD_LAST_CLAUSES)
     def test_bad_clause_in_last_chunk(self, bad, message):
         good = [Clause((v, -(v % 8 + 1)), v % 3 or None) for v in range(1, 8)] * 2
-        with mock.patch.object(cnf, "CHECK_CHUNK", 4):
+        with mock.patch.object(cnf, "CLAUSE_CHUNK", 4):
             with pytest.raises(CnfError) as err:
                 WcnfFormula(8, tuple(good + [Clause((5,), 2), bad]))
         assert str(err.value) == message
@@ -387,16 +404,22 @@ class TestBulkCheck:
         (3, [Clause(((1, 2),)), Clause(((2, 3),))]),
         (3, [Clause((1, 2)), Clause((2.5,))]),
         (3, [Clause((1, 2)), Clause((1, 1.0))]),
+        (2**63 - 1, [Clause((1, 2)), Clause((2**63 - 1, -(2**63 - 2)), 3)]),
+        (2**63 - 1, [Clause((1, 2)), Clause((2**63 - 1, 3, 1 - 2**63))]),
     ])
     def test_unusual_values(self, num_vars, clauses):
         assert formula_check(clauses, num_vars) == reference_check(clauses, num_vars)
 
     def test_keys_past_int64_are_not_wrapped(self):
-        # (clause, variable) keys of this chunk would pass 2**63; the chunk
-        # goes to the per-clause check instead
-        chunk = (Clause((1, 2)), Clause((BIG, -(BIG - 1)), 3))
-        assert cnf._bulk_check(chunk, BIG, 0) is None
-        assert formula_check(chunk, BIG) == reference_check(chunk, BIG)
+        # (clause, variable) keys of these clauses together would pass
+        # 2**63; the array check takes them in chunks small enough for the
+        # keys to fit, and still finds a repeat
+        good = (Clause((1, 2)), Clause((BIG, -(BIG - 1)), 3))
+        bad = good + (Clause((1, BIG, -BIG)),)
+        assert cnf._first_bad_clause(*arrays_of(good), BIG) is None
+        assert cnf._first_bad_clause(*arrays_of(bad), BIG) == 2
+        assert formula_check(good, BIG) == reference_check(good, BIG)
+        assert formula_check(bad, BIG) == reference_check(bad, BIG)
 
     def test_header_near_2_62(self):
         f = parse_dimacs(f"p wcnf {BIG} 2 9\n9 1 2 0\n3 {BIG} -{BIG - 1} 0\n")
@@ -406,11 +429,12 @@ class TestBulkCheck:
 
     @settings(deadline=None)
     @given(
-        st.integers(1, 6) | st.sampled_from([BIG, 2**63, 10**20]),
+        st.integers(1, 6) | st.sampled_from([BIG, 2**63 - 1, 2**63, 10**20]),
         st.lists(
             st.builds(
                 Clause,
-                st.lists(st.integers(-7, 7) | st.sampled_from([BIG, -BIG, -2**63, 10**20]),
+                st.lists(st.integers(-7, 7) | st.sampled_from([BIG, -BIG, 2**63 - 1, -2**63,
+                                                                10**20]),
                          max_size=4).map(tuple),
                 st.none() | st.integers(-1, 5),
             ) | st.tuples(st.integers(1, 6)),
@@ -419,14 +443,16 @@ class TestBulkCheck:
         st.integers(1, 5),
     )
     def test_bulk_and_per_clause_checks_agree(self, num_vars, entries, chunk):
-        with mock.patch.object(cnf, "CHECK_CHUNK", chunk):
+        with mock.patch.object(cnf, "CLAUSE_CHUNK", chunk):
             assert formula_check(entries, num_vars) == reference_check(entries, num_vars)
 
     @settings(deadline=None)
     @given(well_formed_formulas())
     def test_well_formed_chunks_stay_in_numpy(self, formula):
-        if formula.clauses:
-            assert cnf._bulk_check(formula.clauses, formula.num_vars, 0) is not None
+        # the per-clause check runs only on a clause the array check rejects
+        assert cnf._first_bad_clause(*formula.clauses.arrays()[:2], formula.num_vars) is None
+        with mock.patch.object(cnf, "_clause_check", side_effect=AssertionError):
+            assert WcnfFormula(formula.num_vars, tuple(formula.clauses), formula.top) == formula
 
 
 class TestGcPaused:
@@ -461,6 +487,14 @@ class TestBulkWriter:
     def test_matches_reference_writer(self, formula, comments):
         assert write_dimacs(formula, comments) == reference_write_dimacs(formula, comments)
 
+    @settings(deadline=None)
+    @given(well_formed_formulas(), st.integers(1, 5))
+    def test_chunks_join_to_reference_text(self, formula, chunk):
+        # the clause lines are formatted CLAUSE_CHUNK clauses at a time
+        with mock.patch.object(cnf, "CLAUSE_CHUNK", chunk):
+            text = write_dimacs(formula, CLI_COMMENTS)
+        assert text == reference_write_dimacs(formula, CLI_COMMENTS)
+
     @pytest.mark.parametrize("formula", [
         WcnfFormula(10**6, (Clause((1, -2)), Clause((-3,), 4), Clause((999_999, 2)))),
         WcnfFormula(BIG, (Clause((1, 2)), Clause((BIG, -(BIG - 1)), 3))),
@@ -484,8 +518,16 @@ def outcome(read, text):
 def read_per_line(text):
     """``cnf._read_clauses`` done by the per-line reader alone, in one pass
     over the whole text."""
-    clauses = []
-    return cnf._read_lines(text.splitlines(), 1, None, clauses), clauses
+    blocks = []
+    return cnf._read_lines(text.splitlines(), 1, None, blocks), blocks
+
+
+def joined(read):
+    """``read`` with its blocks' clauses in one list."""
+    def read_joined(text):
+        header, blocks = read(text)
+        return header, [c for block in blocks for c in block]
+    return read_joined
 
 
 def read_like_per_line(text, chunk):
@@ -493,9 +535,9 @@ def read_like_per_line(text, chunk):
     characters, reads ``text`` as the per-line reader does, and so does
     ``parse_dimacs`` after it."""
     with mock.patch.object(cnf, "PARSE_CHUNK", chunk):
-        got = outcome(cnf._read_clauses, text), outcome(parse_dimacs, text)
+        got = outcome(joined(cnf._read_clauses), text), outcome(parse_dimacs, text)
     with mock.patch.object(cnf, "_read_clauses", read_per_line):
-        want = outcome(read_per_line, text), outcome(parse_dimacs, text)
+        want = outcome(joined(read_per_line), text), outcome(parse_dimacs, text)
     assert got == want, f"PARSE_CHUNK={chunk}"
 
 
@@ -594,3 +636,165 @@ class TestBlockReader:
         with mock.patch.object(np, "fromstring", numpy_1_fromstring), warnings.catch_warnings():
             warnings.simplefilter("ignore")
             assert parse_dimacs(write_dimacs(WEIGHTED_EXAMPLE)) == WEIGHTED_EXAMPLE
+
+
+def per_line_texts(formula):
+    """Texts of ``formula`` that the per-line reader takes, by name: CRLF
+    line ends, a comment among the clause lines, and the header-less "h"
+    format (whose ``num_vars`` and ``top`` may differ from the formula's)."""
+    text = write_dimacs(formula)
+    lines = text.splitlines()
+    mid = len(lines) // 2 + 1
+    return {
+        "crlf": text.replace("\n", "\r\n"),
+        "comment": "\n".join(lines[:mid] + ["c mid-body"] + lines[mid:]) + "\n",
+        "h-lines": "".join(f"{'h' if c.is_hard else c.weight} {' '.join(map(str, c.literals))} 0\n"
+                           for c in formula.clauses),
+    }
+
+
+def other_weight(clause):
+    """The clause with a different weight: hard becomes soft and back."""
+    return Clause(clause.literals, 1 if clause.is_hard else clause.weight + 1 if clause.weight < 3
+                  else None)
+
+
+VIEWS = ("clauses", "hard_clauses", "soft_clauses")
+
+
+class TestClauseView:
+    def test_sequence_of_clauses(self):
+        entries = (Clause((1, -2)), Clause((-1, 3)), Clause((2, 3), 3), Clause((-3,), 4))
+        f = WEIGHTED_EXAMPLE
+        assert len(f.clauses) == 4 and len(f.hard_clauses) == len(f.soft_clauses) == 2
+        assert f.clauses[-1] == entries[-1] and f.soft_clauses[-2] == entries[2]
+        assert f.clauses[1:3] == entries[1:3]
+        assert f.soft_clauses[::-1] == [entries[3], entries[2]]
+        assert f.hard_clauses == list(entries[:2])
+        assert f.soft_clauses.weights == [3, 4] and f.hard_clauses.weights == [None, None]
+        assert tuple(reversed(f.clauses)) == entries[::-1]
+        assert Clause((2, 3), 3) in f.clauses and f.clauses.index(Clause((-3,), 4)) == 3
+        assert f.clauses != entries[:3] and f.clauses != entries[:3] + (Clause((-3,), 5),)
+        assert f.clauses != "1 -2" and f.hard_clauses != f.soft_clauses
+        for i in (4, -5):
+            with pytest.raises(IndexError):
+                f.clauses[i]
+
+    def test_arrays_are_read_only(self):
+        literals, offsets, _ = WEIGHTED_EXAMPLE.clauses.arrays()
+        assert literals.tolist() == [1, -2, -1, 3, 2, 3, -3]
+        assert offsets.tolist() == [0, 2, 4, 6, 7]
+        for array in (literals, offsets):
+            with pytest.raises(ValueError):
+                array[0] = 5
+
+    @pytest.mark.parametrize("literals, offsets, weights, message", [
+        ([1], [0, 1], [2.5], "soft clause weight must be an integer, got 2.5"),
+        ([1, 2], [0, 1, 2], [None, np.int64(3)],
+         "a ClauseView needs int64 literals and weights that are int or None"),
+        (np.array([1.5]), [0, 1], [None], "clause (1.5,) has a literal that is not an integer"),
+        (np.array([1, 2], dtype=np.int32), [0, 2], [None],
+         "a ClauseView needs int64 literals and weights that are int or None"),
+        ([1, 2], [0, 1], [None, None], "offsets must cut"),
+        ([1, 2], [0, 3], [None], "offsets must cut"),
+        ([1, 2], [1, 2], [None], "offsets must cut"),
+        ([1, 2, 3], [0, 2, 1, 3], [None, None, None], "offsets must cut"),
+        ([1, 2], np.array([0.0, 2.0]), [None], "offsets must cut"),
+        ([[1, 2]], [0, 1], [None], "offsets must cut"),
+    ])
+    def test_formula_checks_view_arrays(self, literals, offsets, weights, message):
+        def array(values):
+            return values if isinstance(values, np.ndarray) else np.array(values, dtype=np.int64)
+
+        view = cnf.ClauseView(array(literals), array(offsets), weights)
+        with pytest.raises(CnfError, match=re.escape(message)):
+            WcnfFormula(3, view)
+
+    def test_hash_agrees_with_equality(self):
+        f = WEIGHTED_EXAMPLE
+        g = parse_dimacs(write_dimacs(f))
+        assert hash(g) == hash(f) and {f, g} == {f}
+        assert hash(f.clauses) == hash(tuple(f.clauses)) == hash(g.clauses)
+        assert hash(f.soft_clauses) == hash(tuple(f.soft_clauses))
+
+    def test_slices_of_a_whole_view(self):
+        entries = tuple(WEIGHTED_EXAMPLE.clauses)
+        for s in (slice(1, 3), slice(None, None, -1), slice(-2, None), slice(5, 9), slice(0, 4, 2)):
+            assert WEIGHTED_EXAMPLE.clauses[s] == entries[s]
+            assert len(WEIGHTED_EXAMPLE.clauses[s]._index) == len(entries[s])
+
+    @settings(deadline=None)
+    @given(well_formed_clauses(), st.integers(1, 5))
+    def test_iteration_in_chunks(self, args, chunk):
+        n, clauses, top = args
+        with mock.patch.object(cnf, "CLAUSE_CHUNK", chunk):
+            f = WcnfFormula(n, clauses, top)
+            assert tuple(f.clauses) == clauses
+            assert tuple(f.hard_clauses) == tuple(c for c in clauses if c.is_hard)
+            assert tuple(f.soft_clauses) == tuple(c for c in clauses if not c.is_hard)
+
+    @settings(deadline=None)
+    @given(well_formed_clauses(), st.data())
+    def test_evaluation_matches_per_clause_reference(self, args, data):
+        n, clauses, top = args
+        formula = WcnfFormula(n, clauses, top)
+        values = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        assignment = dict(enumerate(values, start=1))
+        assert formula.hard_satisfied(assignment) == all(
+            c.satisfied_by(assignment) for c in clauses if c.is_hard)
+        assert formula.falsified_weight(assignment) == sum(
+            c.weight for c in clauses if not c.is_hard and not c.satisfied_by(assignment))
+
+    @settings(deadline=None)
+    @given(well_formed_clauses(), well_formed_clauses(), st.data())
+    def test_equality_agrees_with_tuples(self, args, other_args, data):
+        n, clauses, top = args
+        f = WcnfFormula(n, clauses, top)
+        assert parse_dimacs(write_dimacs(f)) == f
+        formulas = [f, WcnfFormula(*other_args)]
+        for name, text in per_line_texts(f).items():
+            if not clauses and name == "h-lines":
+                continue  # an empty text holds no formula
+            parsed = parse_dimacs(text)
+            assert parsed.clauses == f.clauses
+            if name != "h-lines":
+                assert parsed == f
+            formulas.append(parsed)
+        if clauses:
+            i = data.draw(st.integers(0, len(clauses) - 1))
+            changed = (clauses[:i] + (other_weight(clauses[i]),) + clauses[i + 1:], clauses[:i])
+            formulas += [WcnfFormula(n, c) for c in changed]
+        for x in formulas:
+            for y in formulas:
+                for view in VIEWS:
+                    a, b = getattr(x, view), getattr(y, view)
+                    same = tuple(a) == tuple(b)
+                    assert (a == b) is same and (a != b) is not same
+                    assert (a == tuple(b)) is same and (list(a) == b) is same
+
+
+class TestInt64Limit:
+    @pytest.mark.parametrize("num_vars", [2**63, 10**20])
+    def test_num_vars_past_int64_rejected(self, num_vars):
+        with pytest.raises(CnfError) as err:
+            WcnfFormula(num_vars, (Clause((1, 2)),))
+        assert str(err.value) == f"num_vars={num_vars} does not fit in int64, as every literal must"
+
+    @pytest.mark.parametrize("text", [
+        f"p wcnf {2**63} 1 5\n5 1 0\n",
+        f"h {2**63} 0\n",
+        f"h -{2**63} 1 0\n",
+        f"5 1 0\nh {10**20} 0\n",
+    ], ids=["header", "headerless", "headerless-int64-min", "headerless-past-int64"])
+    def test_parse_rejects_num_vars_past_int64(self, text):
+        with pytest.raises(CnfError, match="does not fit in int64"):
+            parse_dimacs(text)
+
+    def test_literal_past_int64_keeps_its_error(self):
+        # read per line, it cannot join the arrays; the clause check names it
+        with pytest.raises(CnfError) as err:
+            parse_dimacs(f"p wcnf 5 2 9\n9 1 -1 0\nh {10**20} 0\n")
+        assert str(err.value) == "a variable occurs twice in clause (1, -1)"
+        with pytest.raises(CnfError) as err:
+            parse_dimacs(f"p wcnf 5 2 9\n9 1 0\nh {10**20} 0\n")
+        assert str(err.value) == f"variable {10**20} in clause ({10**20},) exceeds num_vars=5"

@@ -1,10 +1,17 @@
 import hashlib
 import itertools
 import json
+import math
 
 import pytest
 
-from helpers import all_placements, assignment_for_placement, semantic_optimum, solve_clauses
+from helpers import (
+    all_placements,
+    assignment_for_placement,
+    reference_room_clashes,
+    semantic_optimum,
+    solve_clauses,
+)
 from ttsat.cnf import write_dimacs
 from ttsat.decode import check_hard, compute_cost
 from ttsat.encoder import (
@@ -139,7 +146,8 @@ class TestClashFamilies:
         assert len(shared) == 5
         assert len(teach) == 10
         # shared clauses appear once in the formula
-        assert len(formula.clauses) == len({id(c) for c in formula.clauses})
+        lits = [c.literals for c in formula.clauses]
+        assert all(lits.count(formula.clauses[i].literals) == 1 for i in shared)
 
     def test_three_sessions_one_teacher(self):
         text = json.dumps({
@@ -181,6 +189,23 @@ class TestClashFamilies:
         # one course = one session pair: |R| * |T| * 1
         clauses = room_clashes(inst, vm)
         assert len(clauses) == 1 * 2 * 1
+
+    @pytest.mark.parametrize("seed, days, slots, rooms, courses", [
+        (0, 2, 3, 3, 4),
+        (3, 5, 4, 6, 12),
+        (5, 2, 2, 1, 3),  # a single room
+        (6, 1, 1, 4, 3),  # a single timeslot
+        (7, 1, 1, 1, 2),  # both
+        (8, 2, 2, 2, 1),
+    ])
+    def test_room_clashes_match_reference(self, seed, days, slots, rooms, courses):
+        inst = gen_random_instance(seed, days=days, slots_per_day=slots, rooms=rooms,
+                                   courses=courses, curricula=1)
+        vm = VarMap(inst)
+        want = reference_room_clashes(inst, vm)
+        got = room_clashes(inst, vm)
+        assert len(got) == len(want) == rooms * days * slots * math.comb(2 * courses, 2)
+        assert list(got) == want
 
 
 class TestSoftFamilies:
@@ -413,6 +438,18 @@ class TestEncodeWhole:
         assert hashlib.sha256(write_dimacs(formula).encode()).hexdigest() == dimacs_sha256
         assert (hashlib.sha256("\n".join(explain).encode()).hexdigest()
                 == "6b901a56ffef7419fd2ae22b728a7f21d6eb2a75e60a8e5d7dbad3865f45384c")
+
+    # six rooms and twelve courses: room_clashes is most of the formula
+    @pytest.mark.parametrize("weighted, dimacs_sha256", [
+        (True, "23aec6d4a3031589d42a302c13e5978d4e066eb09b46df5c4f514a3f45b1fe06"),
+        (False, "08e0f9d34033f233527ce1d354ab64f210eb10761ca88eb40744e50d06143568"),
+    ])
+    def test_many_room_encoding_pinned(self, weighted, dimacs_sha256):
+        instance = gen_random_instance(3, days=5, slots_per_day=4, rooms=6,
+                                       courses=12, curricula=4)
+        formula, _ = encode(instance, EncodeOptions(weighted=weighted))
+        assert (formula.num_vars, len(formula.clauses)) == (2936, 52219)
+        assert hashlib.sha256(write_dimacs(formula).encode()).hexdigest() == dimacs_sha256
 
     def test_deterministic_bytes(self, sample_instance):
         first, _ = encode(sample_instance, EncodeOptions(weighted=True))

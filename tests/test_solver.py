@@ -507,6 +507,23 @@ class TestLoad:
         assert solver.load(formula) == [4, 5]
         assert sorted(map(sorted, solver.orig_clauses)) == [[-1, 4], [1, 2], [3, 5]]
 
+    @pytest.mark.parametrize("chunk", [1, 2, 5])
+    def test_loads_in_chunks_like_all_at_once(self, monkeypatch, chunk):
+        formula = random_wcnf(random.Random(chunk), max_vars=10, max_clauses=40)
+        whole = CdclSolver()
+        selectors = whole.load(formula)
+        monkeypatch.setattr(solver_module, "CLAUSE_CHUNK", chunk)
+        chunked = CdclSolver()
+        assert chunked.load(formula) == selectors
+        assert chunked.orig_clauses == whole.orig_clauses
+        assert chunked.trail == whole.trail
+        # the hard clauses, then the soft ones with their selectors; units
+        # are not kept as clauses, and propagation reorders a clause's
+        # literals for its watches
+        expected = [c.literals for c in formula.hard_clauses if len(c.literals) > 1]
+        expected += [(*c.literals, sel) for c, sel in zip(formula.soft_clauses, selectors)]
+        assert list(map(sorted, whole.orig_clauses)) == list(map(sorted, expected))
+
     @pytest.mark.parametrize("used", [
         lambda s: s.load(WEIGHTED),
         lambda s: s.new_var(),
@@ -568,11 +585,11 @@ class TestOptimizersAgree:
             variables = rng.sample(range(1, f.num_vars + 1), length)
             lits = tuple(v if rng.random() < 0.5 else -v for v in variables)
             softer = WcnfFormula(
-                f.num_vars, f.clauses + (Clause(lits, rng.randint(1, 9)),)
+                f.num_vars, (*f.clauses, Clause(lits, rng.randint(1, 9)))
             )
             res_soft = solve_maxsat(softer)
             assert res_soft.cost >= base.cost
-            harder = WcnfFormula(f.num_vars, f.clauses + (Clause(lits),))
+            harder = WcnfFormula(f.num_vars, (*f.clauses, Clause(lits)))
             res_hard = solve_maxsat(harder)
             if res_hard.status is MaxSatStatus.OPTIMUM:
                 assert res_hard.cost >= base.cost
@@ -698,6 +715,18 @@ class TestExternal:
         res = solve_external(WEIGHTED, f"{sys.executable} {stub} {{input}}", timeout=1)
         assert res.status is MaxSatStatus.INDETERMINATE
         time.sleep(3)
+        assert not marker.exists()
+
+    def test_answer_not_held_back_by_a_child_on_the_output(self, tmp_path):
+        # the solver answers and exits; a child it leaves keeps its output
+        # open and would write the marker after about 3 s
+        marker = tmp_path / "marker"
+        command = f"sh -c '(sleep 3; touch {marker}) & echo s UNSATISFIABLE'"
+        start = time.monotonic()
+        res = solve_external(WEIGHTED, command, timeout=1)
+        assert time.monotonic() - start < 2
+        assert res.status is MaxSatStatus.HARD_UNSAT
+        time.sleep(3.5)
         assert not marker.exists()
 
 
