@@ -30,16 +30,19 @@ into clauses, int or None weights).  The check proper runs in numpy on the
 arrays, ``CLAUSE_CHUNK`` clauses at a time, then re-checks only the first
 bad clause on its own, which raises that clause's ``CnfError``; the message
 is the one a clause-by-clause check gives.  ``num_vars`` must fit int64, as
-every literal must.  A formula's arrays are read-only.
+every literal must.  A formula's arrays are read-only; given a view of
+every clause of its arrays, the formula keeps those very arrays, not copies,
+and makes them read-only for their other holders too.
 
 DIMACS WCNF goes out and comes in in bulk.  ``write_dimacs`` formats the
 arrays ``CLAUSE_CHUNK`` clauses at a time, each chunk as one token array
 joined once, and joins the chunks' text.  ``parse_dimacs`` reads its clause
 lines in blocks of about ``PARSE_CHUNK`` characters, each with one
 ``np.fromstring`` whose values become the block's arrays; a block that
-numpy might read otherwise than the per-line reader (CR line ends,
-comments, "h" lines, odd tokens) goes to the per-line reader, so the
-clauses and the ``line N: ...`` errors are the same either way.
+numpy might read otherwise than the per-line reader (a CR that does not
+end a CRLF line end, comments, "h" lines, odd tokens) goes to the per-line
+reader, so the clauses and the ``line N: ...`` errors are the same either
+way.  CRLF line ends are read in numpy, once each "\r\n" is made "\n".
 
 ``gc_paused`` switches the cyclic garbage collector off around the code
 that still builds one Python object per clause: the per-line reader and
@@ -240,6 +243,13 @@ class WcnfFormula:
     bad formula raises the ``CnfError`` of its first bad clause.
     ``hard_clauses`` and ``soft_clauses`` show the hard and the soft
     clauses, each in formula order.
+
+    Given a ``ClauseView`` of every clause of its arrays, the formula takes
+    over that view's literal and offset arrays: it stores them as they are,
+    not copies, and clears their ``writeable`` flag, so the caller can no
+    longer change them in place either.  A copy would double the memory a
+    large formula's arrays take while it is built.  Any other source is
+    converted to new arrays first, which the formula owns alone.
     """
 
     num_vars: int
@@ -587,6 +597,11 @@ def _read_clause_block(block, top):
     one ``np.fromstring`` whose values become the view's arrays; None when
     the per-line reader might read the block otherwise.
 
+    A block whose only "\r" characters end lines, just before their "\n",
+    is read with each "\r\n" made "\n", as the per-line reader, which
+    splits lines on either, reads it.  The checks below then apply to that
+    text; any other "\r" sends the block, as given, to the per-line reader.
+
     The checks leave only tokens of an optional "-" and digits, on which
     numpy and ``int`` agree unless the token passes int64, where numpy
     saturates: only digits, spaces, "-" and newlines (no other line
@@ -595,6 +610,10 @@ def _read_clause_block(block, top):
     the line's only zero value (no "-0", "00", blank line or trailing
     space); no saturated value.  A line " 0" reads as it does per line, as
     a clause of no literals whose weight is its terminator."""
+    if "\r" in block:
+        if block.count("\r") != block.count("\r\n"):
+            return None
+        block = block.replace("\r\n", "\n")
     lines = block.count("\n")
     if not (block.endswith("\n") and not block.translate(_CLAUSE_LINE_CHARS)
             and block.count(" 0\n") == lines

@@ -5,9 +5,19 @@ first-UIP learning with cheap self-subsumption minimization, activity-based
 branching with decay, phase saving, Luby restarts, and MiniSat-style
 assumption handling with failed-assumption cores.
 
+Branching is soft first.  After the assumptions, the solver decides the
+variable of highest activity.  ``load`` starts every soft clause's selector
+above every formula variable, the heavier soft clause's selector higher,
+and the saved phase starts False, which keeps the soft clause.  So until
+conflicts bump other variables past them, the unassumed selectors are set
+to keep their soft clauses, heaviest first, and a model breaks only the
+soft clauses that propagation forces it to break.
+
 Its per-variable bookkeeping is amortized O(1): the literal-indexed arrays
 grow by doubling their capacity, not by one variable at a time, and the lazy
-branching heap is rebuilt with one entry per unassigned variable once it
+branching heap gets an entry for a variable each time it is unassigned, at
+its activity then; a bump, which only ever meets an assigned variable, adds
+none.  The heap is rebuilt with one entry per unassigned variable once it
 holds more than twice as many entries as there are variables (or after an
 activity rescale), so stale entries never dominate it.
 
@@ -211,7 +221,14 @@ class CdclSolver:
         variables and variables past ``num_vars``, so each clause of two or
         more literals is watched as given, unassigned at level 0.  The hard
         units go last, through ``add_clause``, whose propagation repairs
-        every watch they falsify."""
+        every watch they falsify.
+
+        Each selector's activity then gains ``1e-3 * (1 + w / w_max)``, for
+        its soft clause's weight ``w`` and the heaviest weight ``w_max``:
+        above the random starting activities (below 1e-6) and below the
+        first bump (1.0).  So the first decisions after the assumptions keep
+        the unassumed soft clauses, heaviest first, while the random part
+        still orders equal weights by the solver's seed."""
         if self.nvars or not self.ok:
             raise ValueError("load needs a fresh solver")
         base = formula.num_vars
@@ -244,6 +261,12 @@ class CdclSolver:
                 watches[cl[1]].append(cl)
         for cl in units:
             self.add_clause(cl)
+        soft_weights = formula.soft_clauses.weights
+        heaviest = max(soft_weights, default=1)
+        act = self.act
+        for sel, w in zip(selectors, soft_weights):
+            act[sel] += 1e-3 * (1 + w / heaviest)
+        self._rebuild_heap()
         return selectors
 
     def add_clause(self, lits) -> bool:
@@ -356,10 +379,8 @@ class CdclSolver:
             for u in range(1, self.nvars + 1):
                 self.act[u] *= scale
             self.var_inc *= scale
-            a = self.act[v]
             # the old entries are ranked by pre-scale activities
             self._rebuild_heap()
-        heapq.heappush(self.heap, (-a, v))
 
     def _rebuild_heap(self) -> None:
         """One heap entry per unassigned variable, at its current activity."""
@@ -466,8 +487,10 @@ class CdclSolver:
 
     def _pick_branch(self) -> int:
         # Every unassigned variable has an entry at its current activity,
-        # which outranks its older ones, so dropping the stale entries
-        # leaves the pick unchanged: the argmax of (act[v], -v).
+        # which outranks its older ones: _backtrack pushes one for each
+        # variable it unassigns, and only assigned variables are bumped.  So
+        # dropping the stale entries leaves the pick unchanged: the argmax of
+        # (act[v], -v).
         if len(self.heap) > 2 * self.nvars:
             self._rebuild_heap()
         vals = self.vals

@@ -558,10 +558,12 @@ ODD_LINE_ENDS = ["\r\n", "\r", "\x0b", "\x0c", "\x85", "\u2028"]
 @st.composite
 def dimacs_like_texts(draw):
     """Clause lines after no header, a header, or the CLI's comments and a
-    header.  Each line may hold an odd token, be an odd line or end oddly,
-    rarely enough that a block often holds one oddity among plain lines."""
+    header, with LF or CRLF line ends.  Each line may hold an odd token, be
+    an odd line or end oddly, rarely enough that a block often holds one
+    oddity among plain lines."""
     lines = draw(st.sampled_from([[], ["p wcnf 6 6 13"], [*(f"c {c}" for c in CLI_COMMENTS), "p wcnf 6 6 13"]]))
-    lines = [line + "\n" for line in lines]
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [line + eol for line in lines]
     for _ in range(draw(st.integers(0, 8))):
         tokens = [str(draw(st.integers(1, 15)))]
         tokens += map(str, draw(st.lists(st.integers(-6, 6).filter(bool), max_size=3)))
@@ -570,8 +572,9 @@ def dimacs_like_texts(draw):
         if oddity == 0:
             tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(ODD_TOKENS)))
         line = draw(st.sampled_from(ODD_LINES)) if oddity == 1 else " ".join(tokens)
-        lines.append(line + (draw(st.sampled_from(ODD_LINE_ENDS)) if oddity == 2 else "\n"))
+        lines.append(line + (draw(st.sampled_from(ODD_LINE_ENDS)) if oddity == 2 else eol))
     text = "".join(lines)
+    # cutting a CRLF text's last "\n" leaves a lone "\r"
     return text[:-1] if text.endswith("\n") and draw(st.booleans()) else text
 
 
@@ -591,8 +594,10 @@ class TestBlockReader:
     def test_odd_line_read_like_per_line(self, odd, fromstring):
         lines = [*(f"c {c}" for c in CLI_COMMENTS), "p wcnf 6 4 13",
                  "3 1 -2 0", "13 2 3 0", odd, "7 -4 5 6 0"]
+        texts = ("\n".join(lines) + "\n", "\r\n".join(lines) + "\r\n", "\n".join(lines[3:]),
+                 "\r\n".join(lines[3:]), odd)
         with mock.patch.object(np, "fromstring", fromstring):
-            for text in ("\n".join(lines) + "\n", "\n".join(lines[3:]), odd):
+            for text in texts:
                 for chunk in range(1, len(text) + 2):
                     read_like_per_line(text, chunk)
 
@@ -608,9 +613,10 @@ class TestBlockReader:
         read_like_per_line(text, chunk)
 
     @settings(deadline=None)
-    @given(well_formed_formulas(), st.sampled_from([(), CLI_COMMENTS]), st.integers(1, 64))
-    def test_well_formed_blocks_stay_in_numpy(self, formula, comments, chunk):
-        text = write_dimacs(formula, comments)
+    @given(well_formed_formulas(), st.sampled_from([(), CLI_COMMENTS]), st.integers(1, 64),
+           st.sampled_from(["\n", "\r\n"]))
+    def test_well_formed_blocks_stay_in_numpy(self, formula, comments, chunk, eol):
+        text = write_dimacs(formula, comments).replace("\n", eol)
         per_line = []
         read_lines = cnf._read_lines
 
@@ -639,14 +645,16 @@ class TestBlockReader:
 
 
 def per_line_texts(formula):
-    """Texts of ``formula`` that the per-line reader takes, by name: CRLF
-    line ends, a comment among the clause lines, and the header-less "h"
-    format (whose ``num_vars`` and ``top`` may differ from the formula's)."""
+    """Other texts of ``formula``, by name: CRLF line ends, which the block
+    reader takes, and three that the per-line reader takes: CR line ends, a
+    comment among the clause lines, and the header-less "h" format (whose
+    ``num_vars`` and ``top`` may differ from the formula's)."""
     text = write_dimacs(formula)
     lines = text.splitlines()
     mid = len(lines) // 2 + 1
     return {
         "crlf": text.replace("\n", "\r\n"),
+        "cr": text.replace("\n", "\r"),
         "comment": "\n".join(lines[:mid] + ["c mid-body"] + lines[mid:]) + "\n",
         "h-lines": "".join(f"{'h' if c.is_hard else c.weight} {' '.join(map(str, c.literals))} 0\n"
                            for c in formula.clauses),
@@ -687,6 +695,23 @@ class TestClauseView:
         for array in (literals, offsets):
             with pytest.raises(ValueError):
                 array[0] = 5
+
+    def test_formula_takes_over_a_whole_views_arrays(self):
+        literals = np.array([1, -2, 2], dtype=np.int64)
+        offsets = np.array([0, 2, 3], dtype=np.int64)
+        formula = WcnfFormula(2, cnf.ClauseView(literals, offsets, [None, 1]))
+        kept = formula.clauses.arrays()
+        assert kept[0] is literals and kept[1] is offsets  # no copies
+        for array in (literals, offsets):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1
+        # a view of some of the clauses hands over gathered copies
+        literals = np.array([1, -2, 2], dtype=np.int64)
+        offsets = np.array([0, 2, 3], dtype=np.int64)
+        formula = WcnfFormula(2, cnf.ClauseView(literals, offsets, [None, 1])[1:])
+        assert formula.clauses == [Clause((2,), 1)]
+        assert literals.flags.writeable and offsets.flags.writeable
 
     @pytest.mark.parametrize("literals, offsets, weights, message", [
         ([1], [0, 1], [2.5], "soft clause weight must be an integer, got 2.5"),

@@ -476,6 +476,39 @@ class TestStrata:
         assert len(calls) == 2
 
 
+class TestSoftFirst:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_selectors_outrank_formula_variables_heaviest_first(self, seed):
+        formula = WcnfFormula(4, (
+            Clause((1, 2)), Clause((-1,), 1), Clause((3,), 100), Clause((-2, 4), 10),
+            Clause((-4,), 1),
+        ))
+        solver = CdclSolver(seed=seed)
+        light, heavy, middle, light_too = solver.load(formula)
+        act = solver.act
+        assert min(act[s] for s in (light, heavy, middle, light_too)) > max(act[1:5])
+        assert act[heavy] > act[middle] > max(act[light], act[light_too])
+        # the first decision keeps the heaviest soft clause
+        assert solver._pick_branch() == heavy and not solver.phase[heavy]
+
+    @pytest.mark.parametrize("gen_seed, size, calls_at_most, cost", [
+        (4, (5, 5, 8, 16, 5), 1, 0),
+        (3, (5, 4, 6, 12, 4), 3, 20),
+    ])
+    def test_weighted_strata_are_mostly_satisfied(self, monkeypatch, gen_seed, size,
+                                                  calls_at_most, cost):
+        # with random branching each model broke some lighter soft clauses,
+        # and these took 11 and 18 SAT calls
+        days, slots_per_day, rooms, courses, curricula = size
+        instance = gen_random_instance(gen_seed, days=days, slots_per_day=slots_per_day,
+                                       rooms=rooms, courses=courses, curricula=curricula)
+        formula, _ = encode(instance, EncodeOptions(weighted=True))
+        calls, _ = trace_oll(monkeypatch)
+        res = solve_maxsat(formula, SolverConfig(seed=0))
+        assert res.status is MaxSatStatus.OPTIMUM and res.cost == cost
+        assert 1 <= len(calls) <= calls_at_most
+
+
 class TestLoad:
     @pytest.mark.parametrize("clauses", [
         # the units falsify both watched literals of the clause before them
