@@ -10,15 +10,15 @@ array of clause offsets (clause ``i`` is ``literals[offsets[i]:offsets[i +
 1]]``) and a list of per-clause weights (Python ints, ``None`` for hard).
 No Python object is kept per clause.
 
-Views.  ``clauses``, ``hard_clauses`` and ``soft_clauses`` are
-``ClauseView``s over those arrays, the last two through an array of clause
-numbers.  A view is a read-only sequence of ``Clause``: it builds a
-``Clause`` only when indexed or iterated, takes ``len()`` from its offsets,
-and compares with another view by array equality (with a tuple or list of
-``Clause``, clause by clause).  Bulk code reads a view's ``arrays()``
-instead: ``write_dimacs``, the formula's check and model evaluation, and
-the SAT core's loading.  The encoder's families and ``parse_dimacs`` build
-views directly, with ``clause_block`` and ``concat_clauses``.
+Views.  ``clauses`` is a ``ClauseView`` of those whole arrays: a
+read-only sequence of ``Clause`` that builds a ``Clause`` only when
+indexed or iterated, takes ``len()`` from its weights, and compares with
+another view by array equality.  ``soft_weights`` lists the soft clauses'
+weights in formula order.  Bulk code reads a view's ``arrays()`` instead,
+walking them ``CLAUSE_CHUNK`` clauses at a time with ``clause_chunks``:
+``write_dimacs``, the formula's check and model evaluation, and the SAT
+core's loading.  The encoder's families and ``parse_dimacs`` build views
+directly, with ``clause_block`` and ``concat_clauses``.
 
 Checking.  ``Clause`` and ``ClauseView`` are unchecked; ``WcnfFormula``
 checks every clause once, when it is built.  Given any iterable of
@@ -27,12 +27,12 @@ checks every clause once, when it is built.  Given any iterable of
 check names the first bad clause.  Given a view, it first checks that the
 view's arrays are clause arrays (int64 literals and offsets that cut them
 into clauses, int or None weights).  The check proper runs in numpy on the
-arrays, ``CLAUSE_CHUNK`` clauses at a time, then re-checks only the first
-bad clause on its own, which raises that clause's ``CnfError``; the message
-is the one a clause-by-clause check gives.  ``num_vars`` must fit int64, as
-every literal must.  A formula's arrays are read-only; given a view of
-every clause of its arrays, the formula keeps those very arrays, not copies,
-and makes them read-only for their other holders too.
+arrays, in chunks, then re-checks only the first bad clause on its own,
+which raises that clause's ``CnfError``; the message is the one a
+clause-by-clause check gives.  ``num_vars`` must fit int64, as every
+literal must.  A formula's arrays are read-only; given a view, the formula
+keeps that view's very arrays, not copies, and makes them read-only for
+their other holders too.
 
 DIMACS WCNF goes out and comes in in bulk.  ``write_dimacs`` formats the
 arrays ``CLAUSE_CHUNK`` clauses at a time, each chunk as one token array
@@ -65,9 +65,9 @@ import numpy as np
 
 # characters per block of clause lines that parse_dimacs reads in numpy
 PARSE_CHUNK = 1 << 20
-# clauses per step of the work that makes temporaries per literal or per
-# clause (the formula's check, a view's iteration, the solver's loading,
-# write_dimacs), so that those stay small
+# clauses per chunk of clause_chunks, the step of the work that makes
+# temporaries per literal or per clause (the formula's check, a view's
+# iteration, the solver's loading, write_dimacs), so that those stay small
 CLAUSE_CHUNK = 1 << 14
 _INT64_MAX = np.iinfo(np.int64).max
 
@@ -114,81 +114,64 @@ def _offsets(lengths) -> np.ndarray:
     return offsets
 
 
+def clause_chunks(literals, offsets, step=None):
+    """Walk clause arrays ``step`` clauses at a time (``CLAUSE_CHUNK`` when
+    None): yield, per chunk, the number of its first clause, its literals
+    and its offsets counted from 0.  Arrays of no clause yield nothing."""
+    step = CLAUSE_CHUNK if step is None else step
+    for start in range(0, len(offsets) - 1, step):
+        bounds = offsets[start:start + step + 1]
+        yield start, literals[bounds[0]:bounds[-1]], bounds - bounds[0]
+
+
 class ClauseView(Sequence):
-    """Read-only sequence of ``Clause`` over flat clause arrays.
+    """Read-only sequence of ``Clause`` over whole clause arrays.
 
-    Clause ``i`` of the arrays is ``literals[offsets[i]:offsets[i + 1]]``
-    with weight ``weights[i]``; ``index``, when given, is the int array of
-    the clause numbers the view shows, in order.  A ``Clause`` is built
-    only when the view is indexed or iterated.  Views compare with views by
-    their arrays, and with a tuple or list clause by clause.  Unchecked:
-    ``WcnfFormula`` checks clauses."""
+    Clause ``i`` is ``literals[offsets[i]:offsets[i + 1]]`` with weight
+    ``weights[i]``.  A ``Clause`` is built only when the view is indexed
+    (by an integer) or iterated.  Views compare only with views, by their
+    arrays.  Unchecked: ``WcnfFormula`` checks clauses."""
 
-    __slots__ = ("_literals", "_offsets", "_weights", "_index")
+    __slots__ = ("_literals", "_offsets", "_weights")
 
-    def __init__(self, literals, offsets, weights, index=None):
+    def __init__(self, literals, offsets, weights):
         self._literals = literals
         self._offsets = offsets
         self._weights = weights
-        self._index = index
 
     def __len__(self):
-        return len(self._weights) if self._index is None else len(self._index)
+        return len(self._weights)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            index = np.arange(*i.indices(len(self))) if self._index is None else self._index[i]
-            return ClauseView(self._literals, self._offsets, self._weights, index)
-        i = operator.index(i)
         n = len(self)
+        i = operator.index(i)
         if not -n <= i < n:
             raise IndexError("clause index out of range")
-        j = i % n if self._index is None else int(self._index[i])
-        start, end = self._offsets[j:j + 2].tolist()
-        return Clause(tuple(self._literals[start:end].tolist()), self._weights[j])
+        i %= n
+        start, end = self._offsets[i:i + 2].tolist()
+        return Clause(tuple(self._literals[start:end].tolist()), self._weights[i])
 
     def __iter__(self):
-        for start in range(0, len(self), CLAUSE_CHUNK):
-            literals, offsets, weights = self[start:start + CLAUSE_CHUNK].arrays()
+        for start, literals, offsets in clause_chunks(self._literals, self._offsets):
             flat = literals.tolist()
             bounds = offsets.tolist()
             lits = map(tuple, map(flat.__getitem__, map(slice, bounds, bounds[1:])))
-            yield from map(Clause, lits, weights)
+            yield from map(Clause, lits, self._weights[start:start + len(bounds) - 1])
 
     def __eq__(self, other):
-        if isinstance(other, ClauseView):
-            mine, theirs = self.arrays(), other.arrays()
-            return (np.array_equal(mine[1], theirs[1]) and np.array_equal(mine[0], theirs[0])
-                    and mine[2] == theirs[2])
-        if isinstance(other, (tuple, list)):
-            return len(self) == len(other) and all(map(operator.eq, self, other))
-        return NotImplemented
-
-    def __hash__(self):
-        # equal views, and a view and an equal tuple, hash alike
-        return hash(tuple(self))
+        if not isinstance(other, ClauseView):
+            return NotImplemented
+        return (np.array_equal(self._offsets, other._offsets)
+                and np.array_equal(self._literals, other._literals)
+                and self._weights == other._weights)
 
     def __repr__(self):
         return f"ClauseView({list(self)!r})"
 
-    @property
-    def weights(self) -> list:
-        """The weights of the view's clauses, in order (None for hard)."""
-        if self._index is None:
-            return list(self._weights)
-        return list(map(self._weights.__getitem__, self._index.tolist()))
-
     def arrays(self) -> tuple[np.ndarray, np.ndarray, list]:
-        """``(literals, offsets, weights)`` of the view's own clauses, in
-        order: the stored arrays themselves for a view of every clause
-        (not to be modified), gathered copies for any other."""
-        if self._index is None:
-            return self._literals, self._offsets, self._weights
-        starts = self._offsets[self._index]
-        lengths = self._offsets[self._index + 1] - starts
-        offsets = _offsets(lengths)
-        positions = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], lengths)
-        return self._literals[positions], offsets, self.weights
+        """``(literals, offsets, weights)``: the stored arrays themselves,
+        not to be modified."""
+        return self._literals, self._offsets, self._weights
 
 
 def clause_block(literals, weights=None) -> ClauseView:
@@ -241,23 +224,23 @@ class WcnfFormula:
     nonempty, integer literals, no literal 0, no variable twice, every
     variable within ``num_vars``, soft weights integers of at least 1.  A
     bad formula raises the ``CnfError`` of its first bad clause.
-    ``hard_clauses`` and ``soft_clauses`` show the hard and the soft
-    clauses, each in formula order.
+    ``soft_weights`` lists the soft clauses' weights in formula order.
 
-    Given a ``ClauseView`` of every clause of its arrays, the formula takes
-    over that view's literal and offset arrays: it stores them as they are,
-    not copies, and clears their ``writeable`` flag, so the caller can no
-    longer change them in place either.  A copy would double the memory a
-    large formula's arrays take while it is built.  Any other source is
-    converted to new arrays first, which the formula owns alone.
+    Given a ``ClauseView``, the formula takes over its literal and offset
+    arrays: it stores them as they are, not copies, and clears their
+    ``writeable`` flag, so the caller can no longer change them in place
+    either.  A copy would double the memory a large formula's arrays take
+    while it is built.  An iterable of ``Clause`` is converted to new arrays
+    first, which the formula owns alone.
     """
 
     num_vars: int
     clauses: Sequence[Clause]
     top: int | None = None
-    hard_clauses: ClauseView = field(init=False, repr=False, compare=False)
-    soft_clauses: ClauseView = field(init=False, repr=False, compare=False)
+    soft_weights: list = field(init=False, repr=False, compare=False)
     soft_weight_sum: int = field(init=False, repr=False, compare=False)
+    # per clause, whether it is hard
+    _hard: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         num_vars = self.num_vars
@@ -297,20 +280,18 @@ class WcnfFormula:
         literals.flags.writeable = offsets.flags.writeable = False
         object.__setattr__(self, "clauses", ClauseView(literals, offsets, weights))
         object.__setattr__(self, "top", top)
-        object.__setattr__(self, "hard_clauses",
-                           ClauseView(literals, offsets, weights, np.flatnonzero(hard)))
-        object.__setattr__(self, "soft_clauses",
-                           ClauseView(literals, offsets, weights, np.flatnonzero(~hard)))
+        object.__setattr__(self, "soft_weights", soft_weights)
         object.__setattr__(self, "soft_weight_sum", soft_sum)
+        object.__setattr__(self, "_hard", hard)
 
     def hard_satisfied(self, assignment) -> bool:
         """Whether a total assignment satisfies every hard clause."""
-        return bool(self._satisfied(assignment)[self.hard_clauses._index].all())
+        return bool(self._satisfied(assignment)[self._hard].all())
 
     def falsified_weight(self, assignment) -> int:
         """Total weight of soft clauses falsified by a total assignment."""
-        falsified = ~self._satisfied(assignment)[self.soft_clauses._index]
-        return sum(compress(self.soft_clauses.weights, falsified.tolist()))
+        falsified = ~self._satisfied(assignment)[~self._hard]
+        return sum(compress(self.soft_weights, falsified.tolist()))
 
     def _satisfied(self, assignment) -> np.ndarray:
         """Per clause, whether a ``{variable: bool}`` assignment makes one of
@@ -366,9 +347,8 @@ def _first_bad_clause(literals, offsets, num_vars):
     # the keys hold no variable above this: one outside 1..num_vars becomes 0
     largest = min(num_vars, max(int(literals.max(initial=0)), -int(literals.min(initial=0))))
     step = max(1, min(CLAUSE_CHUNK, _INT64_MAX // (largest + 1)))
-    for start in range(0, len(offsets) - 1, step):
-        bounds = offsets[start:start + step + 1]
-        bad = _first_bad_in_chunk(literals[bounds[0]:bounds[-1]], bounds - bounds[0], num_vars)
+    for start, chunk, bounds in clause_chunks(literals, offsets, step):
+        bad = _first_bad_in_chunk(chunk, bounds, num_vars)
         if bad is not None:
             return start + bad
     return None
@@ -449,18 +429,15 @@ def write_dimacs(formula: WcnfFormula, comments: tuple[str, ...] = ()) -> str:
              if n <= len(literals) else None)
     weight_text = {w: str(formula.top if w is None else w) for w in set(weights)}
     pieces = [head]
-    for start in range(0, len(weights), CLAUSE_CHUNK):
-        bounds = offsets[start:start + CLAUSE_CHUNK + 1]
-        lits = literals[bounds[0]:bounds[-1]]
+    for start, lits, chunk in clause_chunks(literals, offsets):
         if table is not None:
             literal_text = table[lits + n]
         else:
             literal_text = np.array(list(map(str, lits.tolist())), dtype=object)
-        chunk = bounds - bounds[0]  # the chunk's clause offsets, from 0
         shift = 2 * np.arange(len(chunk) - 1)
         tokens = np.empty(len(lits) + 2 * len(shift), dtype=object)
         tokens[chunk[:-1] + shift] = list(map(weight_text.__getitem__,
-                                              weights[start:start + CLAUSE_CHUNK]))
+                                              weights[start:start + len(shift)]))
         tokens[np.arange(len(lits)) + np.repeat(shift + 1, np.diff(chunk))] = literal_text
         tokens[chunk[1:] + shift + 1] = "0\n"
         pieces.append(" ".join(tokens.tolist()).replace("\n ", "\n"))

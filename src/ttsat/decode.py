@@ -254,7 +254,8 @@ def render_timetable(timetable: Timetable, instance: Instance, fmt: str = "text"
 
 def parse_timetable_csv(text: str, instance: Instance) -> Timetable:
     """Inverse of render_timetable(..., fmt="csv"). Requires every session to
-    appear exactly once; cells may hold several sessions joined by '+'."""
+    appear exactly once; a cell that is not one session's name may hold
+    several sessions joined by '+'."""
     token_to_sid = {instance.session_short(s.id): s.id for s in instance.sessions}
     slot_by_label = {t.label: t.id for t in instance.timeslots}
     room_by_label = {r.label: r.id for r in instance.rooms}
@@ -290,7 +291,8 @@ def parse_timetable_csv(text: str, instance: Instance) -> Timetable:
                 continue
             if col >= len(slot_ids):
                 raise TimetableFormatError(f"row '{room_label}' has too many columns")
-            for token in cell.split("+"):
+            # a label may hold "+" ("C++"): split only a cell that is no session
+            for token in [cell] if cell in token_to_sid else cell.split("+"):
                 token = token.strip()
                 if token not in token_to_sid:
                     raise TimetableFormatError(f"unknown session '{token}'")

@@ -63,7 +63,7 @@ from itertools import compress, repeat
 import numpy as np
 
 from .cardinality import totalizer
-from .cnf import CLAUSE_CHUNK, CnfError, WcnfFormula, gc_paused, write_dimacs
+from .cnf import CnfError, WcnfFormula, clause_chunks, gc_paused, write_dimacs
 
 
 class SolverError(RuntimeError):
@@ -213,10 +213,10 @@ class CdclSolver:
 
         Each soft clause becomes the hard clause ``(lits v sel)``.  The
         clause lists, hard clauses first and then soft ones, each in
-        formula order, are slices of ``tolist()`` of the formula's literal
-        array, ``CLAUSE_CHUNK`` clauses at a time, taken through a table of
-        one int object per literal value, so that the lists share those
-        objects and the temporaries stay small.  ``WcnfFormula`` has
+        formula order, are slices of ``tolist()`` of each chunk of the
+        formula's literal array from ``cnf.clause_chunks``, taken through a
+        table of one int object per literal value, so that the lists share
+        those objects and the temporaries stay small.  ``WcnfFormula`` has
         already ruled out non-integer literals, literal 0, repeated
         variables and variables past ``num_vars``, so each clause of two or
         more literals is watched as given, unassigned at level 0.  The hard
@@ -232,7 +232,7 @@ class CdclSolver:
         if self.nvars or not self.ok:
             raise ValueError("load needs a fresh solver")
         base = formula.num_vars
-        self.ensure_vars(base + len(formula.soft_clauses))
+        self.ensure_vars(base + len(formula.soft_weights))
         selectors = list(range(base + 1, self.nvars + 1))
         watches = self.watches
         orig = self.orig_clauses
@@ -241,10 +241,9 @@ class CdclSolver:
         # one int object per literal value, indexed by the literal (-v from the end)
         table = np.concatenate((np.arange(base + 1), np.arange(-base, 0))).astype(object)
         lists = []
-        for start in range(0, len(weights), CLAUSE_CHUNK):
-            bounds = offsets[start:start + CLAUSE_CHUNK + 1]
-            flat = table[literals[bounds[0]:bounds[-1]]].tolist()
-            bounds = (bounds - bounds[0]).tolist()
+        for _, chunk, bounds in clause_chunks(literals, offsets):
+            flat = table[chunk].tolist()
+            bounds = bounds.tolist()
             lists += map(flat.__getitem__, map(slice, bounds, bounds[1:]))
         is_hard = list(map(operator.is_, weights, repeat(None)))
         clauses = list(compress(lists, is_hard))
@@ -261,7 +260,7 @@ class CdclSolver:
                 watches[cl[1]].append(cl)
         for cl in units:
             self.add_clause(cl)
-        soft_weights = formula.soft_clauses.weights
+        soft_weights = formula.soft_weights
         heaviest = max(soft_weights, default=1)
         act = self.act
         for sel, w in zip(selectors, soft_weights):
@@ -679,7 +678,7 @@ def solve_maxsat(formula: WcnfFormula, cfg: SolverConfig | None = None) -> MaxSa
     # -sel re-activates it.  Cores are reported in terms of those assumptions.
     selectors = solver.load(formula)
     # assumption literal -> its weight left
-    weight = {-sel: w for w, sel in zip(formula.soft_clauses.weights, selectors)}
+    weight = {-sel: w for w, sel in zip(formula.soft_weights, selectors)}
     # -outs[k], "at most k of a core's members violated" -> (outs, k)
     sums: dict[int, tuple[list[int], int]] = {}
 

@@ -87,7 +87,7 @@ class TestAcceptance:
         partial = cases[1][0]
         witness = {1: False, 2: False, 3: True}
         ok = ok and partial.hard_satisfied(witness)
-        falsified = [c for c in partial.soft_clauses if not c.satisfied_by(witness)]
+        falsified = [c for c in partial.clauses if not (c.is_hard or c.satisfied_by(witness))]
         ok = ok and [c.literals for c in falsified] == [(-3,)]
         # all-false is a witness of the weighted optimum
         ok = ok and cases[2][0].falsified_weight({1: False, 2: False, 3: False}) == 3

@@ -251,14 +251,14 @@ class TestEncode:
         target = tmp_path / "w.wcnf"
         run(capsys, ["encode", sample_path, "-o", str(target)])
         formula = parse_dimacs(target.read_text(encoding="utf-8"))
-        weights = {c.weight for c in formula.soft_clauses}
+        weights = set(formula.soft_weights)
         assert {20, 10} <= weights
 
     def test_partial_mode_weights_all_one(self, capsys, sample_path, tmp_path):
         target = tmp_path / "p.wcnf"
         run(capsys, ["encode", sample_path, "-o", str(target), "--mode", "partial"])
         formula = parse_dimacs(target.read_text(encoding="utf-8"))
-        assert {c.weight for c in formula.soft_clauses} == {1}
+        assert set(formula.soft_weights) == {1}
 
     def test_parse_failure_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import random_wcnf, reference_write_dimacs
@@ -98,9 +98,9 @@ class TestFormula:
             f = random_wcnf(rng, max_vars=8, max_clauses=20)
             assignment = {v: rng.random() < 0.5 for v in range(1, f.num_vars + 1)}
             assert f.hard_satisfied(assignment) == all(
-                c.satisfied_by(assignment) for c in f.hard_clauses)
+                c.satisfied_by(assignment) for c in f.clauses if c.is_hard)
             assert f.falsified_weight(assignment) == sum(
-                c.weight for c in f.soft_clauses if not c.satisfied_by(assignment))
+                c.weight for c in f.clauses if not (c.is_hard or c.satisfied_by(assignment)))
 
 
 class TestWriteDimacs:
@@ -132,13 +132,12 @@ class TestParseDimacs:
     def test_roundtrip_of_example(self):
         f = parse_dimacs(write_dimacs(WEIGHTED_EXAMPLE))
         assert f == WEIGHTED_EXAMPLE
-        assert len(f.hard_clauses) == 2
-        assert len(f.soft_clauses) == 2
+        assert len(f.clauses) == 4 and f.soft_weights == [3, 4]
 
     def test_single_hard_unit(self):
         f = parse_dimacs("p wcnf 1 1 2\n2 1 0\n")
         assert f.num_vars == 1
-        assert f.clauses == (Clause((1,)),)
+        assert tuple(f.clauses) == (Clause((1,)),)
 
     def test_weight_at_or_above_top_is_hard(self):
         f = parse_dimacs("p wcnf 2 2 10\n99 1 0\n3 2 0\n")
@@ -334,13 +333,13 @@ class TestProperties:
             assert not expected
             return
         assert expected
-        assert formula.hard_clauses == tuple(c for c in entries if c.is_hard)
-        assert formula.soft_clauses == tuple(c for c in entries if not c.is_hard)
-        assert formula.soft_weight_sum == sum(c.weight for c in formula.soft_clauses)
+        assert tuple(formula.clauses) == tuple(entries)
+        assert formula.soft_weights == [c.weight for c in entries if not c.is_hard]
+        assert formula.soft_weight_sum == sum(formula.soft_weights)
 
 
 def reference_check(entries, num_vars):
-    """The per-clause check on its own: (hard, soft, soft sum) or the error.
+    """The per-clause check on its own: (clauses, soft sum) or the error.
     A ``num_vars`` past int64 is rejected before any clause, since the
     formula's literals must fit int64."""
     try:
@@ -349,9 +348,7 @@ def reference_check(entries, num_vars):
         cnf._clause_check(tuple(entries), num_vars)
     except Exception as exc:
         return type(exc), str(exc)
-    hard = tuple(c for c in entries if c.is_hard)
-    soft = tuple(c for c in entries if not c.is_hard)
-    return hard, soft, sum(c.weight for c in soft)
+    return tuple(entries), sum(c.weight for c in entries if not c.is_hard)
 
 
 def formula_check(entries, num_vars):
@@ -360,7 +357,7 @@ def formula_check(entries, num_vars):
         f = WcnfFormula(num_vars, tuple(entries))
     except Exception as exc:
         return type(exc), str(exc)
-    return tuple(f.hard_clauses), tuple(f.soft_clauses), f.soft_weight_sum
+    return tuple(f.clauses), f.soft_weight_sum
 
 
 def arrays_of(clauses):
@@ -423,7 +420,7 @@ class TestBulkCheck:
 
     def test_header_near_2_62(self):
         f = parse_dimacs(f"p wcnf {BIG} 2 9\n9 1 2 0\n3 {BIG} -{BIG - 1} 0\n")
-        assert f.clauses == (Clause((1, 2)), Clause((BIG, -(BIG - 1)), 3))
+        assert tuple(f.clauses) == (Clause((1, 2)), Clause((BIG, -(BIG - 1)), 3))
         with pytest.raises(CnfError, match=f"occurs twice in clause \\(1, {BIG}, -{BIG}\\)"):
             parse_dimacs(f"p wcnf {BIG} 2 9\n9 1 2 0\n9 1 {BIG} -{BIG} 0\n")
 
@@ -667,26 +664,21 @@ def other_weight(clause):
                   else None)
 
 
-VIEWS = ("clauses", "hard_clauses", "soft_clauses")
-
-
 class TestClauseView:
     def test_sequence_of_clauses(self):
         entries = (Clause((1, -2)), Clause((-1, 3)), Clause((2, 3), 3), Clause((-3,), 4))
         f = WEIGHTED_EXAMPLE
-        assert len(f.clauses) == 4 and len(f.hard_clauses) == len(f.soft_clauses) == 2
-        assert f.clauses[-1] == entries[-1] and f.soft_clauses[-2] == entries[2]
-        assert f.clauses[1:3] == entries[1:3]
-        assert f.soft_clauses[::-1] == [entries[3], entries[2]]
-        assert f.hard_clauses == list(entries[:2])
-        assert f.soft_clauses.weights == [3, 4] and f.hard_clauses.weights == [None, None]
-        assert tuple(reversed(f.clauses)) == entries[::-1]
+        assert len(f.clauses) == 4 and f.soft_weights == [3, 4]
+        assert f.clauses[-1] == entries[-1] and f.clauses[2] == entries[2]
+        assert tuple(f.clauses) == entries and tuple(reversed(f.clauses)) == entries[::-1]
         assert Clause((2, 3), 3) in f.clauses and f.clauses.index(Clause((-3,), 4)) == 3
-        assert f.clauses != entries[:3] and f.clauses != entries[:3] + (Clause((-3,), 5),)
-        assert f.clauses != "1 -2" and f.hard_clauses != f.soft_clauses
+        # views compare only with views
+        assert f.clauses != entries and f.clauses != list(entries) and f.clauses != "1 -2"
         for i in (4, -5):
             with pytest.raises(IndexError):
                 f.clauses[i]
+        with pytest.raises(TypeError):
+            f.clauses[1:3]
 
     def test_arrays_are_read_only(self):
         literals, offsets, _ = WEIGHTED_EXAMPLE.clauses.arrays()
@@ -706,12 +698,6 @@ class TestClauseView:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 1
-        # a view of some of the clauses hands over gathered copies
-        literals = np.array([1, -2, 2], dtype=np.int64)
-        offsets = np.array([0, 2, 3], dtype=np.int64)
-        formula = WcnfFormula(2, cnf.ClauseView(literals, offsets, [None, 1])[1:])
-        assert formula.clauses == [Clause((2,), 1)]
-        assert literals.flags.writeable and offsets.flags.writeable
 
     @pytest.mark.parametrize("literals, offsets, weights, message", [
         ([1], [0, 1], [2.5], "soft clause weight must be an integer, got 2.5"),
@@ -735,19 +721,6 @@ class TestClauseView:
         with pytest.raises(CnfError, match=re.escape(message)):
             WcnfFormula(3, view)
 
-    def test_hash_agrees_with_equality(self):
-        f = WEIGHTED_EXAMPLE
-        g = parse_dimacs(write_dimacs(f))
-        assert hash(g) == hash(f) and {f, g} == {f}
-        assert hash(f.clauses) == hash(tuple(f.clauses)) == hash(g.clauses)
-        assert hash(f.soft_clauses) == hash(tuple(f.soft_clauses))
-
-    def test_slices_of_a_whole_view(self):
-        entries = tuple(WEIGHTED_EXAMPLE.clauses)
-        for s in (slice(1, 3), slice(None, None, -1), slice(-2, None), slice(5, 9), slice(0, 4, 2)):
-            assert WEIGHTED_EXAMPLE.clauses[s] == entries[s]
-            assert len(WEIGHTED_EXAMPLE.clauses[s]._index) == len(entries[s])
-
     @settings(deadline=None)
     @given(well_formed_clauses(), st.integers(1, 5))
     def test_iteration_in_chunks(self, args, chunk):
@@ -755,8 +728,20 @@ class TestClauseView:
         with mock.patch.object(cnf, "CLAUSE_CHUNK", chunk):
             f = WcnfFormula(n, clauses, top)
             assert tuple(f.clauses) == clauses
-            assert tuple(f.hard_clauses) == tuple(c for c in clauses if c.is_hard)
-            assert tuple(f.soft_clauses) == tuple(c for c in clauses if not c.is_hard)
+            assert f.soft_weights == [c.weight for c in clauses if not c.is_hard]
+
+    @settings(deadline=None)
+    @given(well_formed_clauses(), st.integers(1, 5) | st.just(10**6))
+    @example((1, (), None), 1)
+    def test_clause_chunks_visit_every_clause_once_in_order(self, args, step):
+        n, clauses, top = args
+        literals, offsets, _ = WcnfFormula(n, clauses, top).clauses.arrays()
+        walked = []
+        for start, chunk, bounds in cnf.clause_chunks(literals, offsets, step):
+            assert start == len(walked) and len(bounds) - 1 == min(step, len(clauses) - start)
+            assert bounds[0] == 0 and bounds[-1] == len(chunk)
+            walked += [tuple(chunk[a:b].tolist()) for a, b in zip(bounds[:-1], bounds[1:])]
+        assert walked == [c.literals for c in clauses]
 
     @settings(deadline=None)
     @given(well_formed_clauses(), st.data())
@@ -791,11 +776,9 @@ class TestClauseView:
             formulas += [WcnfFormula(n, c) for c in changed]
         for x in formulas:
             for y in formulas:
-                for view in VIEWS:
-                    a, b = getattr(x, view), getattr(y, view)
-                    same = tuple(a) == tuple(b)
-                    assert (a == b) is same and (a != b) is not same
-                    assert (a == tuple(b)) is same and (list(a) == b) is same
+                a, b = x.clauses, y.clauses
+                same = tuple(a) == tuple(b)
+                assert (a == b) is same and (a != b) is not same
 
 
 class TestInt64Limit:

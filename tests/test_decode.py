@@ -14,6 +14,7 @@ from ttsat.decode import (
     render_timetable,
 )
 from ttsat.encoder import EncodeOptions, VarMap
+from ttsat.model import parse_instance
 from ttsat.solver import solve_maxsat
 
 
@@ -254,3 +255,11 @@ class TestRender:
         assert "+" in text
         parsed = parse_timetable_csv(text, sample_instance)
         assert parsed.placements[a] == parsed.placements[b]
+
+    def test_csv_round_trip_of_a_label_with_plus(self, sample_instance, sample_json):
+        # "C++ lect." names one session: its cell is not split at the "+"
+        instance = parse_instance(sample_json.replace('"CS101"', '"C++"'))
+        timetable = feasible_placement(sample_instance)
+        text = render_timetable(timetable, instance, "csv")
+        assert "C++ lect." in text
+        assert parse_timetable_csv(text, instance).placements == timetable.placements

@@ -369,7 +369,7 @@ class TestMeetingCount:
                                    courses=1, curricula=1, overlap_density=0)
         formula, vm = encode(inst, EncodeOptions())
         s1, s2 = inst.courses[0].sessions
-        res = solve_clauses([c.literals for c in formula.hard_clauses])
+        res = solve_clauses([c.literals for c in formula.clauses if c.is_hard])
         assert res.status.value == "sat"
         # sessions forced onto distinct slots
         m = res.model
@@ -386,7 +386,7 @@ class TestMeetingCount:
         doc["courses"][0]["second"]["forbidden"] = []
         instance = parse_instance(json.dumps(doc))
         formula, vm = encode(instance, EncodeOptions())
-        res = solve_clauses([c.literals for c in formula.hard_clauses])
+        res = solve_clauses([c.literals for c in formula.clauses if c.is_hard])
         assert res.status.value == "unsat"
 
 
@@ -395,8 +395,8 @@ class TestEncodeWhole:
         fw = sample_weighted[0]
         fp = sample_partial[0]
         assert [c.literals for c in fw.clauses] == [c.literals for c in fp.clauses]
-        assert fw.hard_clauses == fp.hard_clauses
-        assert all(c.weight == 1 for c in fp.soft_clauses)
+        assert [c for c in fw.clauses if c.is_hard] == [c for c in fp.clauses if c.is_hard]
+        assert all(w == 1 for w in fp.soft_weights)
 
     def test_top_is_soft_sum_plus_one(self, sample_weighted):
         formula = sample_weighted[0]
@@ -464,7 +464,7 @@ class TestCostFaithfulness:
         opts = EncodeOptions(weighted=True)
         formula, vm = encode(instance, opts)
         assert formula.num_vars == vm.base_num_vars  # no auxiliaries
-        hard = [c.literals for c in formula.hard_clauses]
+        hard = [c.literals for c in formula.clauses if c.is_hard]
         feasible = 0
         for timetable in all_placements(instance):
             assignment = assignment_for_placement(instance, vm, timetable.placements)

@@ -20,6 +20,7 @@ from helpers import (
     semantic_optimum,
     solve_clauses,
 )
+from ttsat import cnf
 from ttsat import solver as solver_module
 from ttsat.cardinality import totalizer
 from ttsat.cnf import Clause, CnfError, WcnfFormula
@@ -419,7 +420,7 @@ class TestOll:
         for cl in added:
             if any(abs(l) > n for l in cl):
                 relaxed.setdefault(tuple(sorted(l for l in cl if abs(l) <= n)), []).append(cl)
-        for c in formula.soft_clauses:
+        for c in [c for c in formula.clauses if not c.is_hard]:
             holders = relaxed.get(tuple(sorted(c.literals)), [])
             assert len(holders) == 1, c
             extra = [l for l in holders[0] if abs(l) > n]
@@ -545,7 +546,7 @@ class TestLoad:
         formula = random_wcnf(random.Random(chunk), max_vars=10, max_clauses=40)
         whole = CdclSolver()
         selectors = whole.load(formula)
-        monkeypatch.setattr(solver_module, "CLAUSE_CHUNK", chunk)
+        monkeypatch.setattr(cnf, "CLAUSE_CHUNK", chunk)
         chunked = CdclSolver()
         assert chunked.load(formula) == selectors
         assert chunked.orig_clauses == whole.orig_clauses
@@ -553,8 +554,10 @@ class TestLoad:
         # the hard clauses, then the soft ones with their selectors; units
         # are not kept as clauses, and propagation reorders a clause's
         # literals for its watches
-        expected = [c.literals for c in formula.hard_clauses if len(c.literals) > 1]
-        expected += [(*c.literals, sel) for c, sel in zip(formula.soft_clauses, selectors)]
+        hard = [c for c in formula.clauses if c.is_hard]
+        soft = [c for c in formula.clauses if not c.is_hard]
+        expected = [c.literals for c in hard if len(c.literals) > 1]
+        expected += [(*c.literals, sel) for c, sel in zip(soft, selectors)]
         assert list(map(sorted, whole.orig_clauses)) == list(map(sorted, expected))
 
     @pytest.mark.parametrize("used", [
