@@ -14,25 +14,25 @@ Views.  ``clauses`` is a ``ClauseView`` of those whole arrays: a
 read-only sequence of ``Clause`` that builds a ``Clause`` only when
 indexed or iterated, takes ``len()`` from its weights, and compares with
 another view by array equality.  ``soft_weights`` lists the soft clauses'
-weights in formula order.  Bulk code reads a view's ``arrays()`` instead,
-walking them ``CLAUSE_CHUNK`` clauses at a time with ``clause_chunks``:
-``write_dimacs``, the formula's check and model evaluation, and the SAT
-core's loading.  The encoder's families and ``parse_dimacs`` build views
-directly, with ``clause_block`` and ``concat_clauses``.
+weights in formula order.  Iteration and the SAT core's loading read
+``lists()``, one new list per clause; ``write_dimacs``, the formula's
+check and model evaluation read ``arrays()``.  Both walk the arrays
+``CLAUSE_CHUNK`` clauses at a time with ``clause_chunks``.  Only ttsat
+builds views: ``clause_block``, ``concat_clauses``, ``parse_dimacs`` and
+the encoder's families.
 
 Checking.  ``Clause`` and ``ClauseView`` are unchecked; ``WcnfFormula``
 checks every clause once, when it is built.  Given any iterable of
 ``Clause``, it first converts it to the same arrays; an entry that is no
 ``Clause`` or holds a value int64 cannot is malformed, and the per-clause
-check names the first bad clause.  Given a view, it first checks that the
-view's arrays are clause arrays (int64 literals and offsets that cut them
-into clauses, int or None weights).  The check proper runs in numpy on the
-arrays, in chunks, then re-checks only the first bad clause on its own,
-which raises that clause's ``CnfError``; the message is the one a
-clause-by-clause check gives.  ``num_vars`` must fit int64, as every
-literal must.  A formula's arrays are read-only; given a view, the formula
-keeps that view's very arrays, not copies, and makes them read-only for
-their other holders too.
+check names the first bad clause.  Given a view, it takes its arrays as
+they are.  The check proper runs in numpy on the arrays, in chunks, then
+re-checks only the first bad clause on its own, which raises that
+clause's ``CnfError``; the message is the one a clause-by-clause check
+gives.  ``num_vars`` must fit int64, as every literal must.  A formula's
+arrays are read-only; given a view, the formula keeps that view's very
+arrays, not copies, and makes them read-only for their other holders
+too.
 
 DIMACS WCNF goes out and comes in in bulk.  ``write_dimacs`` formats the
 arrays ``CLAUSE_CHUNK`` clauses at a time, each chunk as one token array
@@ -67,7 +67,7 @@ import numpy as np
 PARSE_CHUNK = 1 << 20
 # clauses per chunk of clause_chunks, the step of the work that makes
 # temporaries per literal or per clause (the formula's check, a view's
-# iteration, the solver's loading, write_dimacs), so that those stay small
+# lists(), write_dimacs), so that those stay small
 CLAUSE_CHUNK = 1 << 14
 _INT64_MAX = np.iinfo(np.int64).max
 
@@ -124,13 +124,24 @@ def clause_chunks(literals, offsets, step=None):
         yield start, literals[bounds[0]:bounds[-1]], bounds - bounds[0]
 
 
+def _literal_table(n, count, value=None):
+    """``value(l)`` (``l`` when None) for each literal ``l`` in -n..n, indexed
+    by ``l + n``; None when ``n`` passes ``count``, the literals it serves."""
+    if n > count:
+        return None
+    table = np.arange(-n, n + 1).astype(object)
+    return table if value is None else np.array(list(map(value, table.tolist())), dtype=object)
+
+
 class ClauseView(Sequence):
     """Read-only sequence of ``Clause`` over whole clause arrays.
 
     Clause ``i`` is ``literals[offsets[i]:offsets[i + 1]]`` with weight
     ``weights[i]``.  A ``Clause`` is built only when the view is indexed
-    (by an integer) or iterated.  Views compare only with views, by their
-    arrays.  Unchecked: ``WcnfFormula`` checks clauses."""
+    (by an integer) or iterated; ``lists()`` gives the literals alone.
+    Views compare only with views, by their arrays.  The constructor is
+    internal (outside code passes ``Clause`` objects or calls
+    ``clause_block``), and ``WcnfFormula`` checks the clauses."""
 
     __slots__ = ("_literals", "_offsets", "_weights")
 
@@ -152,11 +163,7 @@ class ClauseView(Sequence):
         return Clause(tuple(self._literals[start:end].tolist()), self._weights[i])
 
     def __iter__(self):
-        for start, literals, offsets in clause_chunks(self._literals, self._offsets):
-            flat = literals.tolist()
-            bounds = offsets.tolist()
-            lits = map(tuple, map(flat.__getitem__, map(slice, bounds, bounds[1:])))
-            yield from map(Clause, lits, self._weights[start:start + len(bounds) - 1])
+        return map(Clause, map(tuple, self.lists()), self._weights)
 
     def __eq__(self, other):
         if not isinstance(other, ClauseView):
@@ -172,6 +179,17 @@ class ClauseView(Sequence):
         """``(literals, offsets, weights)``: the stored arrays themselves,
         not to be modified."""
         return self._literals, self._offsets, self._weights
+
+    def lists(self):
+        """One new list of literals per clause, in order, made per chunk;
+        equal literals are one int object when ``_literal_table`` has a table."""
+        literals = self._literals
+        n = max(int(literals.max(initial=0)), -int(literals.min(initial=0)))
+        table = _literal_table(n, len(literals))
+        chunks = ((chunk.tolist() if table is None else table[chunk + n].tolist(), bounds.tolist())
+                  for _, chunk, bounds in clause_chunks(literals, self._offsets))
+        return chain.from_iterable(map(flat.__getitem__, map(slice, bounds, bounds[1:]))
+                                   for flat, bounds in chunks)
 
 
 def clause_block(literals, weights=None) -> ClauseView:
@@ -216,14 +234,14 @@ def _clause_view(clauses) -> ClauseView:
 class WcnfFormula:
     """Ordered weighted clause set.
 
-    ``clauses`` is any iterable of ``Clause``, or a ``ClauseView``; either
-    way the formula stores it as arrays and shows it as a ``ClauseView``
-    (see the module docstring).  ``top`` is the hard-clause sentinel weight
-    and must exceed the sum of all soft weights.  When not given it
-    defaults to that sum plus one.  Construction checks every clause:
-    nonempty, integer literals, no literal 0, no variable twice, every
-    variable within ``num_vars``, soft weights integers of at least 1.  A
-    bad formula raises the ``CnfError`` of its first bad clause.
+    ``clauses`` is any iterable of ``Clause``, or a ``ClauseView`` built in
+    ttsat; either way the formula stores it as arrays and shows it as a
+    ``ClauseView`` (see the module docstring).  ``top`` is the hard-clause
+    sentinel weight and must exceed the sum of all soft weights.  When not
+    given it defaults to that sum plus one.  Construction checks every
+    clause: nonempty, integer literals, no literal 0, no variable twice,
+    every variable within ``num_vars``, soft weights integers of at least
+    1.  A bad formula raises the ``CnfError`` of its first bad clause.
     ``soft_weights`` lists the soft clauses' weights in formula order.
 
     Given a ``ClauseView``, the formula takes over its literal and offset
@@ -250,7 +268,7 @@ class WcnfFormula:
             raise CnfError(f"num_vars={num_vars} does not fit in int64, as every literal must")
         source = self.clauses
         if isinstance(source, ClauseView):
-            literals, offsets, weights = _view_arrays(source, num_vars)
+            literals, offsets, weights = source.arrays()
         else:
             source = tuple(source)
             try:
@@ -263,10 +281,6 @@ class WcnfFormula:
         hard = np.fromiter(map(operator.is_, weights, repeat(None)),
                            dtype=bool, count=len(weights))
         soft_weights = list(compress(weights, (~hard).tolist()))
-        if not set(map(type, soft_weights)) <= {int}:
-            # only a view's weights can be other than int
-            _clause_check(source, num_vars)
-            raise CnfError(_VIEW_TYPES)
         bad = _first_bad_clause(literals, offsets, num_vars)
         if min(soft_weights, default=1) < 1:
             light = next(i for i, w in enumerate(weights) if w is not None and w < 1)
@@ -308,33 +322,6 @@ class WcnfFormula:
         if not len(literals):
             return np.zeros(0, dtype=bool)
         return np.logical_or.reduceat(truth[literals], offsets[:-1])
-
-
-_VIEW_TYPES = "a ClauseView needs int64 literals and weights that are int or None"
-
-
-def _view_arrays(view, num_vars):
-    """``view.arrays()``, once they are known to be clause arrays: 1-D int64
-    literals and offsets, the offsets running from 0 to the literal count
-    without decreasing, one weight per clause.  Other arrays raise
-    ``CnfError``: the per-clause check's, for a view that shows a literal
-    that is no integer, else one that names what the arrays lack.  The
-    formula checks the weights' types itself."""
-    try:
-        literals, offsets, weights = view.arrays()
-        cut = (isinstance(literals, np.ndarray) and literals.ndim == 1
-               and isinstance(offsets, np.ndarray) and offsets.ndim == 1
-               and offsets.dtype == np.int64 and len(offsets) == len(weights) + 1
-               and offsets[0] == 0 and offsets[-1] == len(literals)
-               and not (offsets[1:] < offsets[:-1]).any())
-    except (IndexError, TypeError, ValueError):
-        cut = False
-    if not cut:
-        raise CnfError("a ClauseView's offsets must cut its literals into one clause per weight")
-    if literals.dtype != np.int64:
-        _clause_check(view, num_vars)
-        raise CnfError(_VIEW_TYPES)
-    return literals, offsets, weights
 
 
 def _first_bad_clause(literals, offsets, num_vars):
@@ -425,8 +412,7 @@ def write_dimacs(formula: WcnfFormula, comments: tuple[str, ...] = ()) -> str:
     head += f"p wcnf {formula.num_vars} {len(formula.clauses)} {formula.top}\n"
     literals, offsets, weights = formula.clauses.arrays()
     n = formula.num_vars
-    table = (np.array([str(l) for l in range(-n, n + 1)], dtype=object)
-             if n <= len(literals) else None)
+    table = _literal_table(n, len(literals), str)
     weight_text = {w: str(formula.top if w is None else w) for w in set(weights)}
     pieces = [head]
     for start, lits, chunk in clause_chunks(literals, offsets):

@@ -252,10 +252,23 @@ def render_timetable(timetable: Timetable, instance: Instance, fmt: str = "text"
     return "\n".join(lines) + "\n"
 
 
+def _cell_sessions(cell, names):
+    """The session names in a cell, left to right: a "+"-separated piece
+    joins the next until it is a name, so "C++ lect. + B lect." holds two."""
+    token = None
+    for piece in cell.split("+"):
+        token = piece if token is None else token + "+" + piece
+        if token.strip() in names:
+            yield token.strip()
+            token = None
+    if token is not None:
+        raise TimetableFormatError(f"unknown session '{token.strip()}'")
+
+
 def parse_timetable_csv(text: str, instance: Instance) -> Timetable:
     """Inverse of render_timetable(..., fmt="csv"). Requires every session to
-    appear exactly once; a cell that is not one session's name may hold
-    several sessions joined by '+'."""
+    appear exactly once; a cell may hold several sessions joined by '+'
+    (``_cell_sessions``)."""
     token_to_sid = {instance.session_short(s.id): s.id for s in instance.sessions}
     slot_by_label = {t.label: t.id for t in instance.timeslots}
     room_by_label = {r.label: r.id for r in instance.rooms}
@@ -291,11 +304,7 @@ def parse_timetable_csv(text: str, instance: Instance) -> Timetable:
                 continue
             if col >= len(slot_ids):
                 raise TimetableFormatError(f"row '{room_label}' has too many columns")
-            # a label may hold "+" ("C++"): split only a cell that is no session
-            for token in [cell] if cell in token_to_sid else cell.split("+"):
-                token = token.strip()
-                if token not in token_to_sid:
-                    raise TimetableFormatError(f"unknown session '{token}'")
+            for token in _cell_sessions(cell, token_to_sid):
                 sid = token_to_sid[token]
                 if sid in placements:
                     raise TimetableFormatError(

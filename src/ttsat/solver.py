@@ -63,7 +63,7 @@ from itertools import compress, repeat
 import numpy as np
 
 from .cardinality import totalizer
-from .cnf import CnfError, WcnfFormula, clause_chunks, gc_paused, write_dimacs
+from .cnf import CnfError, WcnfFormula, gc_paused, write_dimacs
 
 
 class SolverError(RuntimeError):
@@ -171,36 +171,40 @@ class CdclSolver:
         self._rng = random.Random(seed)
 
     def ensure_vars(self, n: int) -> None:
+        """Make variables 1..n exist; SolverError if their lists cannot be allocated."""
         if n <= self.nvars:
             return
-        old = self.nvars
-        cap = len(self.vals) // 2
-        if n > cap:
-            # geometric growth: a run of new_var calls copies each literal
-            # slot O(1) times on average
-            cap = max(n, 2 * cap)
-            vals = [_UNASSIGNED] * (2 * cap + 1)
-            watches: list = [None] * (2 * cap + 1)
-            vals[:old + 1] = self.vals[:old + 1]
-            watches[:old + 1] = self.watches[:old + 1]
-            if old:
-                vals[-old:] = self.vals[-old:]
-                watches[-old:] = self.watches[-old:]
-            self.vals = vals
-            self.watches = watches
-        watches = self.watches
-        grow = n - old
-        self.level.extend([0] * grow)
-        self.reason.extend([None] * grow)
-        self.phase.extend([False] * grow)
-        self.seen.extend(bytes(grow))
-        for v in range(old + 1, n + 1):
-            watches[v] = []
-            watches[-v] = []
-            a = self._rng.random() * 1e-6
-            self.act.append(a)
-            heapq.heappush(self.heap, (-a, v))
-        self.nvars = n
+        try:
+            old = self.nvars
+            cap = len(self.vals) // 2
+            if n > cap:
+                # geometric growth: a run of new_var calls copies each literal
+                # slot O(1) times on average
+                cap = max(n, 2 * cap)
+                vals = [_UNASSIGNED] * (2 * cap + 1)
+                watches: list = [None] * (2 * cap + 1)
+                vals[:old + 1] = self.vals[:old + 1]
+                watches[:old + 1] = self.watches[:old + 1]
+                if old:
+                    vals[-old:] = self.vals[-old:]
+                    watches[-old:] = self.watches[-old:]
+                self.vals = vals
+                self.watches = watches
+            watches = self.watches
+            grow = n - old
+            self.level.extend([0] * grow)
+            self.reason.extend([None] * grow)
+            self.phase.extend([False] * grow)
+            self.seen.extend(bytes(grow))
+            for v in range(old + 1, n + 1):
+                watches[v] = []
+                watches[-v] = []
+                a = self._rng.random() * 1e-6
+                self.act.append(a)
+                heapq.heappush(self.heap, (-a, v))
+            self.nvars = n
+        except (MemoryError, OverflowError):
+            raise SolverError(f"cannot allocate {n} variables for the builtin solver") from None
 
     def new_var(self) -> int:
         self.ensure_vars(self.nvars + 1)
@@ -212,16 +216,13 @@ class CdclSolver:
         one fresh selector per soft clause, in formula order.
 
         Each soft clause becomes the hard clause ``(lits v sel)``.  The
-        clause lists, hard clauses first and then soft ones, each in
-        formula order, are slices of ``tolist()`` of each chunk of the
-        formula's literal array from ``cnf.clause_chunks``, taken through a
-        table of one int object per literal value, so that the lists share
-        those objects and the temporaries stay small.  ``WcnfFormula`` has
-        already ruled out non-integer literals, literal 0, repeated
-        variables and variables past ``num_vars``, so each clause of two or
-        more literals is watched as given, unassigned at level 0.  The hard
-        units go last, through ``add_clause``, whose propagation repairs
-        every watch they falsify.
+        clauses come from ``formula.clauses.lists()``, one new list each,
+        and are loaded hard clauses first and then soft ones, each in
+        formula order.  ``WcnfFormula`` has already ruled out non-integer
+        literals, literal 0, repeated variables and variables past
+        ``num_vars``, so each clause of two or more literals is watched as
+        given, unassigned at level 0.  The hard units go last, through
+        ``add_clause``, whose propagation repairs every watch they falsify.
 
         Each selector's activity then gains ``1e-3 * (1 + w / w_max)``, for
         its soft clause's weight ``w`` and the heaviest weight ``w_max``:
@@ -237,15 +238,8 @@ class CdclSolver:
         watches = self.watches
         orig = self.orig_clauses
         units = []
-        literals, offsets, weights = formula.clauses.arrays()
-        # one int object per literal value, indexed by the literal (-v from the end)
-        table = np.concatenate((np.arange(base + 1), np.arange(-base, 0))).astype(object)
-        lists = []
-        for _, chunk, bounds in clause_chunks(literals, offsets):
-            flat = table[chunk].tolist()
-            bounds = bounds.tolist()
-            lists += map(flat.__getitem__, map(slice, bounds, bounds[1:]))
-        is_hard = list(map(operator.is_, weights, repeat(None)))
+        lists = list(formula.clauses.lists())
+        is_hard = list(map(operator.is_, formula.clauses.arrays()[2], repeat(None)))
         clauses = list(compress(lists, is_hard))
         softs = list(compress(lists, map(operator.not_, is_hard)))
         for cl, sel in zip(softs, selectors):
@@ -668,8 +662,12 @@ def solve_maxsat(formula: WcnfFormula, cfg: SolverConfig | None = None) -> MaxSa
     Thresholds fall strictly between models and every core raises the lower
     bound, so the search ends.  When ``cfg.timeout`` runs out the result
     is INDETERMINATE, carrying the lower bound reached and the best model
-    found so far with its cost (both None with no model yet)."""
+    found so far with its cost (both None with no model yet); a timeout of
+    0 or less returns that at once, before the formula is loaded."""
     cfg = cfg or SolverConfig()
+    if cfg.timeout is not None and cfg.timeout <= 0:
+        # a spent budget: loading alone can take seconds
+        return MaxSatResult(MaxSatStatus.INDETERMINATE)
     base_n = formula.num_vars
     solver = CdclSolver(seed=cfg.seed)
     deadline = time.monotonic() + cfg.timeout if cfg.timeout is not None else None
@@ -752,7 +750,8 @@ def solve_external(formula: WcnfFormula, command: str,
     becomes the path of a WCNF file in a temporary directory, which is
     appended when no token names it and removed once the solver exits.  An
     empty or blank command raises ExternalSolverError.  ``timeout`` bounds
-    the solver process in wall-clock seconds; a timeout is INDETERMINATE.
+    the solver process in wall-clock seconds; a timeout is INDETERMINATE,
+    at once (no file, no process) when ``timeout`` is 0 or less.
     The solver's stdout goes to a file in the same directory and its stderr
     is discarded, and the call waits for the solver process to exit, not
     for its output to close: a child that outlives it and keeps the output
@@ -764,6 +763,8 @@ def solve_external(formula: WcnfFormula, command: str,
     tokens = shlex.split(command)
     if not tokens:
         raise ExternalSolverError("empty external solver command")
+    if timeout is not None and timeout <= 0:
+        return MaxSatResult(MaxSatStatus.INDETERMINATE)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "formula.wcnf")
         with open(path, "w", encoding="utf-8") as handle:

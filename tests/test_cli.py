@@ -437,6 +437,15 @@ class TestSolveWcnf:
         assert out == ""
         assert err == f"error: num_vars={2**63} does not fit in int64, as every literal must\n"
 
+    def test_num_vars_too_many_for_the_solver_exit_2(self, capsys, tmp_path):
+        # 2**62 variables fit int64 but no list the solver could allocate
+        wcnf = tmp_path / "big.wcnf"
+        wcnf.write_text(f"p wcnf {2**62} 1 2\n1 1 0\n", encoding="utf-8")
+        code, out, err = run(capsys, ["solve-wcnf", str(wcnf)])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot allocate {2**62 + 1} variables for the builtin solver\n"
+
 
 class TestUnwritableOutput:
     @pytest.mark.parametrize("command", ["encode", "gen", "sample"])

@@ -1,7 +1,9 @@
 import gc
+import operator
 import random
 import re
 import warnings
+from itertools import chain
 from unittest import mock
 
 import numpy as np
@@ -699,28 +701,6 @@ class TestClauseView:
             with pytest.raises(ValueError):
                 array[0] = 1
 
-    @pytest.mark.parametrize("literals, offsets, weights, message", [
-        ([1], [0, 1], [2.5], "soft clause weight must be an integer, got 2.5"),
-        ([1, 2], [0, 1, 2], [None, np.int64(3)],
-         "a ClauseView needs int64 literals and weights that are int or None"),
-        (np.array([1.5]), [0, 1], [None], "clause (1.5,) has a literal that is not an integer"),
-        (np.array([1, 2], dtype=np.int32), [0, 2], [None],
-         "a ClauseView needs int64 literals and weights that are int or None"),
-        ([1, 2], [0, 1], [None, None], "offsets must cut"),
-        ([1, 2], [0, 3], [None], "offsets must cut"),
-        ([1, 2], [1, 2], [None], "offsets must cut"),
-        ([1, 2, 3], [0, 2, 1, 3], [None, None, None], "offsets must cut"),
-        ([1, 2], np.array([0.0, 2.0]), [None], "offsets must cut"),
-        ([[1, 2]], [0, 1], [None], "offsets must cut"),
-    ])
-    def test_formula_checks_view_arrays(self, literals, offsets, weights, message):
-        def array(values):
-            return values if isinstance(values, np.ndarray) else np.array(values, dtype=np.int64)
-
-        view = cnf.ClauseView(array(literals), array(offsets), weights)
-        with pytest.raises(CnfError, match=re.escape(message)):
-            WcnfFormula(3, view)
-
     @settings(deadline=None)
     @given(well_formed_clauses(), st.integers(1, 5))
     def test_iteration_in_chunks(self, args, chunk):
@@ -729,6 +709,25 @@ class TestClauseView:
             f = WcnfFormula(n, clauses, top)
             assert tuple(f.clauses) == clauses
             assert f.soft_weights == [c.weight for c in clauses if not c.is_hard]
+
+    @settings(deadline=None)
+    @given(well_formed_clauses(), st.integers(1, 5))
+    # values past the small ints CPython caches: the table makes them shared
+    @example((1000, (Clause((999, -1000)),) * 500, None), 3)
+    # a variable past the literal count: no table
+    @example((2**62, (Clause((2**62, -1)), Clause((1,), 2)), None), 1)
+    def test_lists_walk_the_clauses(self, args, chunk):
+        n, clauses, top = args
+        view = WcnfFormula(n, clauses, top).clauses
+        with mock.patch.object(cnf, "CLAUSE_CHUNK", chunk):
+            lists = list(view.lists())
+            assert lists == [list(c.literals) for c in view]
+            again = list(view.lists())
+            assert lists == again and not any(map(operator.is_, lists, again))
+        literals = view.arrays()[0]
+        if max(map(abs, literals.tolist()), default=0) <= len(literals):
+            shared = {}
+            assert all(shared.setdefault(l, l) is l for l in chain.from_iterable(lists))
 
     @settings(deadline=None)
     @given(well_formed_clauses(), st.integers(1, 5) | st.just(10**6))

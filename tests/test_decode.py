@@ -263,3 +263,18 @@ class TestRender:
         text = render_timetable(timetable, instance, "csv")
         assert "C++ lect." in text
         assert parse_timetable_csv(text, instance).placements == timetable.placements
+
+    def test_double_booked_cell_with_a_label_holding_plus(self, sample_instance, sample_json):
+        # the cell "C++ lect. + CS202 lect." holds two sessions
+        instance = parse_instance(sample_json.replace('"CS101"', '"C++"'))
+        timetable = feasible_placement(sample_instance)
+        courses, _, _ = label_maps(instance)
+        a = courses["C++"].sessions[0]
+        b = courses["CS202"].sessions[0]
+        timetable.placements[a] = timetable.placements[b]
+        text = render_timetable(timetable, instance, "csv")
+        assert "C++ lect. + CS202 lect." in text
+        parsed = parse_timetable_csv(text, instance)
+        assert parsed.placements == timetable.placements
+        kinds = [v.kind for v in check_hard(parsed, instance)]
+        assert kinds.count(HardViolationKind.ROOM_CLASH) == 1

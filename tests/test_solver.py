@@ -29,6 +29,7 @@ from ttsat.model import gen_random_instance
 from ttsat.solver import (
     CdclSolver,
     ExternalSolverError,
+    MaxSatResult,
     MaxSatStatus,
     SatResult,
     SatStatus,
@@ -245,6 +246,15 @@ class TestSolveMaxsatExamples:
         assert res.status is MaxSatStatus.INDETERMINATE
         assert res.lower == 0 and (res.cost is None or res.cost >= 3)
         assert (res.cost is None) == (res.model is None)
+
+    @pytest.mark.parametrize("timeout", [0, -1.5])
+    def test_spent_timeout_loads_nothing(self, monkeypatch, timeout):
+        def load(self, formula):
+            raise AssertionError("loaded with no time left")
+
+        monkeypatch.setattr(CdclSolver, "load", load)
+        res = solve_maxsat(WEIGHTED, SolverConfig(timeout=timeout))
+        assert res == MaxSatResult(MaxSatStatus.INDETERMINATE)
 
     def test_model_cost_is_checked(self):
         res = solve_maxsat(WEIGHTED)
@@ -560,6 +570,16 @@ class TestLoad:
         expected += [(*c.literals, sel) for c, sel in zip(soft, selectors)]
         assert list(map(sorted, whole.orig_clauses)) == list(map(sorted, expected))
 
+    def test_failed_allocation_raises_solver_error(self):
+        class Full(list):
+            def extend(self, items):
+                raise MemoryError
+
+        solver = CdclSolver()
+        solver.level = Full(solver.level)
+        with pytest.raises(SolverError, match="cannot allocate 10 variables"):
+            solver.ensure_vars(10)
+
     @pytest.mark.parametrize("used", [
         lambda s: s.load(WEIGHTED),
         lambda s: s.new_var(),
@@ -694,6 +714,17 @@ class TestExternal:
         for command in ("", "  \t"):
             with pytest.raises(ExternalSolverError, match="empty external solver command"):
                 solve_external(WEIGHTED, command)
+
+    def test_spent_timeout_writes_and_starts_nothing(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work done with no time left")
+
+        monkeypatch.setattr(solver_module, "write_dimacs", forbidden)
+        monkeypatch.setattr(solver_module.subprocess, "Popen", forbidden)
+        res = solve_external(WEIGHTED, "/nonexistent/maxsat {input}", timeout=0)
+        assert res == MaxSatResult(MaxSatStatus.INDETERMINATE)
+        with pytest.raises(ExternalSolverError, match="empty external solver command"):
+            solve_external(WEIGHTED, " ", timeout=0)
 
     def test_unproven_model_is_indeterminate(self, tmp_path):
         stub = tmp_path / "stub.py"
