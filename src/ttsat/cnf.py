@@ -45,9 +45,9 @@ reader, so the clauses and the ``line N: ...`` errors are the same either
 way.  CRLF line ends are read in numpy, once each "\r\n" is made "\n".
 
 ``gc_paused`` switches the cyclic garbage collector off around the code
-that still builds one Python object per clause: the per-line reader and
-the solver's loading loop.  Such code allocates many objects and frees
-none, so the collector's passes over them find nothing to free.
+that builds one Python object per clause: the per-line reader and the
+builtin Max-SAT solve, whose solver keeps a list per clause to its end.
+Those objects form no cycles, so the collector's passes find nothing to free.
 """
 
 from __future__ import annotations
@@ -124,6 +124,11 @@ def clause_chunks(literals, offsets, step=None):
         yield start, literals[bounds[0]:bounds[-1]], bounds - bounds[0]
 
 
+def _largest_variable(literals) -> int:
+    """The largest ``abs`` of an int64 literal array, 0 when it is empty."""
+    return max(int(literals.max(initial=0)), -int(literals.min(initial=0)))
+
+
 def _literal_table(n, count, value=None):
     """``value(l)`` (``l`` when None) for each literal ``l`` in -n..n, indexed
     by ``l + n``; None when ``n`` passes ``count``, the literals it serves."""
@@ -184,7 +189,7 @@ class ClauseView(Sequence):
         """One new list of literals per clause, in order, made per chunk;
         equal literals are one int object when ``_literal_table`` has a table."""
         literals = self._literals
-        n = max(int(literals.max(initial=0)), -int(literals.min(initial=0)))
+        n = _largest_variable(literals)
         table = _literal_table(n, len(literals))
         chunks = ((chunk.tolist() if table is None else table[chunk + n].tolist(), bounds.tolist())
                   for _, chunk, bounds in clause_chunks(literals, self._offsets))
@@ -242,7 +247,8 @@ class WcnfFormula:
     clause: nonempty, integer literals, no literal 0, no variable twice,
     every variable within ``num_vars``, soft weights integers of at least
     1.  A bad formula raises the ``CnfError`` of its first bad clause.
-    ``soft_weights`` lists the soft clauses' weights in formula order.
+    ``soft_weights`` lists the soft clauses' weights in formula order, and
+    ``max_var`` is the largest variable a clause holds (0 with no clauses).
 
     Given a ``ClauseView``, the formula takes over its literal and offset
     arrays: it stores them as they are, not copies, and clears their
@@ -257,6 +263,7 @@ class WcnfFormula:
     top: int | None = None
     soft_weights: list = field(init=False, repr=False, compare=False)
     soft_weight_sum: int = field(init=False, repr=False, compare=False)
+    max_var: int = field(init=False, repr=False, compare=False)
     # per clause, whether it is hard
     _hard: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -296,6 +303,7 @@ class WcnfFormula:
         object.__setattr__(self, "top", top)
         object.__setattr__(self, "soft_weights", soft_weights)
         object.__setattr__(self, "soft_weight_sum", soft_sum)
+        object.__setattr__(self, "max_var", _largest_variable(literals))
         object.__setattr__(self, "_hard", hard)
 
     def hard_satisfied(self, assignment) -> bool:
@@ -332,7 +340,7 @@ def _first_bad_clause(literals, offsets, num_vars):
     variable) keys would pass int64: only where variables pass about
     2**63 / CLAUSE_CHUNK, down to one clause a chunk near 2**63."""
     # the keys hold no variable above this: one outside 1..num_vars becomes 0
-    largest = min(num_vars, max(int(literals.max(initial=0)), -int(literals.min(initial=0))))
+    largest = min(num_vars, _largest_variable(literals))
     step = max(1, min(CLAUSE_CHUNK, _INT64_MAX // (largest + 1)))
     for start, chunk, bounds in clause_chunks(literals, offsets, step):
         bad = _first_bad_in_chunk(chunk, bounds, num_vars)
@@ -464,8 +472,7 @@ def parse_dimacs(text: str) -> WcnfFormula:
         clauses = [c for block in blocks for c in block]
     if num_vars is None:
         if isinstance(clauses, ClauseView):
-            literals = clauses.arrays()[0]
-            num_vars = max(int(literals.max(initial=0)), -int(literals.min(initial=0)))
+            num_vars = _largest_variable(clauses.arrays()[0])
         else:
             num_vars = max((abs(l) for c in clauses for l in c.literals), default=0)
     return WcnfFormula(num_vars, clauses, top)

@@ -34,7 +34,8 @@ deadline from ``SolverConfig.timeout``.
 A ``CdclSolver`` is filled in two ways only: ``load`` puts a whole checked
 ``WcnfFormula`` into a fresh solver in one pass, with no per-literal checks,
 and ``add_clause`` keeps its full checks for everything added one clause at
-a time (the cores' totalizers).
+a time (the cores' totalizers).  A clause given lives only in its watch
+lists, and the selectors come after the largest variable a clause holds.
 
 Every Max-SAT answer is one ``MaxSatResult``: a status, the model as a plain
 ``{var: bool}`` dict, that model's cost, and a proven lower bound.
@@ -143,6 +144,7 @@ class CdclSolver:
     """Incremental CDCL solver over hard clauses.
 
     Clauses may be added between solve() calls; learned clauses persist.
+    A clause given lives only in the watch lists of its first two literals.
     Everything is deterministic for a fixed seed and call sequence.
     """
 
@@ -165,7 +167,6 @@ class CdclSolver:
         self.heap: list[tuple[float, int]] = []
         self.var_inc = 1.0
         self.total_conflicts = 0
-        self.orig_clauses: list[list[int]] = []
         self.learned: list[list[int]] = []
         self.max_learned = 8000
         self._rng = random.Random(seed)
@@ -210,10 +211,10 @@ class CdclSolver:
         self.ensure_vars(self.nvars + 1)
         return self.nvars
 
-    @gc_paused()
     def load(self, formula: WcnfFormula) -> list[int]:
         """Load a checked formula into a fresh solver in one pass and return
-        one fresh selector per soft clause, in formula order.
+        one fresh selector per soft clause, in formula order, numbered after
+        ``formula.max_var``, the largest variable a clause holds.
 
         Each soft clause becomes the hard clause ``(lits v sel)``.  The
         clauses come from ``formula.clauses.lists()``, one new list each,
@@ -232,11 +233,10 @@ class CdclSolver:
         still orders equal weights by the solver's seed."""
         if self.nvars or not self.ok:
             raise ValueError("load needs a fresh solver")
-        base = formula.num_vars
+        base = formula.max_var
         self.ensure_vars(base + len(formula.soft_weights))
         selectors = list(range(base + 1, self.nvars + 1))
         watches = self.watches
-        orig = self.orig_clauses
         units = []
         lists = list(formula.clauses.lists())
         is_hard = list(map(operator.is_, formula.clauses.arrays()[2], repeat(None)))
@@ -249,7 +249,6 @@ class CdclSolver:
             if len(cl) == 1:
                 units.append(cl)
             else:
-                orig.append(cl)
                 watches[cl[0]].append(cl)
                 watches[cl[1]].append(cl)
         for cl in units:
@@ -294,7 +293,6 @@ class CdclSolver:
                 self.ok = False
                 return False
             return True
-        self.orig_clauses.append(cl)
         self.watches[cl[0]].append(cl)
         self.watches[cl[1]].append(cl)
         return True
@@ -492,9 +490,6 @@ class CdclSolver:
             _, v = heapq.heappop(heap)
             if vals[v] == _UNASSIGNED:
                 return v
-        for v in range(1, self.nvars + 1):
-            if vals[v] == _UNASSIGNED:
-                return v
         return 0
 
     def _analyze_final(self, p: int) -> list[int]:
@@ -520,23 +515,18 @@ class CdclSolver:
         return core
 
     def _reduce_db(self) -> None:
+        """Discard the longer half of the learned clauses, by length, but
+        keep every reason and every binary.  A discarded clause leaves the
+        watch lists of its first two literals; no other clause moves."""
         locked = {id(self.reason[abs(l)]) for l in self.trail if self.reason[abs(l)] is not None}
         ranked = sorted(self.learned, key=len)
         keep_n = len(ranked) // 2
-        kept = []
-        for i, c in enumerate(ranked):
-            if i < keep_n or id(c) in locked or len(c) <= 2:
-                kept.append(c)
-        self.learned = kept
-        for l in range(-self.nvars, self.nvars + 1):
-            if l != 0:
-                self.watches[l] = []
-        for c in self.orig_clauses:
-            self.watches[c[0]].append(c)
-            self.watches[c[1]].append(c)
-        for c in self.learned:
-            self.watches[c[0]].append(c)
-            self.watches[c[1]].append(c)
+        gone = {id(c): c for i, c in enumerate(ranked)
+                if i >= keep_n and id(c) not in locked and len(c) > 2}
+        self.learned = [c for c in ranked if id(c) not in gone]
+        watches = self.watches
+        for l in {l for c in gone.values() for l in c[:2]}:
+            watches[l] = [c for c in watches[l] if id(c) not in gone]
 
     def solve(self, assumptions=(), deadline: float | None = None) -> SatResult:
         """Solve under assumptions, or give up with INDETERMINATE once the
@@ -633,10 +623,6 @@ def brute_force_maxsat(formula: WcnfFormula) -> MaxSatResult:
     return MaxSatResult(MaxSatStatus.OPTIMUM, best_cost, assignment, best_cost)
 
 
-def _restrict(model: dict[int, bool], n: int) -> dict[int, bool]:
-    return {v: model[v] for v in range(1, n + 1)}
-
-
 def _checked(formula: WcnfFormula, model: dict[int, bool]) -> dict[int, bool]:
     """The optimizer's model, once it satisfies every hard clause."""
     if not formula.hard_satisfied(model):
@@ -644,6 +630,7 @@ def _checked(formula: WcnfFormula, model: dict[int, bool]) -> dict[int, bool]:
     return model
 
 
+@gc_paused()
 def solve_maxsat(formula: WcnfFormula, cfg: SolverConfig | None = None) -> MaxSatResult:
     """Exact weighted partial Max-SAT: minimize falsified soft weight by
     stratified core-guided OLL.
@@ -668,9 +655,14 @@ def solve_maxsat(formula: WcnfFormula, cfg: SolverConfig | None = None) -> MaxSa
     if cfg.timeout is not None and cfg.timeout <= 0:
         # a spent budget: loading alone can take seconds
         return MaxSatResult(MaxSatStatus.INDETERMINATE)
-    base_n = formula.num_vars
     solver = CdclSolver(seed=cfg.seed)
     deadline = time.monotonic() + cfg.timeout if cfg.timeout is not None else None
+    used, n = formula.max_var, formula.num_vars
+    try:  # the declared variables no clause holds, False in every model
+        unused = dict(zip(range(used + 1, n + 1), [False] * (n - used)))
+    except (MemoryError, OverflowError):
+        raise SolverError(f"cannot allocate {n + len(formula.soft_weights)} variables "
+                          "for the builtin solver") from None
 
     # each soft clause keeps one selector for the run: (lits v sel); assuming
     # -sel re-activates it.  Cores are reported in terms of those assumptions.
@@ -693,7 +685,7 @@ def solve_maxsat(formula: WcnfFormula, cfg: SolverConfig | None = None) -> MaxSa
             model = None if best_model is None else _checked(formula, best_model)
             return MaxSatResult(MaxSatStatus.INDETERMINATE, best_cost, model, lower)
         if res.status is SatStatus.SAT:
-            model = _restrict(res.model, base_n)
+            model = {v: res.model[v] for v in range(1, used + 1)} | unused
             true_cost = formula.falsified_weight(model)
             if true_cost < lower:
                 raise SolverInternalError(

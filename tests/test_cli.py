@@ -314,6 +314,24 @@ class TestValidate:
         assert err.startswith("error: malformed CSV: field larger than field limit")
 
 
+class TestInputErrors:
+    @pytest.mark.parametrize("command, instance, grid, message", [
+        ("solve", sample_text().replace('"students": ', '"students": -'), None,
+         "registration #0: students must be positive"),
+        ("validate", sample_text(), "room,t1\nr9,CS101 lect.\n", "unknown room 'r9'"),
+    ], ids=["instance", "timetable"])
+    def test_exit_2(self, capsys, tmp_path, command, instance, grid, message):
+        argv = [command, str(tmp_path / "instance.json")]
+        (tmp_path / "instance.json").write_text(instance, encoding="utf-8")
+        if grid is not None:
+            argv.append(str(tmp_path / "grid.csv"))
+            (tmp_path / "grid.csv").write_text(grid, encoding="utf-8")
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+
 class TestGen:
     ARGS = ["gen", "--seed", "7", "--days", "2", "--slots-per-day", "2",
             "--rooms", "2", "--courses", "3", "--curricula", "2", "--density", "0.5"]

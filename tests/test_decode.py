@@ -240,6 +240,21 @@ class TestRender:
         with pytest.raises(TimetableFormatError, match="unknown session"):
             parse_timetable_csv(text.replace("CS101 lect.", "CS999 lect."), sample_instance)
 
+    @pytest.mark.parametrize("text, message", [
+        ("o 3\n", "no timetable grid found (header row starts with 'room')"),
+        ("room\n", "header must list at least one timeslot"),
+        ("room,t1,t9\n", "unknown timeslot 't9' in header"),
+        ("room,t1\nr9,CS101 lect.\n", "unknown room 'r9'"),
+        ("room,t1\nr1,,CS101 lect.\n", "row 'r1' has too many columns"),
+        ("room,t1,t2\nr1,CS101 lect.,CS101 lect.\n",
+         "session 'CS101 lect.' appears more than once"),
+    ], ids=["no-grid", "no-timeslot", "unknown-timeslot", "unknown-room", "too-many-columns",
+            "session-twice"])
+    def test_parse_input_error(self, sample_instance, text, message):
+        with pytest.raises(TimetableFormatError) as exc:
+            parse_timetable_csv(text, sample_instance)
+        assert str(exc.value) == message
+
     def test_parse_rejects_missing_session(self, sample_instance):
         text = render_timetable(feasible_placement(sample_instance), sample_instance, "csv")
         with pytest.raises(TimetableFormatError, match="not total"):

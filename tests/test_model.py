@@ -46,7 +46,71 @@ RESOLVED_RULES = [
 ]
 
 
+def set_in(path, value):
+    """A change that sets the value at ``path`` in a document and returns it."""
+    def change(doc):
+        *parents, last = path
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        return doc
+    return change
+
+
+def drop_key(key):
+    """A change that deletes a top-level key of a document and returns it."""
+    def change(doc):
+        del doc[key]
+        return doc
+    return change
+
+
+# input errors raised while the document is read, each with its message
+INPUT_ERRORS = [
+    pytest.param(lambda doc: [doc], "instance: expected an object", id="not-an-object"),
+    pytest.param(drop_key("rooms"), "instance: missing key 'rooms'", id="missing-key"),
+    pytest.param(set_in(["days"], "d1"), "instance: key 'days' has the wrong type",
+                 id="wrong-type"),
+    pytest.param(set_in(["days"], []), "at least one day is required", id="no-day"),
+    pytest.param(set_in(["timeslots"], []), "at least one timeslot is required",
+                 id="no-timeslot"),
+    pytest.param(set_in(["rooms", 0, "capacity"], -1),
+                 "room 'r1': capacity must be nonnegative", id="negative-capacity"),
+    pytest.param(set_in(["courses", 0, "lecture", "enrollment"], -1),
+                 "course 'CS101' lecture: enrollment must be nonnegative",
+                 id="negative-enrollment"),
+    pytest.param(set_in(["courses", 0, "second", "forbidden"], ["t9"]),
+                 "course 'CS101' second session: unknown forbidden timeslot 't9'",
+                 id="unknown-forbidden-timeslot"),
+    pytest.param(set_in(["courses", 0, "curriculum"], "k9"),
+                 "course 'CS101' references unknown curriculum 'k9'",
+                 id="unknown-curriculum"),
+    pytest.param(set_in(["registrations", 0, "students"], 0),
+                 "registration #0: students must be positive", id="no-students"),
+]
+
+
 class TestParse:
+    @pytest.mark.parametrize("breaks, message", INPUT_ERRORS)
+    def test_input_error(self, sample_json, breaks, message):
+        doc = breaks(doc_of(sample_json))
+        with pytest.raises(ParseError) as exc:
+            parse_instance(json.dumps(doc))
+        assert str(exc.value) == message
+
+    def test_lab_and_forbidden_are_optional(self, sample_json):
+        doc = doc_of(sample_json)
+        for room in doc["rooms"]:
+            if not room["lab"]:
+                del room["lab"]
+        for course in doc["courses"]:
+            for session in (course["lecture"], course["second"]):
+                del session["forbidden"]
+        instance = parse_instance(json.dumps(doc))
+        assert [r.is_lab for r in instance.rooms] == [False, False, True, True]
+        assert all(not s.forbidden_timeslots for s in instance.sessions)
+
     def test_sample_counts(self, sample_instance):
         i = sample_instance
         assert len(i.days) == 3

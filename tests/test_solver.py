@@ -125,6 +125,30 @@ class TestSolveSat:
         assert solver.solve().status is SatStatus.UNSAT
 
 
+def watchers(solver):
+    """Per clause in the solver's watch lists, by identity: the clause and
+    the literals whose watch lists hold it."""
+    found = {}
+    for l in range(-solver.nvars, solver.nvars + 1):
+        if l:
+            for c in solver.watches[l]:
+                found.setdefault(id(c), (c, []))[1].append(l)
+    return found
+
+
+def watched_clauses(solver):
+    """Each clause in the solver's watch lists once, by identity."""
+    return [c for c, _ in watchers(solver).values()]
+
+
+def loaded_clauses(formula, selectors):
+    """The clauses ``load`` watches, in load order: the hard clauses of two
+    or more literals, then each soft clause with its selector."""
+    hard = [c.literals for c in formula.clauses if c.is_hard and len(c.literals) > 1]
+    soft = [c for c in formula.clauses if not c.is_hard]
+    return [list(lits) for lits in hard] + [[*c.literals, sel] for c, sel in zip(soft, selectors)]
+
+
 def brute_force_sat(num_vars, clauses):
     """SAT/UNSAT by exhaustive enumeration, through the numpy oracle."""
     formula = WcnfFormula(num_vars, tuple(Clause(tuple(c)) for c in clauses))
@@ -213,6 +237,96 @@ class TestCdclSolver:
                 assert set(res.core) <= set(assumptions)
                 assert solve_clauses(clauses, res.core).status is SatStatus.UNSAT
 
+    def test_search_stops_at_its_deadline(self, monkeypatch):
+        # a clock that ticks one second per reading: the entry check reads
+        # 0, and the check every 128 conflicts reads 1, past the deadline
+        ticks = itertools.count()
+        monkeypatch.setattr(solver_module, "time",
+                            types.SimpleNamespace(monotonic=lambda: float(next(ticks))))
+        solver = CdclSolver()
+        for c in php(7):
+            solver.add_clause(c)
+        assert solver.solve(deadline=0.5).status is SatStatus.INDETERMINATE
+        assert solver.total_conflicts == 128
+        assert solver.lim == []
+        # a second bounded call goes on from the clauses learned so far
+        assert solver.solve(deadline=2.5).status is SatStatus.INDETERMINATE
+        assert solver.total_conflicts == 256
+        assert solver.lim == []
+
+    def test_add_clause_normalises(self):
+        solver = CdclSolver()
+        assert solver.add_clause([1, -1, 2]) is True  # a tautology adds nothing
+        assert watched_clauses(solver) == []
+        assert solver.add_clause([1, 1, 2]) is True
+        assert watched_clauses(solver) == [[1, 2]]
+        assert solver.watches[1] == [[1, 2]] and solver.watches[2] == [[1, 2]]
+
+
+def checked_reductions(solver):
+    """Check the watch lists around each of the solver's clause-database
+    reductions; returns the list that receives, per reduction, the number
+    of learned clauses it discarded."""
+    reductions = []
+    reduce_db = solver._reduce_db
+
+    def checked():
+        before = watchers(solver).keys()
+        learned = {id(c) for c in solver.learned}
+        assert learned <= before
+        reduce_db()
+        dropped = learned - {id(c) for c in solver.learned}
+        # every clause but the discarded ones is still watched, and by
+        # exactly its first two literals, once each
+        after = watchers(solver)
+        assert after.keys() == before - dropped
+        for c, lits in after.values():
+            assert len(c) >= 2 and sorted(lits) == sorted(c[:2])
+        reductions.append(len(dropped))
+
+    solver._reduce_db = checked
+    return reductions
+
+
+class TestReduceDb:
+    @pytest.mark.parametrize("holes", [5, 6])
+    def test_pigeonhole_with_a_small_database(self, holes):
+        solver = CdclSolver()
+        solver.max_learned = 4
+        reductions = checked_reductions(solver)
+        for c in php(holes):
+            solver.add_clause(c)
+        assert solver.solve().status is SatStatus.UNSAT
+        assert len(reductions) > 1 and sum(reductions) > 0
+
+    def test_random_formulas_under_assumptions_against_brute_force(self):
+        rng = random.Random(7)
+        reductions = []
+        for _ in range(40):
+            n = rng.randint(12, 18)
+            clauses = [[v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3)]
+                       for _ in range(round(4.26 * n))]
+            solver = CdclSolver(seed=rng.randrange(4))
+            solver.max_learned = 2
+            for c in clauses:
+                solver.add_clause(c)
+            counts = checked_reductions(solver)
+            for _ in range(2):  # learned clauses, pruned, carry to the next call
+                assumptions = [v if rng.random() < 0.5 else -v
+                               for v in rng.sample(range(1, n + 1), 3)]
+                res = solver.solve(assumptions)
+                units = [(a,) for a in assumptions]
+                assert (res.status is SatStatus.SAT) == brute_force_sat(n, clauses + units)
+                if res.status is SatStatus.SAT:
+                    for c in clauses + units:
+                        assert any(res.model[abs(l)] == (l > 0) for l in c)
+                else:
+                    assert res.status is SatStatus.UNSAT
+                    assert set(res.core) <= set(assumptions)
+                    assert solve_clauses(clauses, res.core).status is SatStatus.UNSAT
+            reductions += counts
+        assert len(reductions) > 20 and sum(reductions) > 20
+
 
 class TestSolveMaxsatExamples:
     def test_all_soft_cost_one(self):
@@ -289,6 +403,19 @@ class TestSolveMaxsatExamples:
         with pytest.raises(SolverInternalError, match="violates a hard clause"):
             solve_maxsat(HARD_VIOLATED_BY_ALL_FALSE)
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("timeout", [None, 0.05])
+    def test_solve_leaves_no_cyclic_garbage(self, sample_weighted, timeout):
+        # solve_maxsat pauses the collector, so all it makes must go by refcount
+        was = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            solve_maxsat(sample_weighted[0], SolverConfig(timeout=timeout))
+            assert gc.collect() == 0
+        finally:
+            if was:
+                gc.enable()
 
     def test_solver_freed_without_gc(self, monkeypatch):
         # a 9-clause core is relaxed with a totalizer drawing from solver.new_var
@@ -416,7 +543,7 @@ class TestOll:
             selectors = load(self, formula)
             # every clause load watched as given; its hard units went
             # through add_clause
-            added.extend(list(cl) for cl in self.orig_clauses)
+            added.extend(list(cl) for cl in watched_clauses(self))
             return selectors
 
         monkeypatch.setattr(CdclSolver, "add_clause", recording_add_clause)
@@ -549,26 +676,49 @@ class TestLoad:
         formula = WcnfFormula(3, (Clause((1, 2)), Clause((-1,), 2), Clause((3,), 1)))
         solver = CdclSolver()
         assert solver.load(formula) == [4, 5]
-        assert sorted(map(sorted, solver.orig_clauses)) == [[-1, 4], [1, 2], [3, 5]]
+        assert sorted(map(sorted, watched_clauses(solver))) == [[-1, 4], [1, 2], [3, 5]]
+
+    def test_selectors_follow_the_largest_variable_a_clause_holds(self):
+        # one soft unit over a million declared variables: the solver holds
+        # x1 and its selector, and the model sets every other variable False
+        n = 10**6
+        formula = WcnfFormula(n, (Clause((1,), 1),))
+        solver = CdclSolver()
+        assert solver.load(formula) == [2]
+        assert solver.nvars == 2
+        res = solve_maxsat(formula)
+        assert (res.status, res.cost, res.lower) == (MaxSatStatus.OPTIMUM, 0, 0)
+        assert len(res.model) == n
+        assert res.model[1] is True
+        assert not any(res.model[v] for v in range(2, n + 1))
 
     @pytest.mark.parametrize("chunk", [1, 2, 5])
     def test_loads_in_chunks_like_all_at_once(self, monkeypatch, chunk):
         formula = random_wcnf(random.Random(chunk), max_vars=10, max_clauses=40)
-        whole = CdclSolver()
-        selectors = whole.load(formula)
-        monkeypatch.setattr(cnf, "CLAUSE_CHUNK", chunk)
-        chunked = CdclSolver()
-        assert chunked.load(formula) == selectors
-        assert chunked.orig_clauses == whole.orig_clauses
-        assert chunked.trail == whole.trail
-        # the hard clauses, then the soft ones with their selectors; units
-        # are not kept as clauses, and propagation reorders a clause's
-        # literals for its watches
-        hard = [c for c in formula.clauses if c.is_hard]
-        soft = [c for c in formula.clauses if not c.is_hard]
-        expected = [c.literals for c in hard if len(c.literals) > 1]
-        expected += [(*c.literals, sel) for c, sel in zip(soft, selectors)]
-        assert list(map(sorted, whole.orig_clauses)) == list(map(sorted, expected))
+        # the same clauses less the hard units, whose propagation at load
+        # moves watches: every clause stays where load put it
+        no_units = WcnfFormula(formula.num_vars, tuple(
+            c for c in formula.clauses if not c.is_hard or len(c.literals) > 1))
+        default = cnf.CLAUSE_CHUNK
+        for f in (formula, no_units):
+            monkeypatch.setattr(cnf, "CLAUSE_CHUNK", default)
+            whole = CdclSolver()
+            selectors = whole.load(f)
+            monkeypatch.setattr(cnf, "CLAUSE_CHUNK", chunk)
+            chunked = CdclSolver()
+            assert chunked.load(f) == selectors
+            assert chunked.watches == whole.watches
+            assert chunked.trail == whole.trail
+            # the hard clauses, then the soft ones with their selectors;
+            # units are not kept as clauses, and propagation reorders a
+            # clause's literals for its watches
+            expected = loaded_clauses(f, selectors)
+            assert sorted(map(sorted, watched_clauses(whole))) == sorted(map(sorted, expected))
+        # with no units (the last formula), each watch list holds its
+        # clauses as given, in load order
+        for l in range(-whole.nvars, whole.nvars + 1):
+            if l:
+                assert whole.watches[l] == [c for c in expected if l in c[:2]]
 
     def test_failed_allocation_raises_solver_error(self):
         class Full(list):
