@@ -38,7 +38,6 @@ from .solver import (  # noqa: F401
     SatResult,
     SatStatus,
     SolverConfig,
-    brute_force_maxsat,
     solve_external,
     solve_maxsat,
 )

@@ -4,8 +4,13 @@
   Pairwise (no auxiliary variables) for up to 8 literals, a totalizer above.
 * ``totalizer``: a balanced merge tree whose root outputs form a unary
   counter of a literal set, encoded in both directions (Bailleux &
-  Boufkhad, CP 2003).  The solver's OLL engine builds one over each core;
-  any bound is one unit clause on its outputs.
+  Boufkhad, CP 2003).  Any bound is one unit clause on its outputs.  With
+  ``cap`` every node keeps at most ``cap`` outputs, which still bounds the
+  count at any k < cap (Martins et al., CP 2014).  A ``Totalizer`` keeps
+  its merge tree and raises its cap in place, adding only the clauses of
+  the new outputs.  The solver's OLL engine keeps one over each core,
+  capped one output past the bound it uses; the encoder's ``exactly_one``
+  counts in full.
 
 Clauses are tuples of signed ints; ``alloc`` is a zero-argument callable
 returning a fresh variable.  Both encodings have the projection property:
@@ -44,40 +49,87 @@ def exactly_one(lits, alloc) -> list[tuple[int, ...]]:
     return clauses
 
 
-def totalizer(lits, alloc):
+def totalizer(lits, alloc, cap=None):
     """Unary counter ``(clauses, outputs)``: outputs[i] <=> "at least i+1 of
-    ``lits`` are true"; the caller sets any bound (a lone literal counts itself)."""
-    clauses: list[tuple[int, ...]] = []
-    return clauses, _totalizer_node(list(lits), alloc, clauses)
+    ``lits`` are true"; the caller sets any bound (a lone literal counts itself).
+
+    With ``cap`` every node keeps at most ``cap`` outputs, so the counter
+    reads "at least 1" to "at least cap" and can bound the count at any
+    k < cap; None counts every literal."""
+    counter = Totalizer(lits)
+    return counter.count_to(cap, alloc), counter.outputs
 
 
-def _totalizer_node(segment, alloc, clauses):
-    # Balanced merge tree; node outputs o[0..s-1] with o[i] <=> "at least i+1
-    # true" over the node's leaves, constrained in both directions.  A plain
-    # recursive function, not a closure: a self-referencing closure is a
-    # reference cycle that would keep ``alloc``'s owner (a solver) alive
-    # until the next full garbage collection.
+class Totalizer:
+    """A ``totalizer`` over ``lits`` kept as its merge tree, so that it can
+    count further later: ``count_to`` returns only the clauses of the
+    outputs it adds (Martins et al., CP 2014).  ``outputs`` starts empty
+    (the lone literal for one literal) and grows in place."""
+
+    __slots__ = ("lits", "_root")
+
+    def __init__(self, lits):
+        self.lits = list(lits)
+        self._root = _totalizer_tree(self.lits)
+
+    @property
+    def outputs(self) -> list[int]:
+        return self._root[0]
+
+    def count_to(self, cap, alloc) -> list[tuple[int, ...]]:
+        """Clauses that give every node up to ``cap`` outputs (None: all);
+        the clauses returned earlier stay as they are."""
+        clauses: list[tuple[int, ...]] = []
+        _count_to(self._root, len(self.lits) if cap is None else cap, alloc, clauses)
+        return clauses
+
+
+def _totalizer_tree(segment):
+    # Balanced merge tree of [outputs, left, right, leaves] nodes; a leaf's
+    # outputs are its literal
     if len(segment) == 1:
-        return [segment[0]]
+        return [[segment[0]], None, None, 1]
     mid = len(segment) // 2
-    left = _totalizer_node(segment[:mid], alloc, clauses)
-    right = _totalizer_node(segment[mid:], alloc, clauses)
+    return [[], _totalizer_tree(segment[:mid]), _totalizer_tree(segment[mid:]), len(segment)]
+
+
+def _count_to(node, cap, alloc, clauses):
+    # Node outputs o[0..s-1] with o[i] <=> "at least i+1 true" over the
+    # node's leaves, s = min(leaves, cap), constrained in both directions.
+    # The clause of a pair (i, j) of child counts is the same at any cap
+    # that has it, so a node that grows from (p0, q0, s0) emits only the
+    # pairs that (p0, q0, s0) lacked.  A plain recursive function, not a
+    # closure: a self-referencing closure is a reference cycle that would
+    # keep ``alloc``'s owner (a solver) alive until the next full garbage
+    # collection.
+    out, left_node, right_node, leaves = node
+    s0 = len(out)
+    if s0 >= min(leaves, cap):
+        return
+    left, right = left_node[0], right_node[0]
+    p0, q0 = len(left), len(right)
+    _count_to(left_node, cap, alloc, clauses)
+    _count_to(right_node, cap, alloc, clauses)
     p, q = len(left), len(right)
-    out = [alloc() for _ in range(p + q)]
+    s = min(p + q, cap)
+    out += [alloc() for _ in range(s - s0)]
     for i in range(p + 1):
-        for j in range(q + 1):
-            if i + j >= 1:
+        # a pair the node had (i <= p0, j <= q0) already has its up clause
+        # if i+j <= s0 and its down clause if i+j < s0
+        up_from = min(q0, s0 - i) + 1 if i <= p0 else 0
+        down_from = min(q0, s0 - i - 1) + 1 if i <= p0 else 0
+        for j in range(min(q, s - i) + 1):
+            if i + j >= 1 and j >= up_from:
                 ante = []
                 if i:
                     ante.append(-left[i - 1])
                 if j:
                     ante.append(-right[j - 1])
                 clauses.append(tuple(ante + [out[i + j - 1]]))
-            if i + j + 1 <= p + q:
+            if i + j < s and j >= down_from:
                 head = []
                 if i < p:
                     head.append(left[i])
                 if j < q:
                     head.append(right[j])
                 clauses.append(tuple(head + [-out[i + j]]))
-    return out

@@ -103,9 +103,6 @@ class Clause:
     def is_hard(self) -> bool:
         return self.weight is None
 
-    def satisfied_by(self, assignment) -> bool:
-        return any(assignment[abs(l)] == (l > 0) for l in self.literals)
-
 
 def _offsets(lengths) -> np.ndarray:
     """Clause offsets from clause lengths: 0, then their running sum."""

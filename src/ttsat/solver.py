@@ -13,6 +13,11 @@ conflicts bump other variables past them, the unassumed selectors are set
 to keep their soft clauses, heaviest first, and a model breaks only the
 soft clauses that propagation forces it to break.
 
+Propagation walks each watch list once.  The watchers that stay are
+collected into a fresh list that replaces the old one, and on a conflict
+the watchers not yet visited follow them unchanged, so the lists keep
+their order and no index bookkeeping is needed.
+
 Its per-variable bookkeeping is amortized O(1): the literal-indexed arrays
 grow by doubling their capacity, not by one variable at a time, and the lazy
 branching heap gets an entry for a variable each time it is unassigned, at
@@ -24,10 +29,14 @@ activity rescale), so stale entries never dominate it.
 One exact optimizer sits on top of it: stratified core-guided OLL.  Each
 soft clause keeps one selector for the run, and a core of several members,
 as the SAT core reports it, gets one totalizer whose "at most one member
-violated" output becomes a weighted assumption.  After a model, the next
-stratum is the heaviest weight left on an assumption that model makes
-false, so strata it already satisfies cost no SAT call, and a model that
-makes none false is optimal.  The model it returns, optimal or best so
+violated" output becomes a weighted assumption.  A core's totalizer counts
+only up to the bound in use plus one (Martins et al., CP 2014): it starts
+with two outputs per node, and when a core raises its bound to "at most
+k+1" past its outputs, the same totalizer grows in place to k+2 outputs
+per node, adding only the clauses of its new outputs.  After a model, the
+next stratum is the heaviest weight left on an assumption that model
+makes false, so strata it already satisfies cost no SAT call, and a model
+that makes none false is optimal.  The model it returns, optimal or best so
 far, must satisfy every hard clause.  The only budget is the wall-clock
 deadline from ``SolverConfig.timeout``.
 
@@ -40,10 +49,8 @@ lists, and the selectors come after the largest variable a clause holds.
 Every Max-SAT answer is one ``MaxSatResult``: a status, the model as a plain
 ``{var: bool}`` dict, that model's cost, and a proven lower bound.
 
-``brute_force_maxsat`` is an independent enumeration oracle for small
-formulas, and ``solve_external`` runs a given command line, any solver
-speaking DIMACS WCNF and Max-SAT evaluation output, re-validating whatever
-it returns.
+``solve_external`` runs a given command line, any solver speaking DIMACS
+WCNF and Max-SAT evaluation output, re-validating whatever it returns.
 """
 
 from __future__ import annotations
@@ -61,9 +68,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, repeat
 
-import numpy as np
-
-from .cardinality import totalizer
+from .cardinality import Totalizer
 from .cnf import CnfError, WcnfFormula, gc_paused, write_dimacs
 
 
@@ -311,55 +316,42 @@ class CdclSolver:
         trail = self.trail
         level = self.level
         reason = self.reason
-        while self.qhead < len(trail):
-            p = trail[self.qhead]
-            self.qhead += 1
-            neg = -p
-            ws = watches[neg]
-            i = j = 0
-            n = len(ws)
-            confl = None
-            while i < n:
-                c = ws[i]
-                i += 1
+        dl = len(self.lim)
+        qhead = self.qhead
+        while qhead < len(trail):
+            neg = -trail[qhead]
+            qhead += 1
+            ws = iter(watches[neg])
+            keep = watches[neg] = []
+            for c in ws:
                 if c[0] == neg:
                     c[0] = c[1]
                     c[1] = neg
                 first = c[0]
                 fv = vals[first]
                 if fv == 1:
-                    ws[j] = c
-                    j += 1
+                    keep.append(c)
                     continue
-                found = False
                 for k in range(2, len(c)):
                     lk = c[k]
                     if vals[lk] != 0:
                         c[1] = lk
                         c[k] = neg
                         watches[lk].append(c)
-                        found = True
                         break
-                if found:
-                    continue
-                ws[j] = c
-                j += 1
-                if fv == 0:
-                    confl = c
-                    while i < n:
-                        ws[j] = ws[i]
-                        j += 1
-                        i += 1
                 else:
+                    keep.append(c)
+                    if fv == 0:
+                        keep.extend(ws)
+                        self.qhead = qhead
+                        return c
                     vals[first] = 1
                     vals[-first] = 0
                     v = first if first > 0 else -first
-                    level[v] = len(self.lim)
+                    level[v] = dl
                     reason[v] = c
                     trail.append(first)
-            del ws[j:]
-            if confl is not None:
-                return confl
+        self.qhead = qhead
         return None
 
     def _bump(self, v: int) -> None:
@@ -595,34 +587,6 @@ class CdclSolver:
                     self._enqueue(lit, None)
 
 
-def brute_force_maxsat(formula: WcnfFormula) -> MaxSatResult:
-    """Reference optimum by exhaustive enumeration (at most 22 variables)."""
-    n = formula.num_vars
-    if n > 22:
-        raise ValueError(f"brute force is capped at 22 variables, got {n}")
-    count = 1 << n
-    idx = np.arange(count, dtype=np.int64)
-    cost = np.zeros(count, dtype=np.int64)
-    hard_ok = np.ones(count, dtype=bool)
-    for c in formula.clauses:
-        sat = np.zeros(count, dtype=bool)
-        for l in c.literals:
-            bit = (idx >> (abs(l) - 1)) & 1
-            sat |= bit.astype(bool) if l > 0 else ~bit.astype(bool)
-        if c.is_hard:
-            hard_ok &= sat
-        else:
-            cost[~sat] += c.weight
-    if not hard_ok.any():
-        return MaxSatResult(MaxSatStatus.HARD_UNSAT)
-    big = int(cost.max()) + 1
-    cost[~hard_ok] = big
-    best = int(np.argmin(cost))
-    best_cost = int(cost[best])
-    assignment = {v: bool((best >> (v - 1)) & 1) for v in range(1, n + 1)}
-    return MaxSatResult(MaxSatStatus.OPTIMUM, best_cost, assignment, best_cost)
-
-
 def _checked(formula: WcnfFormula, model: dict[int, bool]) -> dict[int, bool]:
     """The optimizer's model, once it satisfies every hard clause."""
     if not formula.hard_satisfied(model):
@@ -669,8 +633,9 @@ def solve_maxsat(formula: WcnfFormula, cfg: SolverConfig | None = None) -> MaxSa
     selectors = solver.load(formula)
     # assumption literal -> its weight left
     weight = {-sel: w for w, sel in zip(formula.soft_weights, selectors)}
-    # -outs[k], "at most k of a core's members violated" -> (outs, k)
-    sums: dict[int, tuple[list[int], int]] = {}
+    # -outputs[k], "at most k of a core's members violated" -> (the
+    # members' totalizer, k)
+    sums: dict[int, tuple[Totalizer, int]] = {}
 
     lower = 0
     best_cost: int | None = None
@@ -720,18 +685,19 @@ def solve_maxsat(formula: WcnfFormula, cfg: SolverConfig | None = None) -> MaxSa
             if not weight[a]:
                 del weight[a]
         # a violated "at most k" bound of a sum lets "at most k+1" count
-        # next; a new sum over several members starts at "at most 1"
+        # next; a new sum over several members starts at "at most 1".  A sum
+        # counts only to the bound in use plus one, and counts one further
+        # in place once a bound passes its outputs
         raised = [sums[a] for a in members if a in sums]
         if len(members) > 1:
-            clauses, outs = totalizer([-a for a in members], solver.new_var)
-            for cl in clauses:
-                solver.add_clause(cl)
-            raised.append((outs, 0))
-        for outs, k in raised:
-            if k + 1 < len(outs):
-                a = -outs[k + 1]
+            raised.append((Totalizer([-a for a in members]), 0))
+        for counter, k in raised:
+            if k + 1 < len(counter.lits):
+                for cl in counter.count_to(k + 2, solver.new_var):
+                    solver.add_clause(cl)
+                a = -counter.outputs[k + 1]
                 weight[a] = weight.get(a, 0) + wmin
-                sums[a] = (outs, k + 1)
+                sums[a] = (counter, k + 1)
 
 
 def solve_external(formula: WcnfFormula, command: str,

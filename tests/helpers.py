@@ -1,4 +1,5 @@
-"""Shared test utilities: random formulas, the clause-by-clause room clash
+"""Shared test utilities: random formulas, the Max-SAT enumeration oracle
+and a clause's truth under an assignment, the clause-by-clause room clash
 family, the line-by-line WCNF writer, an independent extension checker,
 cardinality bounds on a totalizer, the semantic enumeration oracle,
 hand-built model construction, a checked SAT call on a fresh solver, a SAT
@@ -9,10 +10,12 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
+
 from ttsat.cardinality import totalizer
 from ttsat.cnf import Clause, WcnfFormula
 from ttsat.decode import Timetable, check_hard, compute_cost
-from ttsat.solver import CdclSolver, SatResult, SatStatus
+from ttsat.solver import CdclSolver, MaxSatResult, MaxSatStatus, SatResult, SatStatus
 
 
 def random_wcnf(rng, max_vars=18, max_clauses=60, max_weight=9, hard_fraction=0.4):
@@ -26,6 +29,39 @@ def random_wcnf(rng, max_vars=18, max_clauses=60, max_weight=9, hard_fraction=0.
         weight = None if rng.random() < hard_fraction else rng.randint(1, max_weight)
         clauses.append(Clause(lits, weight))
     return WcnfFormula(n, tuple(clauses))
+
+
+def brute_force_maxsat(formula: WcnfFormula) -> MaxSatResult:
+    """Reference optimum by exhaustive enumeration (at most 22 variables)."""
+    n = formula.num_vars
+    if n > 22:
+        raise ValueError(f"brute force is capped at 22 variables, got {n}")
+    count = 1 << n
+    idx = np.arange(count, dtype=np.int64)
+    cost = np.zeros(count, dtype=np.int64)
+    hard_ok = np.ones(count, dtype=bool)
+    for c in formula.clauses:
+        sat = np.zeros(count, dtype=bool)
+        for l in c.literals:
+            bit = (idx >> (abs(l) - 1)) & 1
+            sat |= bit.astype(bool) if l > 0 else ~bit.astype(bool)
+        if c.is_hard:
+            hard_ok &= sat
+        else:
+            cost[~sat] += c.weight
+    if not hard_ok.any():
+        return MaxSatResult(MaxSatStatus.HARD_UNSAT)
+    big = int(cost.max()) + 1
+    cost[~hard_ok] = big
+    best = int(np.argmin(cost))
+    best_cost = int(cost[best])
+    assignment = {v: bool((best >> (v - 1)) & 1) for v in range(1, n + 1)}
+    return MaxSatResult(MaxSatStatus.OPTIMUM, best_cost, assignment, best_cost)
+
+
+def satisfied_by(clause: Clause, assignment) -> bool:
+    """Whether some literal of ``clause`` is true under ``{var: bool}``."""
+    return any(assignment[abs(l)] == (l > 0) for l in clause.literals)
 
 
 def reference_room_clashes(instance, varmap):

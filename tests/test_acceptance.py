@@ -10,9 +10,11 @@ import sys
 import time
 
 from helpers import (
+    brute_force_maxsat,
     mixed_literals,
     projected_models,
     random_wcnf,
+    satisfied_by,
     semantic_optimum,
     totalizer_bound,
 )
@@ -26,7 +28,6 @@ from ttsat.sample import load_sample, sample_text
 from ttsat.solver import (
     MaxSatStatus,
     SolverConfig,
-    brute_force_maxsat,
     solve_maxsat,
 )
 
@@ -87,7 +88,7 @@ class TestAcceptance:
         partial = cases[1][0]
         witness = {1: False, 2: False, 3: True}
         ok = ok and partial.hard_satisfied(witness)
-        falsified = [c for c in partial.clauses if not (c.is_hard or c.satisfied_by(witness))]
+        falsified = [c for c in partial.clauses if not (c.is_hard or satisfied_by(c, witness))]
         ok = ok and [c.literals for c in falsified] == [(-3,)]
         # all-false is a witness of the weighted optimum
         ok = ok and cases[2][0].falsified_weight({1: False, 2: False, 3: False}) == 3

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from helpers import mixed_literals, projected_models, totalizer_bound
-from ttsat.cardinality import PAIRWISE_MAX, CardinalityError, exactly_one, totalizer
+from ttsat.cardinality import PAIRWISE_MAX, CardinalityError, Totalizer, exactly_one, totalizer
 
 BOUND_KINDS = ("at_most", "at_least", "exactly")
 
@@ -126,6 +126,49 @@ class TestProjection:
             for k in range(0, n + 1):
                 got = projected_models(totalizer_bound(lits, k, kind), [abs(l) for l in lits])
                 assert got == ground_truth(lits, bound_holds(k, kind)), f"{kind} n={n} k={k}"
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_capped_projection_equivalence(self, n):
+        # a counter with at most ``cap`` outputs per node bounds the count
+        # exactly at every k < cap, from above and from below; a cap of n
+        # or more is the full counter
+        lits = mixed_literals(n)
+        base = [abs(l) for l in lits]
+        full = totalizer(lits, fresh_after(lits))
+        for cap in range(1, n + 1):
+            clauses, outs = totalizer(lits, fresh_after(lits), cap)
+            assert len(outs) == min(n, cap)
+            assert len(clauses) <= len(full[0])
+            assert len(projected_models(clauses, base)) == 2 ** n
+            for k in range(min(n, cap)):
+                at_most = projected_models(clauses + [(-outs[k],)], base)
+                assert at_most == ground_truth(lits, bound_holds(k, "at_most")), (cap, k)
+                more = projected_models(clauses + [(outs[k],)], base)
+                assert more == ground_truth(lits, bound_holds(k + 1, "at_least")), (cap, k)
+        assert totalizer(lits, fresh_after(lits), n) == full
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("path", ["one_by_one", "jump"])
+    def test_grown_in_place_projection_equivalence(self, n, path):
+        # a Totalizer whose cap grows in steps adds only the clauses of its
+        # new outputs: after each step its clauses so far are, up to the
+        # names of the fresh variables, one build's at that cap
+        lits = mixed_literals(n)
+        base = [abs(l) for l in lits]
+        alloc = fresh_after(lits)
+        counter = Totalizer(lits)
+        clauses = []
+        for cap in range(1, n + 1) if path == "one_by_one" else (2, n):
+            clauses += counter.count_to(cap, alloc)
+            built, outs = totalizer(lits, fresh_after(lits), cap)
+            assert len(set(clauses)) == len(clauses) == len(built)
+            assert len(counter.outputs) == len(outs)
+            for k in range(len(outs)):
+                at_most = projected_models(clauses + [(-counter.outputs[k],)], base)
+                assert at_most == ground_truth(lits, bound_holds(k, "at_most")), (cap, k)
+                more = projected_models(clauses + [(counter.outputs[k],)], base)
+                assert more == ground_truth(lits, bound_holds(k + 1, "at_least")), (cap, k)
+        assert counter.count_to(n + 1, alloc) == []
 
     @pytest.mark.parametrize("n", range(1, PAIRWISE_MAX + 3))
     def test_exactly_one_projection(self, n):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_wcnf, reference_write_dimacs
+from helpers import random_wcnf, reference_write_dimacs, satisfied_by
 from ttsat import cnf
 from ttsat.cnf import (
     Clause,
@@ -100,9 +100,9 @@ class TestFormula:
             f = random_wcnf(rng, max_vars=8, max_clauses=20)
             assignment = {v: rng.random() < 0.5 for v in range(1, f.num_vars + 1)}
             assert f.hard_satisfied(assignment) == all(
-                c.satisfied_by(assignment) for c in f.clauses if c.is_hard)
+                satisfied_by(c, assignment) for c in f.clauses if c.is_hard)
             assert f.falsified_weight(assignment) == sum(
-                c.weight for c in f.clauses if not (c.is_hard or c.satisfied_by(assignment)))
+                c.weight for c in f.clauses if not (c.is_hard or satisfied_by(c, assignment)))
 
 
 class TestWriteDimacs:
@@ -750,9 +750,9 @@ class TestClauseView:
         values = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
         assignment = dict(enumerate(values, start=1))
         assert formula.hard_satisfied(assignment) == all(
-            c.satisfied_by(assignment) for c in clauses if c.is_hard)
+            satisfied_by(c, assignment) for c in clauses if c.is_hard)
         assert formula.falsified_weight(assignment) == sum(
-            c.weight for c in clauses if not c.is_hard and not c.satisfied_by(assignment))
+            c.weight for c in clauses if not c.is_hard and not satisfied_by(c, assignment))
 
     @settings(deadline=None)
     @given(well_formed_clauses(), well_formed_clauses(), st.data())

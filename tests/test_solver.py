@@ -9,12 +9,13 @@ import types
 import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     HARD_VIOLATED_BY_ALL_FALSE,
     answer_all_false,
+    brute_force_maxsat,
     interrupt_after_first_model,
     random_wcnf,
     semantic_optimum,
@@ -22,7 +23,7 @@ from helpers import (
 )
 from ttsat import cnf
 from ttsat import solver as solver_module
-from ttsat.cardinality import totalizer
+from ttsat.cardinality import Totalizer, totalizer
 from ttsat.cnf import Clause, CnfError, WcnfFormula
 from ttsat.encoder import EncodeOptions, encode
 from ttsat.model import gen_random_instance
@@ -37,7 +38,6 @@ from ttsat.solver import (
     SolverError,
     SolverInternalError,
     UntrustedSolverError,
-    brute_force_maxsat,
     solve_external,
     solve_maxsat,
 )
@@ -161,6 +161,17 @@ def clause_over(n):
         lambda vs: st.tuples(*(st.sampled_from((v, -v)) for v in vs)))
 
 
+@st.composite
+def clauses_and_assumptions(draw):
+    """(n, clauses over 1..n, one list of assumptions per solve, seed)."""
+    n = draw(st.integers(2, 8))
+    clauses = draw(st.lists(clause_over(n), min_size=1, max_size=40))
+    rounds = draw(st.lists(st.lists(
+        st.tuples(st.integers(1, n), st.booleans()), max_size=4, unique_by=lambda t: t[0]),
+        min_size=1, max_size=3))
+    return n, clauses, [[v if pos else -v for v, pos in r] for r in rounds], draw(st.integers(0, 3))
+
+
 class TestCdclSolver:
     def test_rescale_reranks_heap(self):
         solver = CdclSolver()
@@ -236,6 +247,43 @@ class TestCdclSolver:
                 assert res.status is SatStatus.UNSAT
                 assert set(res.core) <= set(assumptions)
                 assert solve_clauses(clauses, res.core).status is SatStatus.UNSAT
+
+    def test_conflict_keeps_the_unvisited_watchers(self):
+        solver = CdclSolver()
+        for c in ([1, 2], [1, -2], [1, 3], [1, 4]):
+            solver.add_clause(c)
+        solver.lim.append(len(solver.trail))
+        solver._enqueue(-1, None)
+        # x1 false makes x2 true through the first clause, and the second
+        # clause conflicts: the two after it were never visited and stay
+        # in x1's watch list, in order, each swapped only if visited
+        confl = solver._propagate()
+        assert confl == [-2, 1]
+        assert solver.watches[1] == [[2, 1], [-2, 1], [1, 3], [1, 4]]
+        assert solver.trail == [-1, 2]
+        assert solver.qhead == 1
+
+    @settings(deadline=None, max_examples=80)
+    @given(clauses_and_assumptions())
+    @example((4, [(1, 2), (1, -2), (1, 3), (1, 4)], [[-1], []], 0))
+    def test_each_clause_watched_by_its_first_two_literals(self, case):
+        """After each solve, a clause of two or more literals sits once in
+        the watch list of each of its first two literals and in no other.
+        The example conflicts partway through x1's watch list."""
+        n, clauses, rounds, seed = case
+        solver = CdclSolver(seed=seed)
+        solver.ensure_vars(n)
+        stored = []
+        for c in clauses:
+            before = watchers(solver)
+            solver.add_clause(c)
+            stored += [cl for key, (cl, _) in watchers(solver).items() if key not in before]
+        for assumptions in rounds:
+            solver.solve(assumptions)
+            found = watchers(solver)
+            for c, lits in found.values():
+                assert sorted(lits) == sorted(c[:2]), c
+            assert set(found) == {id(c) for c in stored + solver.learned}
 
     def test_search_stops_at_its_deadline(self, monkeypatch):
         # a clock that ticks one second per reading: the entry check reads
@@ -441,23 +489,26 @@ class TestSolveMaxsatExamples:
 
 
 def trace_oll(monkeypatch):
-    """Record each SAT call of solve_maxsat as (assumptions, result), and the
-    outputs of each totalizer it builds."""
+    """Record each SAT call of solve_maxsat as (assumptions, result), and
+    each time it makes a core's totalizer count further as (totalizer,
+    cap, outputs before, clauses added)."""
     calls, sums = [], []
     solve = CdclSolver.solve
+    count_to = Totalizer.count_to
 
     def traced_solve(self, assumptions=(), deadline=None):
         res = solve(self, assumptions, deadline)
         calls.append((list(assumptions), res))
         return res
 
-    def traced_totalizer(lits, alloc):
-        clauses, outs = totalizer(lits, alloc)
-        sums.append(outs)
-        return clauses, outs
+    def traced_count_to(self, cap, alloc):
+        before = len(self.outputs)
+        clauses = count_to(self, cap, alloc)
+        sums.append((self, cap, before, len(clauses)))
+        return clauses
 
     monkeypatch.setattr(CdclSolver, "solve", traced_solve)
-    monkeypatch.setattr(solver_module, "totalizer", traced_totalizer)
+    monkeypatch.setattr(Totalizer, "count_to", traced_count_to)
     return calls, sums
 
 
@@ -492,13 +543,46 @@ class TestOll:
         )
         calls, sums = trace_oll(monkeypatch)
         assert solves_like_brute_force(formula, seed) == 3
+        # the sum first counts to 2, enough for "at most 1"; each bound
+        # raised past its outputs makes the same totalizer count one
+        # further, and "at most 3" is assumed from its fourth output
+        counter = sums[0][0]
+        assert len(counter.lits) == 4
+        grown = [(cap, before) for c, cap, before, _ in sums if c is counter]
+        assert grown == [(2, 0), (3, 2), (4, 3)]
+        assert len(counter.outputs) == 4
+        # its clauses, added over three steps, are one build's at cap 4
+        added = sum(n for c, _, _, n in sums if c is counter)
+        assert added == len(totalizer(counter.lits, itertools.count(100).__next__, 4)[0])
         assumed = {a for assumptions, _ in calls for a in assumptions}
-        assert any(len(outs) > 3 and -outs[3] in assumed for outs in sums)
+        assert -counter.outputs[3] in assumed
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bound_raised_again_reuses_the_grown_sum(self, monkeypatch, seed):
+        # the first sum's "at most 1" keeps weight after the core that
+        # raised it to "at most 2", and a later core holds it again: that
+        # raise must reuse the output the sum already has (found by random
+        # search over random_wcnf formulas and shrunk by deleting clauses)
+        formula = WcnfFormula(5, (
+            Clause((-4, -5)), Clause((-1,), 6), Clause((4,), 6), Clause((4, -2, -3), 1),
+            Clause((5, -4, -3, -2), 7), Clause((-2, 3, 4), 7), Clause((-2, 1), 4),
+            Clause((-4,), 6), Clause((2, 1)), Clause((3, -4)),
+        ))
+        calls, sums = trace_oll(monkeypatch)
+        assert solves_like_brute_force(formula, seed) == 11
+        # one totalizer per member set, each cap built once
+        counters = {id(c): c for c, _, _, _ in sums}
+        assert len({tuple(sorted(c.lits)) for c in counters.values()}) == len(counters)
+        again = [(c, cap) for c, cap, before, n in sums if cap <= before]
+        assert again and all(n == 0 for _, cap, before, n in sums if cap <= before)
+        counter, cap = again[0]
+        assumed = [a for assumptions, _ in calls for a in assumptions]
+        assert -counter.outputs[cap - 1] in assumed
 
     def test_core_mixes_sum_output_and_selector(self, monkeypatch):
         calls, sums = trace_oll(monkeypatch)
         assert solves_like_brute_force(MIXED) == 4
-        outputs = {o for outs in sums for o in outs}
+        outputs = {o for c, _, _, _ in sums for o in c.outputs}
         selectors = {4, 5, 6}  # loaded right after the 3 base variables
         cores = [set(res.core) for _, res in calls if res.status is SatStatus.UNSAT]
         assert any({-a for a in core} & outputs and {-a for a in core} & selectors
