@@ -113,6 +113,22 @@ def _count_to(node, cap, alloc, clauses):
     p, q = len(left), len(right)
     s = min(p + q, cap)
     out += [alloc() for _ in range(s - s0)]
+    # a child's part of the up clause of pair (i, j), "left >= i and
+    # right >= j imply at least i+j", and of its down clause, "at least
+    # i+j+1 implies left >= i+1 or right >= j+1", indexed by i or j
+    l_ante = [()] + [(-l,) for l in left]
+    r_ante = [()] + [(-l,) for l in right]
+    l_head = [(l,) for l in left] + [()]
+    r_head = [(l,) for l in right] + [()]
+    if not s0:
+        # a fresh node has no clause yet: every pair emits both of its own
+        for i in range(p + 1):
+            for j in range(min(q, s - i) + 1):
+                if i + j:
+                    clauses.append(l_ante[i] + r_ante[j] + (out[i + j - 1],))
+                if i + j < s:
+                    clauses.append(l_head[i] + r_head[j] + (-out[i + j],))
+        return
     for i in range(p + 1):
         # a pair the node had (i <= p0, j <= q0) already has its up clause
         # if i+j <= s0 and its down clause if i+j < s0
@@ -120,16 +136,6 @@ def _count_to(node, cap, alloc, clauses):
         down_from = min(q0, s0 - i - 1) + 1 if i <= p0 else 0
         for j in range(min(q, s - i) + 1):
             if i + j >= 1 and j >= up_from:
-                ante = []
-                if i:
-                    ante.append(-left[i - 1])
-                if j:
-                    ante.append(-right[j - 1])
-                clauses.append(tuple(ante + [out[i + j - 1]]))
+                clauses.append(l_ante[i] + r_ante[j] + (out[i + j - 1],))
             if i + j < s and j >= down_from:
-                head = []
-                if i < p:
-                    head.append(left[i])
-                if j < q:
-                    head.append(right[j])
-                clauses.append(tuple(head + [-out[i + j]]))
+                clauses.append(l_head[i] + r_head[j] + (-out[i + j],))

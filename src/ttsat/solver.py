@@ -3,7 +3,10 @@
 The SAT core is a conflict-driven clause learner: two-literal watching,
 first-UIP learning with cheap self-subsumption minimization, activity-based
 branching with decay, phase saving, Luby restarts, and MiniSat-style
-assumption handling with failed-assumption cores.
+assumption handling with failed-assumption cores.  A conflict bumps the
+activity of every variable above level 0 that its resolution meets or
+that is in the reason of a learned-clause literal (reason-side bumping:
+Liang, Ganesh, Poupart & Czarnecki, SAT 2016).
 
 Branching is soft first.  After the assumptions, the solver decides the
 variable of highest activity.  ``load`` starts every soft clause's selector
@@ -11,7 +14,9 @@ above every formula variable, the heavier soft clause's selector higher,
 and the saved phase starts False, which keeps the soft clause.  So until
 conflicts bump other variables past them, the unassumed selectors are set
 to keep their soft clauses, heaviest first, and a model breaks only the
-soft clauses that propagation forces it to break.
+soft clauses that propagation forces it to break.  The bumps that end
+this come from both sides of each learned clause: the variables resolved
+on, and the variables in the reasons of its literals.
 
 Propagation walks each watch list once.  The watchers that stay are
 collected into a fresh list that replaces the old one, and on a conflict
@@ -358,12 +363,15 @@ class CdclSolver:
         a = self.act[v] + self.var_inc
         self.act[v] = a
         if a > 1e100:
-            scale = 1e-100
-            for u in range(1, self.nvars + 1):
-                self.act[u] *= scale
-            self.var_inc *= scale
-            # the old entries are ranked by pre-scale activities
-            self._rebuild_heap()
+            self._rescale()
+
+    def _rescale(self) -> None:
+        scale = 1e-100
+        for u in range(1, self.nvars + 1):
+            self.act[u] *= scale
+        self.var_inc *= scale
+        # the old entries are ranked by pre-scale activities
+        self._rebuild_heap()
 
     def _rebuild_heap(self) -> None:
         """One heap entry per unassigned variable, at its current activity."""
@@ -426,6 +434,23 @@ class CdclSolver:
                     out.append(l)
                     break
         learnt = out
+        # reason-side bumping (Liang et al., SAT 2016; CaDiCaL's bumpreason):
+        # the variables that implied the learned clause's literals gain
+        # activity too.  Every one is still assigned, as _pick_branch needs.
+        # _bump inlined: this loop makes most of a conflict's bumps
+        act = self.act
+        inc = self.var_inc
+        for l in learnt[1:]:
+            r = reason[abs(l)]
+            if r is not None:
+                for q in r:
+                    v = abs(q)
+                    if level[v] > 0:
+                        a = act[v] + inc
+                        act[v] = a
+                        if a > 1e100:
+                            self._rescale()
+                            inc = self.var_inc
         for v in to_clear:
             seen[v] = 0
         if len(learnt) == 1:

@@ -169,8 +169,10 @@ class TestSolve:
         _, out_b, _ = run(capsys, ["solve", sample_path, "--seed", "2"])
         assert out_a.splitlines()[0] == out_b.splitlines()[0] == "o 10"
 
-    def test_partial_mode_cost(self, capsys, sample_path):
-        code, out, _ = run(capsys, ["solve", sample_path, "--mode", "partial"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_partial_mode_cost(self, capsys, sample_path, seed):
+        code, out, _ = run(capsys, ["solve", sample_path, "--mode", "partial",
+                                    "--seed", str(seed)])
         assert code == 0
         assert out.splitlines()[0] == "o 2"
 

@@ -172,6 +172,40 @@ def clauses_and_assumptions(draw):
     return n, clauses, [[v if pos else -v for v, pos in r] for r in rounds], draw(st.integers(0, 3))
 
 
+def checked_picks(monkeypatch):
+    """Check each branching pick of every solver: it is the argmax of
+    (activity, -variable) over the unassigned variables, and the heap holds
+    at most twice the variables plus the entries pushed since the last
+    pick.  Returns the counts of picks and of heap compactions."""
+    counts = {"picks": 0, "compactions": 0}
+    pushes = 0
+
+    def counting_push(heap, item):
+        nonlocal pushes
+        pushes += 1
+        heapq.heappush(heap, item)
+
+    monkeypatch.setattr(solver_module, "heapq", types.SimpleNamespace(
+        heappush=counting_push, heappop=heapq.heappop, heapify=heapq.heapify))
+    pick = CdclSolver._pick_branch
+
+    def checked_pick(solver):
+        nonlocal pushes
+        n = solver.nvars
+        assert len(solver.heap) <= 2 * n + pushes
+        counts["compactions"] += len(solver.heap) > 2 * n
+        unassigned = [v for v in range(1, n + 1) if solver.vals[v] == solver_module._UNASSIGNED]
+        expected = max(unassigned, key=lambda v: (solver.act[v], -v), default=0)
+        v = pick(solver)
+        assert v == expected
+        counts["picks"] += 1
+        pushes = 0
+        return v
+
+    monkeypatch.setattr(CdclSolver, "_pick_branch", checked_pick)
+    return counts
+
+
 class TestCdclSolver:
     def test_rescale_reranks_heap(self):
         solver = CdclSolver()
@@ -184,36 +218,49 @@ class TestCdclSolver:
         assert solver._pick_branch() == 1
 
     def test_pick_is_argmax_and_heap_stays_bounded(self, monkeypatch):
+        picks = checked_picks(monkeypatch)
         solver = CdclSolver()
         for c in php(6):
             solver.add_clause(c)
-        pushes = 0
-        compactions = 0
-
-        def counting_push(heap, item):
-            nonlocal pushes
-            pushes += 1
-            heapq.heappush(heap, item)
-
-        monkeypatch.setattr(solver_module, "heapq", types.SimpleNamespace(
-            heappush=counting_push, heappop=heapq.heappop, heapify=heapq.heapify))
-        pick = solver._pick_branch
-
-        def checked_pick():
-            nonlocal pushes, compactions
-            n = solver.nvars
-            assert len(solver.heap) <= 2 * n + pushes
-            compactions += len(solver.heap) > 2 * n
-            unassigned = [v for v in range(1, n + 1) if solver.vals[v] == solver_module._UNASSIGNED]
-            expected = max(unassigned, key=lambda v: (solver.act[v], -v), default=0)
-            v = pick()
-            assert v == expected
-            pushes = 0
-            return v
-
-        solver._pick_branch = checked_pick
         assert solver.solve().status is SatStatus.UNSAT
-        assert compactions > 0
+        assert picks["compactions"] > 0
+
+    def test_pick_is_argmax_under_assumptions_across_oll_calls(self, monkeypatch,
+                                                              sample_partial):
+        # the assumption levels hold implied literals, whose reasons the
+        # conflicts bump while those levels stay assigned
+        picks = checked_picks(monkeypatch)
+        calls, _ = trace_oll(monkeypatch)
+        res = solve_maxsat(sample_partial[0], SolverConfig(seed=0))
+        assert res.status is MaxSatStatus.OPTIMUM and res.cost == 2
+        assert len(calls) > 1 and all(assumptions for assumptions, _ in calls)
+        assert picks["picks"] > 0
+
+    def test_conflict_bumps_the_reason_side(self):
+        # x1 implies x2 at level 1; x3 implies x4 at level 2, conflicting
+        # with x2.  The learned clause (-x3 -x2) resolves no clause that
+        # holds x1: only the reason of its literal -x2 does
+        solver = CdclSolver()
+        for c in ([-1, 2], [-3, 4], [-2, -3, -4]):
+            solver.add_clause(c)
+        before = solver.act[1]
+        assert solver.solve([1, 3]).status is SatStatus.UNSAT
+        assert solver.total_conflicts == 1
+        assert solver.learned == [[-3, -2]]
+        assert solver.act[1] == before + 1.0
+
+    def test_reason_side_bump_rescales(self):
+        # the same conflict; x2's reason (x2 -x1) bumps x2 past 1e100, so
+        # every activity is scaled by 1e-100 and x1 gains the scaled increment
+        solver = CdclSolver()
+        for c in ([-1, 2], [-3, 4], [-2, -3, -4]):
+            solver.add_clause(c)
+        solver.act[2] = 5e99
+        solver.var_inc = 3e99
+        assert solver.solve([1, 3]).status is SatStatus.UNSAT
+        assert solver.act[2] == pytest.approx(1.1)
+        assert solver.act[1] == pytest.approx(0.3)
+        assert solver.act[3] == solver.act[4] == pytest.approx(0.3)
 
     @settings(deadline=None, max_examples=60)
     @given(st.data())
