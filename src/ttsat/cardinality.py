@@ -39,8 +39,6 @@ def exactly_one(lits, alloc) -> list[tuple[int, ...]]:
         raise CardinalityError("literal 0 is not allowed")
     if len({abs(l) for l in lits}) != len(lits):
         raise CardinalityError("literals must range over distinct variables")
-    if len(lits) == 1:
-        return [(lits[0],)]
     if len(lits) <= PAIRWISE_MAX:
         return [(-a, -b) for a, b in itertools.combinations(lits, 2)] + [tuple(lits)]
     clauses, outs = totalizer(lits, alloc)
@@ -120,15 +118,6 @@ def _count_to(node, cap, alloc, clauses):
     r_ante = [()] + [(-l,) for l in right]
     l_head = [(l,) for l in left] + [()]
     r_head = [(l,) for l in right] + [()]
-    if not s0:
-        # a fresh node has no clause yet: every pair emits both of its own
-        for i in range(p + 1):
-            for j in range(min(q, s - i) + 1):
-                if i + j:
-                    clauses.append(l_ante[i] + r_ante[j] + (out[i + j - 1],))
-                if i + j < s:
-                    clauses.append(l_head[i] + r_head[j] + (-out[i + j],))
-        return
     for i in range(p + 1):
         # a pair the node had (i <= p0, j <= q0) already has its up clause
         # if i+j <= s0 and its down clause if i+j < s0

@@ -36,18 +36,21 @@ too.
 
 DIMACS WCNF goes out and comes in in bulk.  ``write_dimacs`` formats the
 arrays ``CLAUSE_CHUNK`` clauses at a time, each chunk as one token array
-joined once, and joins the chunks' text.  ``parse_dimacs`` reads its clause
-lines in blocks of about ``PARSE_CHUNK`` characters, each with one
-``np.fromstring`` whose values become the block's arrays; a block that
-numpy might read otherwise than the per-line reader (a CR that does not
-end a CRLF line end, comments, "h" lines, odd tokens) goes to the per-line
-reader, so the clauses and the ``line N: ...`` errors are the same either
-way.  CRLF line ends are read in numpy, once each "\r\n" is made "\n".
+joined once, and joins the chunks' text.  ``parse_dimacs`` reads each text
+one way.  When numpy provably reads every clause line as the per-line
+reader would, it reads them in blocks of about ``PARSE_CHUNK``
+characters, each with one ``np.fromstring`` whose values become the
+block's arrays.  Any oddity (a CR that does not end a CRLF line end,
+comments among the clauses, "h" lines, odd tokens) sends the whole text to
+the per-line reader instead, so the clauses and the ``line N: ...`` errors
+are the same either way.  CRLF line ends are read in numpy, once each
+"\r\n" is made "\n".
 
 ``gc_paused`` switches the cyclic garbage collector off around the code
-that builds one Python object per clause: the per-line reader and the
-builtin Max-SAT solve, whose solver keeps a list per clause to its end.
-Those objects form no cycles, so the collector's passes find nothing to free.
+that builds one Python object per clause: the per-line reader, which
+keeps a literal tuple per clause, and the builtin Max-SAT solve, whose
+solver keeps a list per clause to its end.  Those objects form no cycles,
+so the collector's passes find nothing to free.
 """
 
 from __future__ import annotations
@@ -444,66 +447,60 @@ def parse_dimacs(text: str) -> WcnfFormula:
     it comes before every clause.  ``WcnfFormula`` checks the clauses
     themselves.
 
-    The leading comment and header lines go to the per-line reader; the
-    rest is cut at newlines into blocks of about ``PARSE_CHUNK``
-    characters.  A block that numpy provably reads as the per-line reader
-    would is read in numpy (``_read_clause_block``); any other goes to the
-    per-line reader with its true starting line number, so the clauses and
-    the ``line N: ...`` errors are those of reading the text line by line.
-    The blocks' clauses are joined into one set of arrays, unless a literal
-    read per line passes int64; the formula is then built from ``Clause``
-    objects, and its check names the first bad clause."""
-    header, blocks = _read_clauses(text)
+    Each text is read one way.  The leading comment and header lines go to
+    the per-line reader; the rest is cut at newlines into blocks of about
+    ``PARSE_CHUNK`` characters, and when numpy provably reads every block
+    as the per-line reader would (``_read_clause_block``), the blocks'
+    arrays are joined.  Otherwise, or when the leading lines already hold
+    a clause (a line end other than "\n" among them), the whole text is
+    read line by line, so the clauses and the ``line N: ...`` errors are
+    always those of the per-line reader.  Its clauses become one view,
+    unless a literal passes int64; the formula is then built from
+    ``Clause`` objects, and its check names the first bad clause."""
+    blocks = _blocks(text)
+    lead = next(blocks)
+    header, literals, weights = _read_lines(lead.splitlines())
+    top = None if header is None else header[2]
+    views = []
+    for block in () if weights else blocks:
+        views.append(_read_clause_block(block, top))
+        if views[-1] is None:
+            break
+    if weights or None in views:
+        if len(lead) < len(text):
+            header, literals, weights = _read_lines(text.splitlines())
+        try:
+            clauses = clause_block(literals, weights)
+        except OverflowError:
+            # a literal past int64: the formula's check names the first bad clause
+            clauses = list(map(Clause, literals, weights))
+    else:
+        clauses = concat_clauses(views)
     num_vars, num_clauses, top = header or (None, None, None)
-    count = sum(map(len, blocks))
-    if not count and num_vars is None:
+    if not clauses and num_vars is None:
         raise CnfError("no header and no clauses found")
-    if num_clauses is not None and count != num_clauses:
+    if num_clauses is not None and len(clauses) != num_clauses:
         raise CnfError(
-            f"header declares {num_clauses} clauses but file contains {count}"
+            f"header declares {num_clauses} clauses but file contains {len(clauses)}"
         )
-    try:
-        clauses = concat_clauses(
-            b if isinstance(b, ClauseView) else _clause_view(b) for b in blocks)
-    except OverflowError:
-        clauses = [c for block in blocks for c in block]
     if num_vars is None:
         if isinstance(clauses, ClauseView):
             num_vars = _largest_variable(clauses.arrays()[0])
         else:
-            num_vars = max((abs(l) for c in clauses for l in c.literals), default=0)
+            num_vars = max(map(abs, chain.from_iterable(literals)))
     return WcnfFormula(num_vars, clauses, top)
-
-
-def _read_clauses(text):
-    """The header ``(num_vars, num_clauses, top)``, or None, and the clauses
-    of ``text`` as a list of blocks, in order: a ``ClauseView`` for each
-    block read in numpy, a list of ``Clause`` for each read per line."""
-    header = None
-    blocks: list = []
-    lineno = 1
-    for block in _blocks(text):
-        read = _read_clause_block(block, None if header is None else header[2])
-        if read is None:
-            lines = block.splitlines()
-            header = _read_lines(lines, lineno, header, blocks)
-            lineno += len(lines)
-        else:
-            blocks.append(read)
-            lineno += len(read)
-    return header, blocks
 
 
 def _blocks(text):
     """Cut ``text`` after newlines: first the leading comment and header
-    lines, then blocks of about ``PARSE_CHUNK`` characters (a longer line
-    makes a longer block).  Any text after the last newline is a block of
-    its own, so every other block ends with a newline."""
+    lines ("" when there are none), then blocks of about ``PARSE_CHUNK``
+    characters (a longer line makes a longer block).  Any text after the
+    last newline is a block of its own, so every other block ends with a
+    newline."""
     pos, n = 0, len(text)
     while text.startswith(("c", "p"), pos):
         pos = text.find("\n", pos) + 1 or n
-    if pos:
-        yield text[:pos]
+    yield text[:pos]
     while pos < n:
         end = text.rfind("\n", pos, pos + PARSE_CHUNK) + 1
         if end <= pos:
@@ -513,21 +510,21 @@ def _blocks(text):
 
 
 @gc_paused()
-def _read_lines(lines, lineno, header, blocks):
-    """The per-line reader: appends the clauses of ``lines`` (the first is
-    line ``lineno`` of the file), as one list of ``Clause``, to ``blocks``,
-    the blocks read before them.  ``header`` is the ``(num_vars,
-    num_clauses, top)`` read so far, or None; returns it as it stands after
-    these lines."""
-    top = None if header is None else header[2]
-    clauses: list[Clause] = []
-    append = clauses.append
-    for lineno, line in enumerate(lines, start=lineno):
+def _read_lines(lines):
+    """The per-line reader: ``(header, literals, weights)`` of ``lines``,
+    the first of which is line 1.  ``header`` is ``(num_vars, num_clauses,
+    top)``, or None; ``literals`` holds one tuple per clause and
+    ``weights`` its weight, None for hard."""
+    header = top = None
+    literals: list[tuple[int, ...]] = []
+    weights: list[int | None] = []
+    add_literals, add_weight = literals.append, weights.append
+    for lineno, line in enumerate(lines, start=1):
         s = line.strip()
         if not s or s.startswith("c"):
             continue
         if s.startswith("p"):
-            if header is not None or clauses or any(map(len, blocks)):
+            if header is not None or weights:
                 where = "second header" if header is not None else "header after clauses"
                 raise CnfError(f"line {lineno}: {where} {s!r}")
             parts = s.split()
@@ -550,9 +547,9 @@ def _read_lines(lines, lineno, header, blocks):
             raise CnfError(f"line {lineno}: bad token in clause {s!r}") from None
         if weight is not None and top is not None and weight >= top:
             weight = None
-        append(Clause(lits, weight))
-    blocks.append(clauses)
-    return header
+        add_literals(lits)
+        add_weight(weight)
+    return header, literals, weights
 
 
 # deleting these leaves nothing of a block of plain clause lines

@@ -10,6 +10,7 @@ Instances are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import random
@@ -386,9 +387,10 @@ def serialize_instance(instance: Instance) -> str:
 
 def validate_instance(instance: Instance) -> list[Finding]:
     """Satisfiability red flags of a valid instance, as warnings: a single
-    timeslot, a session that soft-forbids every timeslot, and a curriculum
-    with more sessions than timeslots.  Invalid instances never get here;
-    ``instance_from_doc`` rejects them."""
+    timeslot, a session that soft-forbids every timeslot, a curriculum or a
+    staff member with more sessions than timeslots, and more (lab) sessions
+    than (lab) rooms × timeslots, counts that CDCL refutes slowly.  Invalid
+    instances never get here; ``instance_from_doc`` rejects them."""
     findings: list[Finding] = []
     warn = lambda msg: findings.append(Finding("warning", msg))
 
@@ -398,13 +400,19 @@ def validate_instance(instance: Instance) -> list[Finding]:
     for s in instance.sessions:
         if len(s.forbidden_timeslots) == n_slots:
             warn(f"session '{instance.session_label(s.id)}': all timeslots are soft-forbidden")
-    for k in instance.curricula:
-        need = len(instance.sessions_by_curriculum[k.id])
+    by_staff = collections.Counter(s.staff for s in instance.sessions)
+    groups = [(f"curriculum '{k.label}'", len(instance.sessions_by_curriculum[k.id]))
+              for k in instance.curricula]
+    groups += [(f"staff '{p.label}'", by_staff[p.id]) for p in instance.staff]
+    for who, need in groups:
         if need > n_slots:
-            warn(
-                f"curriculum '{k.label}' needs {need} distinct timeslots, "
-                f"only {n_slots} exist"
-            )
+            warn(f"{who} needs {need} distinct timeslots, only {n_slots} exist")
+    labs = sum(s.kind is SessionKind.LAB for s in instance.sessions)
+    for what, need, rooms in (("lab ", labs, len(instance.lab_rooms)),
+                              ("", len(instance.sessions), len(instance.rooms))):
+        if need > rooms * n_slots:
+            warn(f"{need} {what}sessions need distinct ({what}room, timeslot) places, "
+                 f"only {rooms * n_slots} exist")
     return findings
 
 

@@ -3,8 +3,8 @@ and a clause's truth under an assignment, the clause-by-clause room clash
 family, the line-by-line WCNF writer, an independent extension checker,
 cardinality bounds on a totalizer, the semantic enumeration oracle,
 hand-built model construction, a checked SAT call on a fresh solver, a SAT
-budget that runs out after the first model, and a SAT core that answers
-with a model violating a hard clause."""
+budget that runs out after the first model, a SAT core that answers with a
+model violating a hard clause, and micro instances that overload a count."""
 
 from __future__ import annotations
 
@@ -272,3 +272,44 @@ def answer_all_false(monkeypatch):
         return SatResult(SatStatus.SAT, {v: False for v in range(1, self.nvars + 1)})
 
     monkeypatch.setattr(CdclSolver, "solve", solve)
+
+
+def micro_doc(n_slots, rooms, courses):
+    """An instance document on one day of ``n_slots`` timeslots.  ``rooms``
+    lists (label, is_lab); ``courses`` lists (lecture staff, second kind,
+    second staff), each course in a curriculum of its own."""
+    staff = sorted({p for lec, _, snd in courses for p in (lec, snd)})
+    return {
+        "days": ["d1"],
+        "timeslots": [{"label": f"t{i + 1}", "day": "d1"} for i in range(n_slots)],
+        "rooms": [{"label": r, "capacity": 50, "lab": lab} for r, lab in rooms],
+        "staff": staff,
+        "curricula": [f"k{i + 1}" for i in range(len(courses))],
+        "courses": [
+            {"label": f"c{i + 1}", "curriculum": f"k{i + 1}",
+             "lecture": {"staff": lec, "enrollment": 10, "forbidden": []},
+             "second": {"kind": kind, "staff": snd, "enrollment": 10, "forbidden": []}}
+            for i, (lec, kind, snd) in enumerate(courses)
+        ],
+        "registrations": [],
+    }
+
+
+# each micro instance overloads one count, so it is infeasible: (document,
+# the one warning validate_instance gives)
+OVERLOADED_COUNTS = {
+    "staff": (
+        micro_doc(2, [("r1", False), ("r2", False)],
+                  [("I1", "section", "I1"), ("I1", "section", "TA1")]),
+        "staff 'I1' needs 3 distinct timeslots, only 2 exist",
+    ),
+    "lab-rooms": (
+        micro_doc(2, [("r1", False), ("r2", False), ("lab1", True)],
+                  [(f"I{i}", "lab", f"TA{i}") for i in range(3)]),
+        "3 lab sessions need distinct (lab room, timeslot) places, only 2 exist",
+    ),
+    "rooms": (
+        micro_doc(2, [("r1", False)], [(f"I{i}", "section", f"TA{i}") for i in range(2)]),
+        "4 sessions need distinct (room, timeslot) places, only 2 exist",
+    ),
+}

@@ -5,7 +5,12 @@ import types
 
 import pytest
 
-from helpers import HARD_VIOLATED_BY_ALL_FALSE, answer_all_false, interrupt_after_first_model
+from helpers import (
+    HARD_VIOLATED_BY_ALL_FALSE,
+    OVERLOADED_COUNTS,
+    answer_all_false,
+    interrupt_after_first_model,
+)
 from ttsat import cli
 from ttsat.cli import main
 from ttsat.cnf import CnfError, parse_dimacs, write_dimacs
@@ -97,6 +102,16 @@ class TestSolve:
         code, out, _ = run(capsys, ["solve", str(path)])
         assert code == 1
         assert "s UNSATISFIABLE" in out
+
+    @pytest.mark.parametrize("name", OVERLOADED_COUNTS)
+    def test_count_warning_on_stderr(self, capsys, tmp_path, name):
+        doc, message = OVERLOADED_COUNTS[name]
+        path = tmp_path / "overloaded.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, ["solve", str(path)])
+        assert code == 1
+        assert out.splitlines()[0] == "s UNSATISFIABLE"
+        assert err == f"warning: {message}\n"
 
     def test_external_backend_agrees(self, capsys, sample_path):
         code, out, _ = run(capsys, ["solve", sample_path, "--external-cmd", EXTERNAL_SELF])

@@ -3,6 +3,7 @@ import operator
 import random
 import re
 import warnings
+from contextlib import contextmanager
 from itertools import chain
 from unittest import mock
 
@@ -515,29 +516,18 @@ def outcome(read, text):
 
 
 def read_per_line(text):
-    """``cnf._read_clauses`` done by the per-line reader alone, in one pass
-    over the whole text."""
-    blocks = []
-    return cnf._read_lines(text.splitlines(), 1, None, blocks), blocks
-
-
-def joined(read):
-    """``read`` with its blocks' clauses in one list."""
-    def read_joined(text):
-        header, blocks = read(text)
-        return header, [c for block in blocks for c in block]
-    return read_joined
+    """What ``parse_dimacs`` makes of ``text`` read by the per-line reader
+    alone: the block reader declines every block."""
+    with mock.patch.object(cnf, "_read_clause_block", lambda block, top: None):
+        return outcome(parse_dimacs, text)
 
 
 def read_like_per_line(text, chunk):
-    """Assert that the block reader, with blocks of about ``chunk``
-    characters, reads ``text`` as the per-line reader does, and so does
-    ``parse_dimacs`` after it."""
+    """Assert that ``parse_dimacs``, with blocks of about ``chunk``
+    characters, reads ``text`` as the per-line reader alone does."""
     with mock.patch.object(cnf, "PARSE_CHUNK", chunk):
-        got = outcome(joined(cnf._read_clauses), text), outcome(parse_dimacs, text)
-    with mock.patch.object(cnf, "_read_clauses", read_per_line):
-        want = outcome(joined(read_per_line), text), outcome(parse_dimacs, text)
-    assert got == want, f"PARSE_CHUNK={chunk}"
+        got = outcome(parse_dimacs, text)
+    assert got == read_per_line(text), f"PARSE_CHUNK={chunk}"
 
 
 # tokens and lines that numpy reads otherwise than the per-line reader, or
@@ -584,6 +574,20 @@ def strtoll_fromstring(string, dtype, sep):
     return np.array([min(max(int(t), -2**63), 2**63 - 1) for t in tokens], dtype)
 
 
+@contextmanager
+def spy_read_lines():
+    """Record the lines of each ``cnf._read_lines`` call, in order."""
+    calls = []
+    read_lines = cnf._read_lines
+
+    def spy(lines):
+        calls.append(list(lines))
+        return read_lines(lines)
+
+    with mock.patch.object(cnf, "_read_lines", spy):
+        yield calls
+
+
 class TestBlockReader:
     # the block reader's checks must not rest on how strictly numpy parses
     @pytest.mark.parametrize("fromstring", [np.fromstring, strtoll_fromstring],
@@ -616,17 +620,35 @@ class TestBlockReader:
            st.sampled_from(["\n", "\r\n"]))
     def test_well_formed_blocks_stay_in_numpy(self, formula, comments, chunk, eol):
         text = write_dimacs(formula, comments).replace("\n", eol)
-        per_line = []
-        read_lines = cnf._read_lines
-
-        def spy(lines, *args):
-            per_line.extend(lines)
-            return read_lines(lines, *args)
-
-        with mock.patch.object(cnf, "PARSE_CHUNK", chunk), \
-                mock.patch.object(cnf, "_read_lines", spy):
+        with mock.patch.object(cnf, "PARSE_CHUNK", chunk), spy_read_lines() as calls:
             assert parse_dimacs(text) == formula
-        assert per_line == text.splitlines()[:len(comments) + 1]
+        assert calls == [text.splitlines()[:len(comments) + 1]]
+
+    def test_odd_last_block_reads_the_whole_text_once(self):
+        text = write_dimacs(WEIGHTED_EXAMPLE, CLI_COMMENTS) + "c end\n"
+        lines = text.splitlines()
+        with mock.patch.object(cnf, "PARSE_CHUNK", 10), spy_read_lines() as calls:
+            assert parse_dimacs(text) == WEIGHTED_EXAMPLE
+        assert calls == [lines[:len(CLI_COMMENTS) + 1], lines]
+
+    def test_cr_only_text_is_its_lead(self):
+        # no "\n": the whole text is the leading lines, clauses and all
+        f = parse_dimacs("p wcnf 1 1 1\r1 -1 0\r")
+        assert (f.num_vars, f.top, tuple(f.clauses)) == (1, 1, (Clause((-1,)),))
+        f = parse_dimacs("p wcnf 1 1 2\r1 -1 0\r")
+        assert (f.num_vars, f.top, tuple(f.clauses)) == (1, 2, (Clause((-1,), 1),))
+
+    def test_lead_holding_a_clause_reads_the_whole_text(self):
+        # "c x\r5 1 0\n" is one leading line to the cut, two to the reader
+        text = "c x\r5 1 0\n6 2 0\n"
+        for chunk in range(1, len(text) + 2):
+            read_like_per_line(text, chunk)
+        assert parse_dimacs(text).soft_weights == [5, 6]
+
+    def test_per_line_reader_builds_no_clause_objects(self):
+        want = WcnfFormula(2, (Clause((1, 2)), Clause((-1,), 3)))
+        with mock.patch.object(cnf, "Clause", side_effect=AssertionError("Clause built")):
+            assert parse_dimacs("h 1 2 0\n3 -1 0\n") == want
 
     def test_numpy_1_parse_warning_reads_per_line(self):
         # numpy 1.x warns, where 2.x raises, and returns what it could read

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from helpers import OVERLOADED_COUNTS
 from ttsat.model import (
     ParseError,
     SessionKind,
@@ -216,6 +217,12 @@ class TestValidate:
         instance = parse_instance(json.dumps(doc))
         warnings = [f.message for f in validate_instance(instance) if f.level == "warning"]
         assert any("all timeslots are soft-forbidden" in w for w in warnings)
+
+    @pytest.mark.parametrize("name", OVERLOADED_COUNTS)
+    def test_count_warning(self, name):
+        doc, message = OVERLOADED_COUNTS[name]
+        findings = validate_instance(parse_instance(json.dumps(doc)))
+        assert [(f.level, f.message) for f in findings] == [("warning", message)]
 
     def test_single_timeslot_warning_not_error(self, sample_json):
         doc = doc_of(sample_json)
