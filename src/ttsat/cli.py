@@ -160,6 +160,17 @@ def cmd_validate(args) -> int:
     return EXIT_OK if not hard else EXIT_HARD_UNSAT
 
 
+def _emit(text: str, output: str | None) -> int:
+    """Write ``text`` to ``output`` with LF line ends, or print it."""
+    if output:
+        with open(output, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+        print(f"wrote {output}", file=sys.stderr)
+    else:
+        print(text, end="")
+    return EXIT_OK
+
+
 def cmd_gen(args) -> int:
     instance = gen_random_instance(
         args.seed,
@@ -170,14 +181,7 @@ def cmd_gen(args) -> int:
         curricula=args.curricula,
         overlap_density=args.density,
     )
-    text = serialize_instance(instance)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-        print(f"wrote {args.output}", file=sys.stderr)
-    else:
-        print(text, end="")
-    return EXIT_OK
+    return _emit(serialize_instance(instance), args.output)
 
 
 def cmd_solve_wcnf(args) -> int:
@@ -193,14 +197,7 @@ def cmd_solve_wcnf(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    text = sample_text()
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-        print(f"wrote {args.output}", file=sys.stderr)
-    else:
-        print(text, end="")
-    return EXIT_OK
+    return _emit(sample_text(), args.output)
 
 
 def _add_common_encode_flags(p) -> None:

@@ -40,11 +40,11 @@ joined once, and joins the chunks' text.  ``parse_dimacs`` reads each text
 one way.  When numpy provably reads every clause line as the per-line
 reader would, it reads them in blocks of about ``PARSE_CHUNK``
 characters, each with one ``np.fromstring`` whose values become the
-block's arrays.  Any oddity (a CR that does not end a CRLF line end,
-comments among the clauses, "h" lines, odd tokens) sends the whole text to
-the per-line reader instead, so the clauses and the ``line N: ...`` errors
-are the same either way.  CRLF line ends are read in numpy, once each
-"\r\n" is made "\n".
+block's arrays.  Any oddity (a line end other than "\n", comments among
+the clauses, "h" lines, odd tokens) sends the whole text to the per-line
+reader instead, so the clauses and the ``line N: ...`` errors are the same
+either way.  A file read in text mode, as the CLI reads one, has had its
+CRLF and CR line ends made "\n" already.
 
 ``gc_paused`` switches the cyclic garbage collector off around the code
 that builds one Python object per clause: the per-line reader, which
@@ -561,11 +561,6 @@ def _read_clause_block(block, top):
     one ``np.fromstring`` whose values become the view's arrays; None when
     the per-line reader might read the block otherwise.
 
-    A block whose only "\r" characters end lines, just before their "\n",
-    is read with each "\r\n" made "\n", as the per-line reader, which
-    splits lines on either, reads it.  The checks below then apply to that
-    text; any other "\r" sends the block, as given, to the per-line reader.
-
     The checks leave only tokens of an optional "-" and digits, on which
     numpy and ``int`` agree unless the token passes int64, where numpy
     saturates: only digits, spaces, "-" and newlines (no other line
@@ -574,10 +569,6 @@ def _read_clause_block(block, top):
     the line's only zero value (no "-0", "00", blank line or trailing
     space); no saturated value.  A line " 0" reads as it does per line, as
     a clause of no literals whose weight is its terminator."""
-    if "\r" in block:
-        if block.count("\r") != block.count("\r\n"):
-            return None
-        block = block.replace("\r\n", "\n")
     lines = block.count("\n")
     if not (block.endswith("\n") and not block.translate(_CLAUSE_LINE_CHARS)
             and block.count(" 0\n") == lines

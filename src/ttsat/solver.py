@@ -388,7 +388,7 @@ class CdclSolver:
         reason = self.reason
         trail = self.trail
         cur = len(self.lim)
-        learnt: list[int] = [0]
+        learnt: list[int] = []  # the literals below the conflict level
         to_clear: list[int] = []
         counter = 0
         skip = 0  # enqueued literal whose reason is being expanded
@@ -419,50 +419,45 @@ class CdclSolver:
             counter -= 1
             if counter == 0:
                 break
-        learnt[0] = -skip
-        # drop literals whose reason is already covered by the clause
-        out = [learnt[0]]
-        for l in learnt[1:]:
-            r = reason[abs(l)]
-            if r is None:
-                out.append(l)
-                continue
-            for q in r:
-                if q == -l or level[abs(q)] == 0:
-                    continue
-                if not seen[abs(q)]:
-                    out.append(l)
-                    break
-        learnt = out
-        # reason-side bumping (Liang et al., SAT 2016; CaDiCaL's bumpreason):
-        # the variables that implied the learned clause's literals gain
-        # activity too.  Every one is still assigned, as _pick_branch needs.
-        # _bump inlined: this loop makes most of a conflict's bumps
+        # One walk over the other literals: drop each one whose reason the
+        # clause already covers, bump the variables in each kept one's reason
+        # (reason-side bumping: Liang et al., SAT 2016; CaDiCaL's bumpreason;
+        # all still assigned, as _pick_branch needs; _bump inlined, as this
+        # makes most of a conflict's bumps), and find the first kept literal
+        # of the highest level.  The bumps write only act and the covering
+        # test reads only seen and level, so neither sees the other.  That
+        # literal goes second only after the walk, so the rest keep their
+        # order, which _propagate scans.
+        out = [-skip]
         act = self.act
         inc = self.var_inc
-        for l in learnt[1:]:
-            r = reason[abs(l)]
+        mi = bt = 0
+        for l in learnt:
+            v = abs(l)
+            r = reason[v]
             if r is not None:
                 for q in r:
-                    v = abs(q)
-                    if level[v] > 0:
-                        a = act[v] + inc
-                        act[v] = a
+                    if q != -l and level[abs(q)] > 0 and not seen[abs(q)]:
+                        break
+                else:
+                    continue
+                for q in r:
+                    u = abs(q)
+                    if level[u] > 0:
+                        a = act[u] + inc
+                        act[u] = a
                         if a > 1e100:
                             self._rescale()
                             inc = self.var_inc
+            if level[v] > bt:
+                bt = level[v]
+                mi = len(out)
+            out.append(l)
         for v in to_clear:
             seen[v] = 0
-        if len(learnt) == 1:
-            bt = 0
-        else:
-            mi = 1
-            for i in range(2, len(learnt)):
-                if level[abs(learnt[i])] > level[abs(learnt[mi])]:
-                    mi = i
-            learnt[1], learnt[mi] = learnt[mi], learnt[1]
-            bt = level[abs(learnt[1])]
-        return learnt, bt
+        if bt:
+            out[1], out[mi] = out[mi], out[1]
+        return out, bt
 
     def _attach_learnt(self, learnt: list[int]) -> None:
         if len(learnt) == 1:

@@ -385,6 +385,28 @@ class TestSolveWcnf:
         assert lines[1] == "s OPTIMUM FOUND"
         assert lines[2].startswith("v ") and lines[2].endswith(" 0")
 
+    def test_line_ends_are_made_lf_before_parsing(self, capsys, tmp_path, monkeypatch):
+        # the text-mode read turns CRLF and CR into "\n": parse_dimacs sees
+        # the same text, and the output is the same, whatever the line ends
+        texts = []
+
+        def spy(text):
+            texts.append(text)
+            return parse_dimacs(text)
+
+        monkeypatch.setattr(cli, "parse_dimacs", spy)
+        lf = "c a comment\np wcnf 3 4 8\n8 1 -2 0\n8 -1 3 0\n3 2 3 0\n4 -3 0\n"
+        outs = []
+        for eol in ("\n", "\r\n", "\r"):
+            wcnf = tmp_path / "f.wcnf"
+            wcnf.write_bytes(lf.replace("\n", eol).encode())
+            code, out, _ = run(capsys, ["solve-wcnf", str(wcnf)])
+            assert code == 0
+            outs.append(out)
+        assert outs[0].startswith("o 3\ns OPTIMUM FOUND\n")
+        assert outs == [outs[0]] * 3
+        assert texts == [lf] * 3
+
     def test_unsat_wcnf(self, capsys, tmp_path):
         wcnf = tmp_path / "u.wcnf"
         wcnf.write_text("p wcnf 1 2 2\n2 1 0\n2 -1 0\n", encoding="utf-8")

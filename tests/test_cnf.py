@@ -616,10 +616,9 @@ class TestBlockReader:
         read_like_per_line(text, chunk)
 
     @settings(deadline=None)
-    @given(well_formed_formulas(), st.sampled_from([(), CLI_COMMENTS]), st.integers(1, 64),
-           st.sampled_from(["\n", "\r\n"]))
-    def test_well_formed_blocks_stay_in_numpy(self, formula, comments, chunk, eol):
-        text = write_dimacs(formula, comments).replace("\n", eol)
+    @given(well_formed_formulas(), st.sampled_from([(), CLI_COMMENTS]), st.integers(1, 64))
+    def test_well_formed_blocks_stay_in_numpy(self, formula, comments, chunk):
+        text = write_dimacs(formula, comments)
         with mock.patch.object(cnf, "PARSE_CHUNK", chunk), spy_read_lines() as calls:
             assert parse_dimacs(text) == formula
         assert calls == [text.splitlines()[:len(comments) + 1]]
@@ -666,10 +665,10 @@ class TestBlockReader:
 
 
 def per_line_texts(formula):
-    """Other texts of ``formula``, by name: CRLF line ends, which the block
-    reader takes, and three that the per-line reader takes: CR line ends, a
-    comment among the clause lines, and the header-less "h" format (whose
-    ``num_vars`` and ``top`` may differ from the formula's)."""
+    """Other texts of ``formula``, by name, each read by the per-line
+    reader: CRLF line ends, CR line ends, a comment among the clause lines,
+    and the header-less "h" format (whose ``num_vars`` and ``top`` may
+    differ from the formula's)."""
     text = write_dimacs(formula)
     lines = text.splitlines()
     mid = len(lines) // 2 + 1

@@ -249,6 +249,50 @@ class TestCdclSolver:
         assert solver.learned == [[-3, -2]]
         assert solver.act[1] == before + 1.0
 
+    @staticmethod
+    def trail_of(levels, nvars):
+        """A solver whose trail is ``levels``: one list of (literal, reason)
+        pairs per decision level from 0; the first literal of each list
+        above level 0 is its decision."""
+        solver = CdclSolver()
+        solver.ensure_vars(nvars)
+        for i, assigned in enumerate(levels):
+            if i:
+                solver.lim.append(len(solver.trail))
+            for lit, reason in assigned:
+                solver._enqueue(lit, reason)
+        return solver
+
+    def test_analyze_minimizes_and_puts_the_backjump_literal_second(self):
+        # levels 1-4 decide x1-x4; x7 follows from x1, x6 from x2, and x5
+        # from x3 and x7.  The conflict resolves on x4 alone, leaving -1 -2
+        # -5 -6 -3 in that order.  x6's reason holds only -2, which the
+        # clause holds, so -6 goes; x5's holds -7, which it does not.  Of
+        # the two level-3 literals -5 comes first, so it goes second and -1
+        # takes its place; -2 and -3 stay where resolution put them
+        solver = self.trail_of([
+            [],
+            [(1, None), (7, [7, -1])],
+            [(2, None), (6, [6, -2])],
+            [(3, None), (5, [5, -3, -7])],
+            [(4, None)],
+        ], 7)
+        before = solver.act[7]
+        assert solver._analyze([-1, -2, -5, -6, -3, -4]) == ([-4, -5, -2, -1, -3], 3)
+        assert not any(solver.seen)
+        # x7 is met only in the reason of the kept -5
+        assert solver.act[7] == before + 1.0
+
+    def test_analyze_unit_clause_backjumps_to_level_0(self):
+        # x2 follows from the level-2 decision x1, and x3 is false at level
+        # 0: resolution leaves -1 alone, whatever the levels below
+        solver = self.trail_of([
+            [(-3, None)],
+            [(4, None)],
+            [(1, None), (2, [2, -1])],
+        ], 4)
+        assert solver._analyze([-1, -2, 3]) == ([-1], 0)
+
     def test_reason_side_bump_rescales(self):
         # the same conflict; x2's reason (x2 -x1) bumps x2 past 1e100, so
         # every activity is scaled by 1e-100 and x1 gains the scaled increment
