@@ -36,15 +36,17 @@ too.
 
 DIMACS WCNF goes out and comes in in bulk.  ``write_dimacs`` formats the
 arrays ``CLAUSE_CHUNK`` clauses at a time, each chunk as one token array
-joined once, and joins the chunks' text.  ``parse_dimacs`` reads each text
-one way.  When numpy provably reads every clause line as the per-line
-reader would, it reads them in blocks of about ``PARSE_CHUNK``
-characters, each with one ``np.fromstring`` whose values become the
-block's arrays.  Any oddity (a line end other than "\n", comments among
-the clauses, "h" lines, odd tokens) sends the whole text to the per-line
-reader instead, so the clauses and the ``line N: ...`` errors are the same
-either way.  A file read in text mode, as the CLI reads one, has had its
-CRLF and CR line ends made "\n" already.
+joined once, and joins the chunks' text.  Each token carries its own
+separator ("<weight> ", "<literal> ", "0\n"), so a chunk's text is one
+``"".join`` of its tokens, with no pass that mends separators.
+``parse_dimacs`` reads each text one way.  When numpy provably reads
+every clause line as the per-line reader would, it reads them in blocks
+of about ``PARSE_CHUNK`` characters, each with one ``np.fromstring``
+whose values become the block's arrays.  Any oddity (a line end other
+than "\n", comments among the clauses, "h" lines, odd tokens) sends the
+whole text to the per-line reader instead, so the clauses and the ``line
+N: ...`` errors are the same either way.  A file read in text mode, as
+the CLI reads one, has had its CRLF and CR line ends made "\n" already.
 
 ``gc_paused`` switches the cyclic garbage collector off around the code
 that builds one Python object per clause: the per-line reader, which
@@ -402,16 +404,19 @@ def write_dimacs(formula: WcnfFormula, comments: tuple[str, ...] = ()) -> str:
     """Serialize to classic WCNF ("p wcnf <vars> <clauses> <top>"), LF endings.
 
     Clause order is preserved exactly; hard clauses carry the top weight.
-    The clause lines are formatted ``CLAUSE_CHUNK`` clauses at a time, each
-    chunk as one array of tokens (weight, literals, "0\\n" per clause)
-    filled from the formula's arrays and joined once, so the temporaries
-    stay the size of a chunk and the text is built by one final join.  A
-    literal's text comes from a table of ``str(l)`` for every literal,
-    indexed by ``l + num_vars``; the table is built only when ``num_vars``
-    is at most the formula's literal count, so its size stays bounded by
-    the formula's, and ``str`` serves otherwise.  A comment that holds a
-    line break raises ``CnfError``, since the reader would take its second
-    line for a clause.
+    A clause line is the tokens "<weight> ", "<literal> " per literal and
+    "0\\n": each token ends in its own separator, so text is only ever
+    joined, never mended.  The lines are formatted ``CLAUSE_CHUNK``
+    clauses at a time, each chunk as one array of int codes, filled from
+    the formula's arrays, into one array of words: "0\\n", the top
+    weight, each distinct soft weight, then ``f"{l} "`` for every literal
+    -num_vars..num_vars.  The chunk's words are joined once, so the
+    temporaries stay the size of a chunk and the text is built by one
+    final join.  The literal words are built only when ``num_vars`` is at
+    most the formula's literal count, so their number stays bounded by the
+    formula's; otherwise each chunk formats its own literals.  A comment
+    that holds a line break raises ``CnfError``, since the reader would
+    take its second line for a clause.
     """
     for c in comments:
         if c.splitlines() not in ([c], []):
@@ -420,21 +425,32 @@ def write_dimacs(formula: WcnfFormula, comments: tuple[str, ...] = ()) -> str:
     head += f"p wcnf {formula.num_vars} {len(formula.clauses)} {formula.top}\n"
     literals, offsets, weights = formula.clauses.arrays()
     n = formula.num_vars
-    table = _literal_table(n, len(literals), str)
-    weight_text = {w: str(formula.top if w is None else w) for w in set(weights)}
+    distinct_soft = list(dict.fromkeys(formula.soft_weights))
+    weight_code = {w: i for i, w in enumerate(distinct_soft, 2)}
+    words = np.array(["0\n", f"{formula.top} ", *map("{} ".format, distinct_soft)],
+                     dtype=object)
+    table = _literal_table(n, len(literals), "{} ".format)
+    if table is not None:
+        literal_code = len(words) + n
+        words = np.concatenate([words, table])
     pieces = [head]
     for start, lits, chunk in clause_chunks(literals, offsets):
-        if table is not None:
-            literal_text = table[lits + n]
+        if table is None:
+            chunk_words = np.concatenate(
+                [words, np.array(list(map("{} ".format, lits.tolist())), dtype=object)])
+            lit_codes = np.arange(len(words), len(chunk_words))
         else:
-            literal_text = np.array(list(map(str, lits.tolist())), dtype=object)
-        shift = 2 * np.arange(len(chunk) - 1)
-        tokens = np.empty(len(lits) + 2 * len(shift), dtype=object)
-        tokens[chunk[:-1] + shift] = list(map(weight_text.__getitem__,
-                                              weights[start:start + len(shift)]))
-        tokens[np.arange(len(lits)) + np.repeat(shift + 1, np.diff(chunk))] = literal_text
-        tokens[chunk[1:] + shift + 1] = "0\n"
-        pieces.append(" ".join(tokens.tolist()).replace("\n ", "\n"))
+            chunk_words, lit_codes = words, lits + literal_code
+        end = start + len(chunk) - 1
+        shift = 2 * np.arange(end - start)
+        codes = np.zeros(len(lits) + 2 * len(shift), dtype=np.int64)  # "0\n" by default
+        at = chunk[:-1] + shift  # each clause's weight: the top's unless soft
+        codes[at] = 1
+        soft = ~formula._hard[start:end]
+        codes[at[soft]] = list(map(weight_code.__getitem__,
+                                   compress(weights[start:end], soft.tolist())))
+        codes[np.arange(len(lits)) + np.repeat(shift + 1, np.diff(chunk))] = lit_codes
+        pieces.append("".join(chunk_words[codes].tolist()))
     return "".join(pieces)
 
 

@@ -14,13 +14,19 @@ capacity overflows.  Clause emission order is fixed (family by family, then
 instance order), so encoding the same instance twice is byte-identical.
 
 Each family returns its clauses as one ``cnf.ClauseView`` block, and the
-formula is those blocks joined.  ``room_clashes``, most of a large
-instance's clauses, is built by numpy broadcasting; the other families
-build one literal tuple per clause.
+formula is those blocks joined.  The families with many clauses build
+them by numpy broadcasting: ``room_clashes`` over (room, timeslot, pair);
+the three pair-clash families over (session pair, timeslot), through
+``_pair_clash_clauses``; and the two exactly-one families from one clause
+template per row shape, made by ``cardinality.exactly_one`` over
+placeholder variables and broadcast over every session of that shape
+(``_exactly_one_rows``).  The link and soft unit families, small at any
+size, build one literal tuple per clause.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 
@@ -79,8 +85,10 @@ class VarMap:
         self._cr0 = self._cd0 + S * D
         self._kt0 = self._cr0 + S * R
         self._aux0 = self._kt0 + K * T
-        self._aux_tags: list[tuple[str, int]] = []  # (tag, ordinal within tag)
-        self._aux_counts: dict[str, int] = {}
+        self._num_aux = 0
+        # per nonempty aux block: its first variable, and its tag
+        self._aux_starts: list[int] = []
+        self._aux_tags: list[str] = []
 
     def ct(self, session: int, timeslot: int) -> int:
         return self._ct0 + session * self._T + timeslot
@@ -100,16 +108,21 @@ class VarMap:
 
     @property
     def num_vars(self) -> int:
-        return self._aux0 - 1 + len(self._aux_tags)
+        return self._aux0 - 1 + self._num_aux
 
-    def new_aux(self, tag: str) -> int:
-        ordinal = self._aux_counts.get(tag, 0) + 1
-        self._aux_counts[tag] = ordinal
-        self._aux_tags.append((tag, ordinal))
-        return self._aux0 + len(self._aux_tags) - 1
-
-    def allocator(self, tag: str):
-        return lambda: self.new_aux(tag)
+    def aux_blocks(self, tags, sizes) -> np.ndarray:
+        """Allocate one block of ``sizes[i]`` consecutive auxiliary variables
+        per tag ``tags[i]``, in order; returns each block's first variable.
+        ``explain`` numbers a block's variables #1, #2, ..., so each tag
+        names one block."""
+        starts = np.empty(len(tags), dtype=np.int64)
+        for i, (tag, size) in enumerate(zip(tags, sizes)):
+            starts[i] = start = self._aux0 + self._num_aux
+            if size:
+                self._aux_starts.append(start)
+                self._aux_tags.append(tag)
+                self._num_aux += size
+        return starts
 
     def explain(self, var: int) -> str:
         """Semantic description of a variable index."""
@@ -132,8 +145,8 @@ class VarMap:
             off = var - self._kt0
             k, t = divmod(off, self._T)
             return f"kt({inst.curricula[k].label}, {inst.timeslots[t].label})"
-        tag, ordinal = self._aux_tags[var - self._aux0]
-        return f"aux({tag} #{ordinal})"
+        block = bisect.bisect_right(self._aux_starts, var) - 1
+        return f"aux({self._aux_tags[block]} #{var - self._aux_starts[block] + 1})"
 
 
 def link_ct_cd(instance: Instance, varmap: VarMap) -> ClauseView:
@@ -181,10 +194,17 @@ def _staff_session_pairs(instance: Instance) -> list[tuple[int, int]]:
     return pairs
 
 
-def _pair_clash_clauses(instance, varmap, pairs):
-    return clause_block(
-        (-varmap.ct(a, t.id), -varmap.ct(b, t.id)) for a, b in pairs for t in instance.timeslots
-    )
+def _pair_clash_clauses(instance, varmap, pairs, weights=None) -> ClauseView:
+    """The clause (-ct(a, t), -ct(b, t)) for each session pair (a, b) of
+    ``pairs``, then timeslot by timeslot, built by one broadcast shaped
+    (pair, timeslot, literal).  ``weights`` gives one weight per pair, and
+    None makes every clause hard."""
+    T = len(instance.timeslots)
+    pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    lits = -varmap.ct(pairs[:, None, :], np.arange(T)[:, None])
+    n = len(pairs) * T
+    weights = [None] * n if weights is None else [w for w in weights for _ in range(T)]
+    return ClauseView(lits.reshape(-1), np.arange(0, 2 * n + 1, 2, dtype=np.int64), weights)
 
 
 def curriculum_clashes(instance: Instance, varmap: VarMap) -> ClauseView:
@@ -202,15 +222,13 @@ def teacher_clashes(instance: Instance, varmap: VarMap) -> ClauseView:
 
 def registration_clashes(instance: Instance, varmap: VarMap, opts: EncodeOptions) -> ClauseView:
     """Soft clause per cross-curriculum registered pair, session pair, and slot."""
-    out, weights = [], []
+    pairs, weights = [], []
     for (c1, c2), students in cross_curriculum_pairs(instance).items():
-        w = opts.registration_weight(students)
-        for s1 in instance.courses[c1].sessions:
-            for s2 in instance.courses[c2].sessions:
-                for t in instance.timeslots:
-                    out.append((-varmap.ct(s1, t.id), -varmap.ct(s2, t.id)))
-                    weights.append(w)
-    return clause_block(out, weights)
+        course_pairs = list(itertools.product(instance.courses[c1].sessions,
+                                              instance.courses[c2].sessions))
+        pairs += course_pairs
+        weights += [opts.registration_weight(students)] * len(course_pairs)
+    return _pair_clash_clauses(instance, varmap, pairs, weights)
 
 
 def room_clashes(instance: Instance, varmap: VarMap) -> ClauseView:
@@ -219,12 +237,10 @@ def room_clashes(instance: Instance, varmap: VarMap) -> ClauseView:
     timeslot by timeslot, then pair by pair in ``itertools.combinations``
     order.  One broadcast builds them all, shaped (room, timeslot, pair,
     literal)."""
-    sids = [s.id for s in instance.sessions]
-    neg_ct = -np.array([[varmap.ct(s, t.id) for s in sids] for t in instance.timeslots],
-                       dtype=np.int64).reshape(len(instance.timeslots), len(sids))
-    neg_cr = -np.array([[varmap.cr(s, r.id) for s in sids] for r in instance.rooms],
-                       dtype=np.int64).reshape(len(instance.rooms), len(sids))
-    a, b = np.triu_indices(len(sids), 1)  # row-major: combinations order
+    sessions = np.arange(len(instance.sessions))
+    neg_ct = -varmap.ct(sessions, np.arange(len(instance.timeslots))[:, None])
+    neg_cr = -varmap.cr(sessions, np.arange(len(instance.rooms))[:, None])
+    a, b = np.triu_indices(len(sessions), 1)  # row-major: combinations order
     R, T, P = len(neg_cr), len(neg_ct), len(a)
     lits = np.empty((R, T, P, 4), dtype=np.int64)
     lits[..., 0] = neg_ct[:, a]
@@ -252,33 +268,76 @@ def room_capacity(instance: Instance, varmap: VarMap, opts: EncodeOptions) -> Cl
     return clause_block(out, weights)
 
 
+def _template(n, exactly):
+    """One row's clauses over placeholder leaves 1..n: ``exactly_one`` over
+    leaves 1..exactly, then a negative unit on each later leaf.  Returns
+    their literal and offset arrays and ``m``, the number of auxiliary
+    variables, which are the placeholders n+1..n+m in allocation order."""
+    fresh = itertools.count(n + 1)
+    clauses = exactly_one(range(1, exactly + 1), fresh.__next__)
+    clauses += [(-v,) for v in range(exactly + 1, n + 1)]
+    literals, offsets, _ = clause_block(clauses).arrays()
+    return literals, offsets, next(fresh) - n - 1
+
+
+def _exactly_one_rows(varmap, tags, shapes) -> ClauseView:
+    """Hard clauses for rows 0..len(tags)-1, row by row, each from the
+    template of its shape.  ``shapes`` lists ``(rows, leaves, exactly)``:
+    the row numbers of one shape, their ``(len(rows), n)`` array of leaf
+    literals, and how many leading leaves take the exactly-one (each later
+    leaf takes a negative unit).  Each row gets its own block of
+    auxiliary variables tagged ``tags[row]``, in row order, so the clauses,
+    numbering and tags are those of one ``exactly_one`` call per row."""
+    templates = [_template(leaves.shape[1], exactly) for rows, leaves, exactly in shapes]
+    lit_counts = np.zeros(len(tags), dtype=np.int64)
+    clause_counts = np.zeros(len(tags), dtype=np.int64)
+    sizes = np.zeros(len(tags), dtype=np.int64)
+    for (rows, _, _), (literals, offsets, m) in zip(shapes, templates):
+        lit_counts[rows], clause_counts[rows], sizes[rows] = len(literals), len(offsets) - 1, m
+    starts = varmap.aux_blocks(tags, sizes.tolist())
+    lit_at = np.cumsum(lit_counts) - lit_counts
+    clause_at = np.cumsum(clause_counts) - clause_counts
+    flat = np.empty(int(lit_counts.sum()), dtype=np.int64)
+    lengths = np.empty(int(clause_counts.sum()), dtype=np.int64)
+    for (rows, leaves, _), (literals, offsets, m) in zip(shapes, templates):
+        # placeholder v is column v-1: the leaves, then the row's aux block
+        values = np.concatenate([leaves, starts[rows, None] + np.arange(m)], axis=1)
+        flat[lit_at[rows, None] + np.arange(len(literals))] = (
+            np.sign(literals) * values[:, np.abs(literals) - 1])
+        lengths[clause_at[rows, None] + np.arange(len(offsets) - 1)] = np.diff(offsets)
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return ClauseView(flat, offsets, [None] * len(lengths))
+
+
+def _session_tags(instance, family):
+    return [f"{family}/{instance.session_label(s.id)}/totalizer" for s in instance.sessions]
+
+
 def room_assignment(instance: Instance, varmap: VarMap) -> ClauseView:
-    """Exactly one room per session; labs restricted to lab rooms."""
-    out = []
-    for s in instance.sessions:
-        if s.kind is SessionKind.LAB:
-            eligible = list(instance.lab_rooms)
-        else:
-            eligible = [r.id for r in instance.rooms]
-        lits = [varmap.cr(s.id, r) for r in eligible]
-        tag = f"room_assignment/{instance.session_label(s.id)}/totalizer"
-        out += exactly_one(lits, varmap.allocator(tag))
-        if s.kind is SessionKind.LAB:
-            for r in instance.rooms:
-                if not r.is_lab:
-                    out.append((-varmap.cr(s.id, r.id),))
-    return clause_block(out)
+    """Exactly one room per session; labs restricted to lab rooms: a lab's
+    exactly-one ranges over the lab rooms, then a negative unit forbids each
+    other room."""
+    sessions = np.arange(len(instance.sessions))
+    is_lab = np.array([s.kind is SessionKind.LAB for s in instance.sessions])
+    labs, others = sessions[is_lab], sessions[~is_lab]
+    lab_order = np.array(instance.lab_rooms + tuple(r.id for r in instance.rooms if not r.is_lab),
+                         dtype=np.int64)
+    shapes = [(others, varmap.cr(others[:, None], np.arange(len(instance.rooms))),
+               len(instance.rooms)),
+              (labs, varmap.cr(labs[:, None], lab_order), len(instance.lab_rooms))]
+    return _exactly_one_rows(varmap, _session_tags(instance, "room_assignment"),
+                             [shape for shape in shapes if len(shape[0])])
 
 
 def meeting_count(instance: Instance, varmap: VarMap) -> ClauseView:
     """Exactly one timeslot per session.  Together with the sibling-session
     curriculum clash this schedules each course twice a week in distinct slots."""
-    out = []
-    for s in instance.sessions:
-        lits = [varmap.ct(s.id, t.id) for t in instance.timeslots]
-        tag = f"meeting_count/{instance.session_label(s.id)}/totalizer"
-        out += exactly_one(lits, varmap.allocator(tag))
-    return clause_block(out)
+    sessions = np.arange(len(instance.sessions))
+    T = len(instance.timeslots)
+    leaves = varmap.ct(sessions[:, None], np.arange(T))
+    return _exactly_one_rows(varmap, _session_tags(instance, "meeting_count"),
+                             [(sessions, leaves, T)])
 
 
 def encode(instance: Instance, opts: EncodeOptions | None = None) -> tuple[WcnfFormula, VarMap]:

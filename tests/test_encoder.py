@@ -3,7 +3,10 @@ import itertools
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     all_placements,
@@ -12,12 +15,14 @@ from helpers import (
     semantic_optimum,
     solve_clauses,
 )
+from ttsat.cardinality import exactly_one
 from ttsat.cnf import write_dimacs
 from ttsat.decode import check_hard, compute_cost
 from ttsat.encoder import (
     EncodeError,
     EncodeOptions,
     VarMap,
+    _exactly_one_rows,
     encode,
     link_ct_cd,
     link_ct_kt,
@@ -55,8 +60,19 @@ class TestVarMap:
 
     def test_explain_aux_names_origin(self, sample_instance):
         vm = VarMap(sample_instance)
-        aux = vm.new_aux("room_assignment/CS202/lab/totalizer")
-        assert vm.explain(aux) == "aux(room_assignment/CS202/lab/totalizer #1)"
+        (first,) = vm.aux_blocks(["room_assignment/CS202/lab/totalizer"], [2])
+        assert first == vm.base_num_vars + 1 and vm.num_vars == first + 1
+        assert vm.explain(first) == "aux(room_assignment/CS202/lab/totalizer #1)"
+        assert vm.explain(first + 1) == "aux(room_assignment/CS202/lab/totalizer #2)"
+
+    def test_aux_blocks_skip_empty_blocks(self, sample_instance):
+        vm = VarMap(sample_instance)
+        base = vm.base_num_vars
+        # an empty block allocates nothing and starts where the next one does
+        starts = vm.aux_blocks(["a", "b", "c"], [2, 0, 3])
+        assert starts.tolist() == [base + 1, base + 3, base + 3]
+        assert [vm.explain(v) for v in range(base + 1, vm.num_vars + 1)] == [
+            "aux(a #1)", "aux(a #2)", "aux(c #1)", "aux(c #2)", "aux(c #3)"]
 
     def test_explain_out_of_range(self, sample_instance):
         vm = VarMap(sample_instance)
@@ -326,6 +342,69 @@ class TestRoomAssignment:
         assert all(len(c.literals) == 1 and c.literals[0] > 0 for c in clauses)
 
 
+def per_row_exactly_ones(vm, tags, rows):
+    """The clauses and aux explain lines of one ``exactly_one`` call per row,
+    with one fresh variable per auxiliary, allocated in row order; ``rows``
+    lists ``(leaves, exactly)``, the leaves past ``exactly`` taking a
+    negative unit each."""
+    clauses, explain = [], []
+    fresh = itertools.count(vm.num_vars + 1)
+    for tag, (leaves, exactly) in zip(tags, rows):
+        ordinals = itertools.count(1)
+
+        def alloc():
+            explain.append(f"aux({tag} #{next(ordinals)})")
+            return next(fresh)
+
+        clauses += exactly_one(leaves[:exactly], alloc)
+        clauses += [(-l,) for l in leaves[exactly:]]
+    return clauses, explain
+
+
+@st.composite
+def row_shapes(draw):
+    """Two row shapes of 1-40 leaves, each with the number of leading leaves
+    that take the exactly-one (the rest take units, as a lab's non-lab rooms
+    do), and the shape of each of 1-5 rows."""
+    shapes = []
+    for _ in range(2):
+        n = draw(st.integers(1, 40))
+        shapes.append((n, draw(st.integers(1, n))))
+    kinds = draw(st.lists(st.sampled_from((0, 1)), min_size=1, max_size=5))
+    return shapes, kinds, draw(st.integers(0, 2**32 - 1))
+
+
+class TestExactlyOneTemplate:
+    @settings(deadline=None)
+    @given(row_shapes())
+    @example(([(8, 8), (9, 9)], [0, 1, 0], 0))  # largest pairwise, smallest totalizer
+    @example(([(25, 25), (10, 3)], [1, 0, 1, 1], 1))  # totalizer; lab shape with units
+    @example(([(1, 1), (40, 1)], [1, 1, 0, 0, 1], 2))  # one-literal unit; 39 trailing units
+    def test_broadcast_matches_per_row(self, sample_instance, case):
+        (shapes, kinds, seed) = case
+        rng = np.random.default_rng(seed)
+        widths = [shapes[k][0] for k in kinds]
+        # distinct variables, either sign, across all rows
+        pool = (rng.permutation(sum(widths)) + 1) * rng.choice((-1, 1), sum(widths))
+        bounds = np.cumsum([0] + widths)
+        rows = [(pool[a:b].tolist(), shapes[k][1]) for a, b, k in zip(bounds, bounds[1:], kinds)]
+        tags = [f"family/row{i}/totalizer" for i in range(len(kinds))]
+        want_vm, got_vm = VarMap(sample_instance), VarMap(sample_instance)
+        want, want_explain = per_row_exactly_ones(want_vm, tags, rows)
+        groups = []
+        for k, (n, exactly) in enumerate(shapes):
+            members = np.flatnonzero(np.array(kinds) == k)
+            if len(members):
+                leaves = np.array([rows[i][0] for i in members], dtype=np.int64).reshape(-1, n)
+                groups.append((members, leaves, exactly))
+        got = _exactly_one_rows(got_vm, tags, groups)
+        assert [c.literals for c in got] == want
+        assert all(c.is_hard for c in got)
+        assert got_vm.num_vars == got_vm.base_num_vars + len(want_explain)
+        assert [got_vm.explain(v) for v in range(got_vm.base_num_vars + 1,
+                                                 got_vm.num_vars + 1)] == want_explain
+
+
 class TestMeetingCount:
     def test_course_level_slot_pairs(self, sample_instance):
         # one course's two sessions over 5 slots: exactly-one per session plus
@@ -450,6 +529,22 @@ class TestEncodeWhole:
         formula, _ = encode(instance, EncodeOptions(weighted=weighted))
         assert (formula.num_vars, len(formula.clauses)) == (2936, 52219)
         assert hashlib.sha256(write_dimacs(formula).encode()).hexdigest() == dimacs_sha256
+
+    # the encode-large benchmark instance, the only pinned shape with a
+    # 10-room lecture totalizer (and a 25-slot one per session)
+    @pytest.mark.parametrize("weighted, dimacs_sha256", [
+        (True, "d1d8a54db94a6e267e7768ac78b8b8138035c8b6cef2148c8202fd0e48909e05"),
+        (False, "8a8fe0414e0bcbba4f81333cabd5a54b28c95a42f18f1756e985a9a5a573322c"),
+    ])
+    def test_encode_large_encoding_pinned(self, weighted, dimacs_sha256):
+        instance = gen_random_instance(5, days=5, slots_per_day=5, rooms=10,
+                                       courses=30, curricula=6)
+        formula, vm = encode(instance, EncodeOptions(weighted=weighted))
+        explain = "\n".join(vm.explain(v) for v in range(1, vm.num_vars + 1))
+        assert (formula.num_vars, len(formula.clauses)) == (11058, 530908)
+        assert hashlib.sha256(write_dimacs(formula).encode()).hexdigest() == dimacs_sha256
+        assert (hashlib.sha256(explain.encode()).hexdigest()
+                == "a888bc5ce9eb3f495ec7e85cc3a3dff965e342713466483e55799771c7daa4c9")
 
     def test_deterministic_bytes(self, sample_instance):
         first, _ = encode(sample_instance, EncodeOptions(weighted=True))
