@@ -1,22 +1,23 @@
 """Weighted CNF formulas and DIMACS WCNF serialization.
 
 Literals are nonzero integers: ``v`` means variable ``v`` is true, ``-v``
-means it is false.  A clause weight of ``None`` marks the clause as hard;
-hard clauses are serialized with the formula's top weight.
+means it is false.  A ``Clause`` weight of ``None`` marks the clause as
+hard; hard clauses are serialized with the formula's top weight.
 
-Storage.  A ``WcnfFormula`` holds its clauses once, as three parallel
-pieces: one flat int64 array of every literal in formula order, an int64
-array of clause offsets (clause ``i`` is ``literals[offsets[i]:offsets[i +
-1]]``) and a list of per-clause weights (Python ints, ``None`` for hard).
-No Python object is kept per clause.
+Storage.  A ``WcnfFormula`` holds its clauses once, as three parallel int64
+arrays: every literal in formula order, the clause offsets (clause ``i`` is
+``literals[offsets[i]:offsets[i + 1]]``) and one weight per clause, 0 for
+hard.  Soft weights are at least 1 and must fit int64.  No Python object
+is kept per clause, and only this module reads or writes the hard 0.
 
 Views.  ``clauses`` is a ``ClauseView`` of those whole arrays: a
-read-only sequence of ``Clause`` that builds a ``Clause`` only when
-indexed or iterated, takes ``len()`` from its weights, and compares with
-another view by array equality.  ``soft_weights`` lists the soft clauses'
-weights in formula order.  Iteration and the SAT core's loading read
-``lists()``, one new list per clause; ``write_dimacs``, the formula's
-check and model evaluation read ``arrays()``.  Both walk the arrays
+read-only sequence of ``Clause`` that builds a ``Clause`` (weight ``None``
+or a Python int) only when indexed or iterated, takes ``len()`` from its
+weights, and compares with another view by array equality.
+``soft_weights`` lists the soft clauses' weights in formula order, as
+Python ints.  Iteration and the SAT core's loading read ``lists()``, one
+new list per clause; ``write_dimacs``, the formula's check and model
+evaluation read ``arrays()``.  Both walk the arrays
 ``CLAUSE_CHUNK`` clauses at a time with ``clause_chunks``.  Only ttsat
 builds views: ``clause_block``, ``concat_clauses``, ``parse_dimacs`` and
 the encoder's families.
@@ -24,9 +25,9 @@ the encoder's families.
 Checking.  ``Clause`` and ``ClauseView`` are unchecked; ``WcnfFormula``
 checks every clause once, when it is built.  Given any iterable of
 ``Clause``, it first converts it to the same arrays; an entry that is no
-``Clause`` or holds a value int64 cannot is malformed, and the per-clause
-check names the first bad clause.  Given a view, it takes its arrays as
-they are.  The check proper runs in numpy on the arrays, in chunks, then
+``Clause``, holds a value int64 cannot or has a soft weight below 1 is
+malformed, and the per-clause check names the first bad clause.  Given a
+view, it takes its arrays as they are, weights too.  The check proper runs in numpy on the arrays, in chunks, then
 re-checks only the first bad clause on its own, which raises that
 clause's ``CnfError``; the message is the one a clause-by-clause check
 gives.  ``num_vars`` must fit int64, as every literal must.  A formula's
@@ -64,7 +65,7 @@ import warnings
 from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
+from itertools import chain
 
 import numpy as np
 
@@ -144,18 +145,19 @@ class ClauseView(Sequence):
     """Read-only sequence of ``Clause`` over whole clause arrays.
 
     Clause ``i`` is ``literals[offsets[i]:offsets[i + 1]]`` with weight
-    ``weights[i]``.  A ``Clause`` is built only when the view is indexed
-    (by an integer) or iterated; ``lists()`` gives the literals alone.
-    Views compare only with views, by their arrays.  The constructor is
-    internal (outside code passes ``Clause`` objects or calls
-    ``clause_block``), and ``WcnfFormula`` checks the clauses."""
+    ``weights[i]`` of an int64 array, 0 for hard (no ``weights``: all
+    hard).  A ``Clause``, its weight None or a Python int, is built only
+    when the view is indexed (by an integer) or iterated; ``lists()`` gives
+    the literals alone.  Views compare only with views, by their arrays.
+    The constructor is internal (outside code passes ``Clause`` objects or
+    calls ``clause_block``), and ``WcnfFormula`` checks the clauses."""
 
     __slots__ = ("_literals", "_offsets", "_weights")
 
-    def __init__(self, literals, offsets, weights):
+    def __init__(self, literals, offsets, weights=None):
         self._literals = literals
         self._offsets = offsets
-        self._weights = weights
+        self._weights = np.zeros(len(offsets) - 1, dtype=np.int64) if weights is None else weights
 
     def __len__(self):
         return len(self._weights)
@@ -167,25 +169,28 @@ class ClauseView(Sequence):
             raise IndexError("clause index out of range")
         i %= n
         start, end = self._offsets[i:i + 2].tolist()
-        return Clause(tuple(self._literals[start:end].tolist()), self._weights[i])
+        return Clause(tuple(self._literals[start:end].tolist()), self._weights[i].item() or None)
 
     def __iter__(self):
-        return map(Clause, map(tuple, self.lists()), self._weights)
+        weights = (w or None for w in self._weights.tolist())
+        return map(Clause, map(tuple, self.lists()), weights)
 
     def __eq__(self, other):
         if not isinstance(other, ClauseView):
             return NotImplemented
-        return (np.array_equal(self._offsets, other._offsets)
-                and np.array_equal(self._literals, other._literals)
-                and self._weights == other._weights)
+        return all(map(np.array_equal, self.arrays(), other.arrays()))
 
     def __repr__(self):
         return f"ClauseView({list(self)!r})"
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, list]:
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(literals, offsets, weights)``: the stored arrays themselves,
         not to be modified."""
         return self._literals, self._offsets, self._weights
+
+    def hard(self) -> np.ndarray:
+        """Per clause, whether it is hard."""
+        return self._weights == 0
 
     def lists(self):
         """One new list of literals per clause, in order, made per chunk;
@@ -201,17 +206,21 @@ class ClauseView(Sequence):
 
 def clause_block(literals, weights=None) -> ClauseView:
     """A view over new arrays, one clause per sequence of integer literals
-    in ``literals``; ``weights`` gives one weight per clause, and None (the
-    default) makes every clause hard.  Raises TypeError on a value that is
-    not an integer and OverflowError on one that passes int64."""
+    in ``literals``; ``weights`` gives one weight per clause, None for hard,
+    and None (the default) makes every clause hard.  Raises TypeError on a
+    value that is not an integer, OverflowError on one that passes int64
+    and ValueError on a soft weight below 1."""
     literals = list(literals)
     lengths = np.fromiter(map(len, literals), dtype=np.int64, count=len(literals))
     flat = np.fromiter(map(operator.index, chain.from_iterable(literals)),
                        dtype=np.int64, count=int(lengths.sum()))
-    if weights is None:
-        weights = [None] * len(literals)
-    else:
-        weights = [w if w is None or type(w) is int else operator.index(w) for w in weights]
+    if weights is not None:
+        weights = list(weights)
+        hard = weights.count(None)
+        weights = np.array([0 if w is None else w if type(w) is int else operator.index(w)
+                            for w in weights], dtype=np.int64)
+        if np.count_nonzero(weights < 1) != hard:  # a soft 0 must not pass for hard
+            raise ValueError("soft clause weight below 1")
     return ClauseView(flat, _offsets(lengths), weights)
 
 
@@ -220,10 +229,9 @@ def concat_clauses(blocks) -> ClauseView:
     parts = [block.arrays() for block in blocks]
     if not parts:
         return clause_block(())
-    literals = np.concatenate([p[0] for p in parts])
-    lengths = np.concatenate([np.diff(p[1]) for p in parts])
-    weights = list(chain.from_iterable(p[2] for p in parts))
-    return ClauseView(literals, _offsets(lengths), weights)
+    literals, offsets, weights = zip(*parts)
+    lengths = np.concatenate([np.diff(o) for o in offsets])
+    return ClauseView(np.concatenate(literals), _offsets(lengths), np.concatenate(weights))
 
 
 _literals = operator.attrgetter("literals")
@@ -247,13 +255,14 @@ class WcnfFormula:
     sentinel weight and must exceed the sum of all soft weights.  When not
     given it defaults to that sum plus one.  Construction checks every
     clause: nonempty, integer literals, no literal 0, no variable twice,
-    every variable within ``num_vars``, soft weights integers of at least
-    1.  A bad formula raises the ``CnfError`` of its first bad clause.
-    ``soft_weights`` lists the soft clauses' weights in formula order, and
-    ``max_var`` is the largest variable a clause holds (0 with no clauses).
+    every variable within ``num_vars``, soft weights integers from 1 to
+    int64's max.  A bad formula raises the ``CnfError`` of its first bad
+    clause.  ``soft_weights`` lists the soft clauses' weights in formula
+    order, as Python ints, and ``max_var`` is the largest variable a clause
+    holds (0 with no clauses).
 
-    Given a ``ClauseView``, the formula takes over its literal and offset
-    arrays: it stores them as they are, not copies, and clears their
+    Given a ``ClauseView``, the formula takes over its literal, offset and
+    weight arrays: it stores them as they are, not copies, and clears their
     ``writeable`` flag, so the caller can no longer change them in place
     either.  A copy would double the memory a large formula's arrays take
     while it is built.  An iterable of ``Clause`` is converted to new arrays
@@ -266,8 +275,6 @@ class WcnfFormula:
     soft_weights: list = field(init=False, repr=False, compare=False)
     soft_weight_sum: int = field(init=False, repr=False, compare=False)
     max_var: int = field(init=False, repr=False, compare=False)
-    # per clause, whether it is hard
-    _hard: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         num_vars = self.num_vars
@@ -282,40 +289,35 @@ class WcnfFormula:
             source = tuple(source)
             try:
                 literals, offsets, weights = _clause_view(source).arrays()
-            except (TypeError, OverflowError):
-                # an entry numpy cannot hold is malformed; the per-clause
-                # check names the first bad one
+            except (TypeError, OverflowError, ValueError):
+                # an entry numpy cannot hold, or a soft weight below 1, is
+                # malformed; the per-clause check names the first bad one
                 _clause_check(source, num_vars)
                 raise
-        hard = np.fromiter(map(operator.is_, weights, repeat(None)),
-                           dtype=bool, count=len(weights))
-        soft_weights = list(compress(weights, (~hard).tolist()))
         bad = _first_bad_clause(literals, offsets, num_vars)
-        if min(soft_weights, default=1) < 1:
-            light = next(i for i, w in enumerate(weights) if w is not None and w < 1)
-            bad = light if bad is None else min(bad, light)
         if bad is not None:
             _clause_check((source[bad],), num_vars)
+        soft_weights = weights[weights != 0].tolist()
         soft_sum = sum(soft_weights)
         top = soft_sum + 1 if self.top is None else int(self.top)
         if top <= soft_sum:
             raise CnfError(f"top weight {top} must exceed soft weight sum {soft_sum}")
-        literals.flags.writeable = offsets.flags.writeable = False
+        literals.flags.writeable = offsets.flags.writeable = weights.flags.writeable = False
         object.__setattr__(self, "clauses", ClauseView(literals, offsets, weights))
         object.__setattr__(self, "top", top)
         object.__setattr__(self, "soft_weights", soft_weights)
         object.__setattr__(self, "soft_weight_sum", soft_sum)
         object.__setattr__(self, "max_var", _largest_variable(literals))
-        object.__setattr__(self, "_hard", hard)
 
     def hard_satisfied(self, assignment) -> bool:
         """Whether a total assignment satisfies every hard clause."""
-        return bool(self._satisfied(assignment)[self._hard].all())
+        return bool(self._satisfied(assignment)[self.clauses.hard()].all())
 
     def falsified_weight(self, assignment) -> int:
-        """Total weight of soft clauses falsified by a total assignment."""
-        falsified = ~self._satisfied(assignment)[~self._hard]
-        return sum(compress(self.soft_weights, falsified.tolist()))
+        """Total weight of soft clauses falsified by a total assignment, an
+        exact Python int; a falsified hard clause adds its weight 0."""
+        weights = self.clauses.arrays()[2]
+        return sum(weights[~self._satisfied(assignment)].tolist())
 
     def _satisfied(self, assignment) -> np.ndarray:
         """Per clause, whether a ``{variable: bool}`` assignment makes one of
@@ -398,6 +400,8 @@ def _clause_check(clauses, num_vars):
                 raise CnfError(f"soft clause weight must be an integer, got {c.weight!r}")
             if c.weight < 1:
                 raise CnfError(f"soft clause weight must be >= 1, got {c.weight}")
+            if c.weight > _INT64_MAX:
+                raise CnfError(f"soft clause weight {c.weight} does not fit in int64")
 
 
 def write_dimacs(formula: WcnfFormula, comments: tuple[str, ...] = ()) -> str:
@@ -409,8 +413,8 @@ def write_dimacs(formula: WcnfFormula, comments: tuple[str, ...] = ()) -> str:
     joined, never mended.  The lines are formatted ``CLAUSE_CHUNK``
     clauses at a time, each chunk as one array of int codes, filled from
     the formula's arrays, into one array of words: "0\\n", the top
-    weight, each distinct soft weight, then ``f"{l} "`` for every literal
-    -num_vars..num_vars.  The chunk's words are joined once, so the
+    weight, the distinct soft weights sorted, then ``f"{l} "`` for every
+    literal -num_vars..num_vars.  The chunk's words are joined once, so the
     temporaries stay the size of a chunk and the text is built by one
     final join.  The literal words are built only when ``num_vars`` is at
     most the formula's literal count, so their number stays bounded by the
@@ -425,9 +429,9 @@ def write_dimacs(formula: WcnfFormula, comments: tuple[str, ...] = ()) -> str:
     head += f"p wcnf {formula.num_vars} {len(formula.clauses)} {formula.top}\n"
     literals, offsets, weights = formula.clauses.arrays()
     n = formula.num_vars
-    distinct_soft = list(dict.fromkeys(formula.soft_weights))
-    weight_code = {w: i for i, w in enumerate(distinct_soft, 2)}
-    words = np.array(["0\n", f"{formula.top} ", *map("{} ".format, distinct_soft)],
+    # sorted with 0 (hard) first: weight w's word is words[1 + its index], the top's for 0
+    distinct = np.unique(np.append(weights[weights != 0], 0))
+    words = np.array(["0\n", f"{formula.top} ", *map("{} ".format, distinct[1:].tolist())],
                      dtype=object)
     table = _literal_table(n, len(literals), "{} ".format)
     if table is not None:
@@ -444,11 +448,7 @@ def write_dimacs(formula: WcnfFormula, comments: tuple[str, ...] = ()) -> str:
         end = start + len(chunk) - 1
         shift = 2 * np.arange(end - start)
         codes = np.zeros(len(lits) + 2 * len(shift), dtype=np.int64)  # "0\n" by default
-        at = chunk[:-1] + shift  # each clause's weight: the top's unless soft
-        codes[at] = 1
-        soft = ~formula._hard[start:end]
-        codes[at[soft]] = list(map(weight_code.__getitem__,
-                                   compress(weights[start:end], soft.tolist())))
+        codes[chunk[:-1] + shift] = 1 + np.searchsorted(distinct, weights[start:end])
         codes[np.arange(len(lits)) + np.repeat(shift + 1, np.diff(chunk))] = lit_codes
         pieces.append("".join(chunk_words[codes].tolist()))
     return "".join(pieces)
@@ -487,8 +487,8 @@ def parse_dimacs(text: str) -> WcnfFormula:
             header, literals, weights = _read_lines(text.splitlines())
         try:
             clauses = clause_block(literals, weights)
-        except OverflowError:
-            # a literal past int64: the formula's check names the first bad clause
+        except (OverflowError, ValueError):
+            # a value past int64 or a soft weight below 1: the check names it
             clauses = list(map(Clause, literals, weights))
     else:
         clauses = concat_clauses(views)
@@ -503,7 +503,7 @@ def parse_dimacs(text: str) -> WcnfFormula:
         if isinstance(clauses, ClauseView):
             num_vars = _largest_variable(clauses.arrays()[0])
         else:
-            num_vars = max(map(abs, chain.from_iterable(literals)))
+            num_vars = max(map(abs, chain.from_iterable(literals)), default=0)
     return WcnfFormula(num_vars, clauses, top)
 
 
@@ -604,9 +604,9 @@ def _read_clause_block(block, top):
     is_literal = np.ones(len(values), dtype=bool)
     is_literal[starts] = False
     is_literal[ends] = False
-    weights = values[starts].astype(object)
+    weights = values[starts]
     if top is not None:
         # no value read here reaches int64's max, so min() keeps the test exact
-        weights[values[starts] >= min(top, _INT64_MAX)] = None
+        weights[weights >= min(top, _INT64_MAX)] = 0
     lengths = np.maximum(ends - starts - 1, 0)
-    return ClauseView(values[is_literal], _offsets(lengths), weights.tolist())
+    return ClauseView(values[is_literal], _offsets(lengths), weights)

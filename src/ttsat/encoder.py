@@ -203,7 +203,8 @@ def _pair_clash_clauses(instance, varmap, pairs, weights=None) -> ClauseView:
     pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
     lits = -varmap.ct(pairs[:, None, :], np.arange(T)[:, None])
     n = len(pairs) * T
-    weights = [None] * n if weights is None else [w for w in weights for _ in range(T)]
+    if weights is not None:
+        weights = np.repeat(np.array(weights, dtype=np.int64), T)
     return ClauseView(lits.reshape(-1), np.arange(0, 2 * n + 1, 2, dtype=np.int64), weights)
 
 
@@ -248,7 +249,7 @@ def room_clashes(instance: Instance, varmap: VarMap) -> ClauseView:
     lits[..., 2] = neg_cr[:, None, a]
     lits[..., 3] = neg_cr[:, None, b]
     n = R * T * P
-    return ClauseView(lits.reshape(-1), np.arange(0, 4 * n + 1, 4, dtype=np.int64), [None] * n)
+    return ClauseView(lits.reshape(-1), np.arange(0, 4 * n + 1, 4, dtype=np.int64))
 
 
 def timeslot_unavailability(instance: Instance, varmap: VarMap, opts: EncodeOptions) -> ClauseView:
@@ -307,7 +308,7 @@ def _exactly_one_rows(varmap, tags, shapes) -> ClauseView:
         lengths[clause_at[rows, None] + np.arange(len(offsets) - 1)] = np.diff(offsets)
     offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
-    return ClauseView(flat, offsets, [None] * len(lengths))
+    return ClauseView(flat, offsets)
 
 
 def _session_tags(instance, family):

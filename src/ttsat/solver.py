@@ -61,7 +61,6 @@ WCNF and Max-SAT evaluation output, re-validating whatever it returns.
 from __future__ import annotations
 
 import heapq
-import operator
 import os
 import random
 import shlex
@@ -71,7 +70,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress, repeat
+from itertools import compress
 
 from .cardinality import Totalizer
 from .cnf import CnfError, WcnfFormula, gc_paused, write_dimacs
@@ -249,9 +248,9 @@ class CdclSolver:
         watches = self.watches
         units = []
         lists = list(formula.clauses.lists())
-        is_hard = list(map(operator.is_, formula.clauses.arrays()[2], repeat(None)))
-        clauses = list(compress(lists, is_hard))
-        softs = list(compress(lists, map(operator.not_, is_hard)))
+        hard = formula.clauses.hard()
+        clauses = list(compress(lists, hard.tolist()))
+        softs = list(compress(lists, (~hard).tolist()))
         for cl, sel in zip(softs, selectors):
             cl.append(sel)
         clauses += softs

@@ -473,8 +473,10 @@ class TestSolveWcnf:
         "p wcnf 2 1 5\n2 1 -1 0\n",
         "p wcnf 2 1 5\n2 3 0\n",
         "h 0\n",
+        f"p wcnf 1 1 {2**65}\n{2**64} 1 0\n",
+        "p wcnf 2 1 5\n-5 1 0\n",
     ], ids=["empty-clause", "weight-0", "inner-0", "repeated-variable",
-            "beyond-header", "headerless-empty"])
+            "beyond-header", "headerless-empty", "weight-past-int64", "weight-negative"])
     def test_malformed_clause_exit_2(self, capsys, tmp_path, text):
         with pytest.raises(CnfError):
             parse_dimacs(text)

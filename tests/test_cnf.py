@@ -376,6 +376,7 @@ BAD_LAST_CLAUSES = [
     (Clause((1,), 0), "soft clause weight must be >= 1, got 0"),
     ((1, 2), "expected Clause, got tuple"),
     (Clause((1,), 2.5), "soft clause weight must be an integer, got 2.5"),
+    (Clause((1,), 2**63), f"soft clause weight {2**63} does not fit in int64"),
 ]
 
 BIG = 2**62 + 5  # a header num_vars near 2**62: clause keys would pass int64
@@ -515,6 +516,13 @@ def outcome(read, text):
         return "error", str(exc)
 
 
+def assert_exact_weights(view):
+    """Every weight ``view`` yields, by iteration and by index, is None or
+    a Python int: a numpy int would pass every equality assert."""
+    weights = [c.weight for c in view] + [view[i].weight for i in range(len(view))]
+    assert all(w is None or type(w) is int for w in weights)
+
+
 def read_per_line(text):
     """What ``parse_dimacs`` makes of ``text`` read by the per-line reader
     alone: the block reader declines every block."""
@@ -608,7 +616,9 @@ class TestBlockReader:
         text = f"p wcnf 2 3 {2**64}\n5 1 0\n{2**64} 2 0\n{2**63 - 2} -1 2 0\n"
         for chunk in range(1, len(text) + 2):
             read_like_per_line(text, chunk)
-        assert [c.weight for c in parse_dimacs(text).clauses] == [5, None, 2**63 - 2]
+        clauses = parse_dimacs(text).clauses
+        assert [c.weight for c in clauses] == [5, None, 2**63 - 2]
+        assert_exact_weights(clauses)
 
     @settings(deadline=None, max_examples=300)
     @given(dimacs_like_texts(), st.integers(1, 48))
@@ -714,10 +724,12 @@ class TestClauseView:
     def test_formula_takes_over_a_whole_views_arrays(self):
         literals = np.array([1, -2, 2], dtype=np.int64)
         offsets = np.array([0, 2, 3], dtype=np.int64)
-        formula = WcnfFormula(2, cnf.ClauseView(literals, offsets, [None, 1]))
+        weights = np.array([0, 1], dtype=np.int64)
+        formula = WcnfFormula(2, cnf.ClauseView(literals, offsets, weights))
+        assert list(formula.clauses) == [Clause((1, -2)), Clause((2,), 1)]
         kept = formula.clauses.arrays()
-        assert kept[0] is literals and kept[1] is offsets  # no copies
-        for array in (literals, offsets):
+        assert kept[0] is literals and kept[1] is offsets and kept[2] is weights  # no copies
+        for array in (literals, offsets, weights):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 1
@@ -730,6 +742,7 @@ class TestClauseView:
             f = WcnfFormula(n, clauses, top)
             assert tuple(f.clauses) == clauses
             assert f.soft_weights == [c.weight for c in clauses if not c.is_hard]
+            assert_exact_weights(f.clauses)
 
     @settings(deadline=None)
     @given(well_formed_clauses(), st.integers(1, 5))
@@ -764,16 +777,20 @@ class TestClauseView:
         assert walked == [c.literals for c in clauses]
 
     @settings(deadline=None)
-    @given(well_formed_clauses(), st.data())
-    def test_evaluation_matches_per_clause_reference(self, args, data):
+    @given(well_formed_clauses(), st.lists(st.booleans(), min_size=12, max_size=12))
+    # soft weights whose falsified sum passes int64: the sum stays exact
+    @example((3, tuple(Clause((v,), 2**62) for v in (1, 2, 3)), None), [False] * 12)
+    def test_evaluation_matches_per_clause_reference(self, args, values):
         n, clauses, top = args
         formula = WcnfFormula(n, clauses, top)
-        values = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
-        assignment = dict(enumerate(values, start=1))
+        assignment = dict(enumerate(values[:n], start=1))  # n <= 12
         assert formula.hard_satisfied(assignment) == all(
             satisfied_by(c, assignment) for c in clauses if c.is_hard)
-        assert formula.falsified_weight(assignment) == sum(
+        falsified = formula.falsified_weight(assignment)
+        assert type(falsified) is int and falsified == sum(
             c.weight for c in clauses if not c.is_hard and not satisfied_by(c, assignment))
+        if not any(satisfied_by(c, assignment) for c in clauses):
+            assert falsified == formula.soft_weight_sum
 
     @settings(deadline=None)
     @given(well_formed_clauses(), well_formed_clauses(), st.data())
