@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .cardinality import exactly_one, totalizer  # noqa: F401
+from .cardinality import exactly_one  # noqa: F401
 from .cnf import (  # noqa: F401
     Clause,
     WcnfFormula,

@@ -2,10 +2,10 @@
 
 * ``exactly_one``: the paper's "one timeslot / one room per session".
   Pairwise (no auxiliary variables) for up to 8 literals, a totalizer above.
-* ``totalizer``: a balanced merge tree whose root outputs form a unary
+* ``Totalizer``: a balanced merge tree whose root outputs form a unary
   counter of a literal set, encoded in both directions (Bailleux &
   Boufkhad, CP 2003).  Any bound is one unit clause on its outputs.  With
-  ``cap`` every node keeps at most ``cap`` outputs, which still bounds the
+  a cap every node keeps at most that many outputs, which still bounds the
   count at any k < cap (Martins et al., CP 2014).  A ``Totalizer`` keeps
   its merge tree and raises its cap in place, adding only the clauses of
   the new outputs.  The solver's OLL engine keeps one over each core,
@@ -41,28 +41,20 @@ def exactly_one(lits, alloc) -> list[tuple[int, ...]]:
         raise CardinalityError("literals must range over distinct variables")
     if len(lits) <= PAIRWISE_MAX:
         return [(-a, -b) for a, b in itertools.combinations(lits, 2)] + [tuple(lits)]
-    clauses, outs = totalizer(lits, alloc)
-    clauses.append((-outs[1],))
-    clauses.append((outs[0],))
+    counter = Totalizer(lits)
+    clauses = counter.count_to(None, alloc)
+    clauses.append((-counter.outputs[1],))
+    clauses.append((counter.outputs[0],))
     return clauses
 
 
-def totalizer(lits, alloc, cap=None):
-    """Unary counter ``(clauses, outputs)``: outputs[i] <=> "at least i+1 of
-    ``lits`` are true"; the caller sets any bound (a lone literal counts itself).
-
-    With ``cap`` every node keeps at most ``cap`` outputs, so the counter
-    reads "at least 1" to "at least cap" and can bound the count at any
-    k < cap; None counts every literal."""
-    counter = Totalizer(lits)
-    return counter.count_to(cap, alloc), counter.outputs
-
-
 class Totalizer:
-    """A ``totalizer`` over ``lits`` kept as its merge tree, so that it can
-    count further later: ``count_to`` returns only the clauses of the
-    outputs it adds (Martins et al., CP 2014).  ``outputs`` starts empty
-    (the lone literal for one literal) and grows in place."""
+    """Unary counter over ``lits``: ``outputs[i]`` <=> "at least i+1 of
+    ``lits`` are true"; the caller sets any bound.  It keeps its merge
+    tree, so that it can count further later: ``count_to`` returns only
+    the clauses of the outputs it adds (Martins et al., CP 2014).
+    ``outputs`` starts empty (the lone literal for one literal) and grows
+    in place."""
 
     __slots__ = ("lits", "_root")
 
@@ -75,8 +67,10 @@ class Totalizer:
         return self._root[0]
 
     def count_to(self, cap, alloc) -> list[tuple[int, ...]]:
-        """Clauses that give every node up to ``cap`` outputs (None: all);
-        the clauses returned earlier stay as they are."""
+        """Clauses that give every node up to ``cap`` outputs (None: all),
+        so that the outputs read "at least 1" to "at least cap" and bound
+        the count at any k < cap; the clauses returned earlier stay as they
+        are."""
         clauses: list[tuple[int, ...]] = []
         _count_to(self._root, len(self.lits) if cap is None else cap, alloc, clauses)
         return clauses

@@ -23,17 +23,17 @@ builds views: ``clause_block``, ``concat_clauses``, ``parse_dimacs`` and
 the encoder's families.
 
 Checking.  ``Clause`` and ``ClauseView`` are unchecked; ``WcnfFormula``
-checks every clause once, when it is built.  Given any iterable of
-``Clause``, it first converts it to the same arrays; an entry that is no
-``Clause``, holds a value int64 cannot or has a soft weight below 1 is
-malformed, and the per-clause check names the first bad clause.  Given a
-view, it takes its arrays as they are, weights too.  The check proper runs in numpy on the arrays, in chunks, then
-re-checks only the first bad clause on its own, which raises that
-clause's ``CnfError``; the message is the one a clause-by-clause check
-gives.  ``num_vars`` must fit int64, as every literal must.  A formula's
-arrays are read-only; given a view, the formula keeps that view's very
-arrays, not copies, and makes them read-only for their other holders
-too.
+takes a view and nothing else, and checks every clause once, when it is
+built.  Python-side clauses become a view through ``clause_block``: it
+raises TypeError on a value that is no integer, OverflowError on one past
+int64 and ValueError on a soft weight below 1.  The per-line reader of
+``parse_dimacs`` raises the ``CnfError`` "line N: ..." of a value past
+int64 or a soft weight below 1 itself.  The formula takes a view's arrays as
+they are, weights too, and checks them in numpy, in chunks; for the first
+bad clause it finds, a message is built from that clause's literals.
+``num_vars`` must fit int64, as every literal must.  A formula's arrays
+are read-only: the formula keeps the view's very arrays, not copies, and
+makes them read-only for their other holders too.
 
 DIMACS WCNF goes out and comes in in bulk.  ``write_dimacs`` formats the
 arrays ``CLAUSE_CHUNK`` clauses at a time, each chunk as one token array
@@ -59,7 +59,6 @@ so the collector's passes find nothing to free.
 from __future__ import annotations
 
 import gc
-import numbers
 import operator
 import warnings
 from collections.abc import Sequence
@@ -76,6 +75,7 @@ PARSE_CHUNK = 1 << 20
 # lists(), write_dimacs), so that those stay small
 CLAUSE_CHUNK = 1 << 14
 _INT64_MAX = np.iinfo(np.int64).max
+_INT64_MIN = np.iinfo(np.int64).min
 
 
 class CnfError(ValueError):
@@ -149,8 +149,8 @@ class ClauseView(Sequence):
     hard).  A ``Clause``, its weight None or a Python int, is built only
     when the view is indexed (by an integer) or iterated; ``lists()`` gives
     the literals alone.  Views compare only with views, by their arrays.
-    The constructor is internal (outside code passes ``Clause`` objects or
-    calls ``clause_block``), and ``WcnfFormula`` checks the clauses."""
+    The constructor is internal (outside code calls ``clause_block``), and
+    ``WcnfFormula`` checks the clauses."""
 
     __slots__ = ("_literals", "_offsets", "_weights")
 
@@ -234,43 +234,41 @@ def concat_clauses(blocks) -> ClauseView:
     return ClauseView(np.concatenate(literals), _offsets(lengths), np.concatenate(weights))
 
 
-_literals = operator.attrgetter("literals")
-_weight = operator.attrgetter("weight")
-
-
-def _clause_view(clauses) -> ClauseView:
-    """``clause_block`` of a sequence of ``Clause``; TypeError on any other entry."""
-    if not all(issubclass(t, Clause) for t in set(map(type, clauses))):
-        raise TypeError("expected Clause")
-    return clause_block(map(_literals, clauses), map(_weight, clauses))
+def soft_weight_array(weights) -> np.ndarray:
+    """The int64 array of a list of integer soft weights, made by one
+    ``np.array`` call; a weight past int64 raises ``CnfError``."""
+    try:
+        return np.array(weights, dtype=np.int64)
+    except OverflowError:
+        big = next(w for w in weights if not _INT64_MIN <= w <= _INT64_MAX)
+        raise CnfError(f"soft clause weight {big} does not fit in int64") from None
 
 
 @dataclass(frozen=True)
 class WcnfFormula:
     """Ordered weighted clause set.
 
-    ``clauses`` is any iterable of ``Clause``, or a ``ClauseView`` built in
-    ttsat; either way the formula stores it as arrays and shows it as a
-    ``ClauseView`` (see the module docstring).  ``top`` is the hard-clause
-    sentinel weight and must exceed the sum of all soft weights.  When not
-    given it defaults to that sum plus one.  Construction checks every
-    clause: nonempty, integer literals, no literal 0, no variable twice,
-    every variable within ``num_vars``, soft weights integers from 1 to
-    int64's max.  A bad formula raises the ``CnfError`` of its first bad
-    clause.  ``soft_weights`` lists the soft clauses' weights in formula
-    order, as Python ints, and ``max_var`` is the largest variable a clause
-    holds (0 with no clauses).
+    ``clauses`` is a ``ClauseView`` (from ``clause_block``,
+    ``concat_clauses``, the encoder or ``parse_dimacs``); anything else
+    raises TypeError.  ``top`` is the hard-clause sentinel weight and must
+    exceed the sum of all soft weights.  When not given it defaults to
+    that sum plus one.  Construction checks every clause: nonempty, no
+    literal 0, no variable twice, every variable within ``num_vars``.  A
+    bad formula raises the ``CnfError`` of its first bad clause.  The
+    view's weights are taken as they are: ``clause_block`` and the readers
+    have checked them.  ``soft_weights`` lists the soft clauses' weights in
+    formula order, as Python ints, and ``max_var`` is the largest variable
+    a clause holds (0 with no clauses).
 
-    Given a ``ClauseView``, the formula takes over its literal, offset and
-    weight arrays: it stores them as they are, not copies, and clears their
-    ``writeable`` flag, so the caller can no longer change them in place
-    either.  A copy would double the memory a large formula's arrays take
-    while it is built.  An iterable of ``Clause`` is converted to new arrays
-    first, which the formula owns alone.
+    The formula takes over the view's literal, offset and weight arrays: it
+    stores them as they are, not copies, and clears their ``writeable``
+    flag, so the caller can no longer change them in place either.  A copy
+    would double the memory a large formula's arrays take while it is
+    built.
     """
 
     num_vars: int
-    clauses: Sequence[Clause]
+    clauses: ClauseView
     top: int | None = None
     soft_weights: list = field(init=False, repr=False, compare=False)
     soft_weight_sum: int = field(init=False, repr=False, compare=False)
@@ -282,21 +280,13 @@ class WcnfFormula:
             raise CnfError("formula needs at least one variable")
         if num_vars > _INT64_MAX:
             raise CnfError(f"num_vars={num_vars} does not fit in int64, as every literal must")
-        source = self.clauses
-        if isinstance(source, ClauseView):
-            literals, offsets, weights = source.arrays()
-        else:
-            source = tuple(source)
-            try:
-                literals, offsets, weights = _clause_view(source).arrays()
-            except (TypeError, OverflowError, ValueError):
-                # an entry numpy cannot hold, or a soft weight below 1, is
-                # malformed; the per-clause check names the first bad one
-                _clause_check(source, num_vars)
-                raise
+        if not isinstance(self.clauses, ClauseView):
+            raise TypeError(f"expected ClauseView, got {type(self.clauses).__name__}")
+        literals, offsets, weights = self.clauses.arrays()
         bad = _first_bad_clause(literals, offsets, num_vars)
         if bad is not None:
-            _clause_check((source[bad],), num_vars)
+            lits = tuple(literals[offsets[bad]:offsets[bad + 1]].tolist())
+            raise CnfError(_bad_clause_message(lits, num_vars))
         soft_weights = weights[weights != 0].tolist()
         soft_sum = sum(soft_weights)
         top = soft_sum + 1 if self.top is None else int(self.top)
@@ -376,32 +366,18 @@ def _first_bad_in_chunk(literals, offsets, num_vars):
     return int(bad.min()) if len(bad) else None
 
 
-def _clause_check(clauses, num_vars):
-    """Check clauses one by one, raising the ``CnfError`` of the first bad one."""
-    for c in clauses:
-        if not isinstance(c, Clause):
-            raise CnfError(f"expected Clause, got {type(c).__name__}")
-        lits = c.literals
-        if not lits:
-            raise CnfError("clause must contain at least one literal")
-        if not all(isinstance(l, numbers.Integral) for l in lits):
-            raise CnfError(f"clause {lits} has a literal that is not an integer")
-        variables = set(map(abs, lits))
-        if 0 in variables:
-            raise CnfError(f"0 is the clause terminator, not a literal, in {lits}")
-        if len(variables) != len(lits):
-            raise CnfError(f"a variable occurs twice in clause {lits}")
-        if max(variables) > num_vars:
-            raise CnfError(
-                f"variable {max(variables)} in clause {lits} exceeds num_vars={num_vars}"
-            )
-        if c.weight is not None:
-            if not isinstance(c.weight, numbers.Integral):
-                raise CnfError(f"soft clause weight must be an integer, got {c.weight!r}")
-            if c.weight < 1:
-                raise CnfError(f"soft clause weight must be >= 1, got {c.weight}")
-            if c.weight > _INT64_MAX:
-                raise CnfError(f"soft clause weight {c.weight} does not fit in int64")
+def _bad_clause_message(lits, num_vars) -> str:
+    """What is wrong with ``lits``, a clause ``_first_bad_clause`` rejects:
+    checked in order, it is empty, holds 0, repeats a variable or passes
+    ``num_vars``."""
+    if not lits:
+        return "clause must contain at least one literal"
+    variables = set(map(abs, lits))
+    if 0 in variables:
+        return f"0 is the clause terminator, not a literal, in {lits}"
+    if len(variables) != len(lits):
+        return f"a variable occurs twice in clause {lits}"
+    return f"variable {max(variables)} in clause {lits} exceeds num_vars={num_vars}"
 
 
 def write_dimacs(formula: WcnfFormula, comments: tuple[str, ...] = ()) -> str:
@@ -459,9 +435,10 @@ def parse_dimacs(text: str) -> WcnfFormula:
     "h"-marker variant is accepted too, its ``num_vars`` the largest
     variable.  Weights >= top normalize to hard.
 
-    Only syntax is checked here, with line numbers: at most one header, and
-    it comes before every clause.  ``WcnfFormula`` checks the clauses
-    themselves.
+    Syntax is checked here, with line numbers: at most one header, and it
+    comes before every clause.  The per-line reader also names the line of
+    a soft weight below 1 and of a value past int64.  ``WcnfFormula``
+    checks the clauses themselves.
 
     Each text is read one way.  The leading comment and header lines go to
     the per-line reader; the rest is cut at newlines into blocks of about
@@ -470,9 +447,8 @@ def parse_dimacs(text: str) -> WcnfFormula:
     arrays are joined.  Otherwise, or when the leading lines already hold
     a clause (a line end other than "\n" among them), the whole text is
     read line by line, so the clauses and the ``line N: ...`` errors are
-    always those of the per-line reader.  Its clauses become one view,
-    unless a literal passes int64; the formula is then built from
-    ``Clause`` objects, and its check names the first bad clause."""
+    always those of the per-line reader.  Either way the clauses are one
+    view."""
     blocks = _blocks(text)
     lead = next(blocks)
     header, literals, weights = _read_lines(lead.splitlines())
@@ -485,11 +461,7 @@ def parse_dimacs(text: str) -> WcnfFormula:
     if weights or None in views:
         if len(lead) < len(text):
             header, literals, weights = _read_lines(text.splitlines())
-        try:
-            clauses = clause_block(literals, weights)
-        except (OverflowError, ValueError):
-            # a value past int64 or a soft weight below 1: the check names it
-            clauses = list(map(Clause, literals, weights))
+        clauses = clause_block(literals, weights)
     else:
         clauses = concat_clauses(views)
     num_vars, num_clauses, top = header or (None, None, None)
@@ -500,10 +472,7 @@ def parse_dimacs(text: str) -> WcnfFormula:
             f"header declares {num_clauses} clauses but file contains {len(clauses)}"
         )
     if num_vars is None:
-        if isinstance(clauses, ClauseView):
-            num_vars = _largest_variable(clauses.arrays()[0])
-        else:
-            num_vars = max(map(abs, chain.from_iterable(literals)), default=0)
+        num_vars = _largest_variable(clauses.arrays()[0])
     return WcnfFormula(num_vars, clauses, top)
 
 
@@ -530,7 +499,8 @@ def _read_lines(lines):
     """The per-line reader: ``(header, literals, weights)`` of ``lines``,
     the first of which is line 1.  ``header`` is ``(num_vars, num_clauses,
     top)``, or None; ``literals`` holds one tuple per clause and
-    ``weights`` its weight, None for hard."""
+    ``weights`` its weight, None for hard.  A soft weight below 1 and a
+    value past int64 raise the ``CnfError`` of their line."""
     header = top = None
     literals: list[tuple[int, ...]] = []
     weights: list[int | None] = []
@@ -563,6 +533,13 @@ def _read_lines(lines):
             raise CnfError(f"line {lineno}: bad token in clause {s!r}") from None
         if weight is not None and top is not None and weight >= top:
             weight = None
+        if weight is not None and weight < 1:
+            raise CnfError(f"line {lineno}: soft clause weight must be >= 1, got {weight}")
+        if weight is not None and weight > _INT64_MAX:
+            raise CnfError(f"line {lineno}: soft clause weight {weight} does not fit in int64")
+        if lits and (min(lits) < _INT64_MIN or max(lits) > _INT64_MAX):
+            big = next(l for l in lits if not _INT64_MIN <= l <= _INT64_MAX)
+            raise CnfError(f"line {lineno}: literal {big} does not fit in int64")
         add_literals(lits)
         add_weight(weight)
     return header, literals, weights
@@ -583,8 +560,8 @@ def _read_clause_block(block, top):
     separator, no "c", "p" or "h" line); every "-" after a space and before
     a digit; every line, the last included, ends in " 0\n", and that 0 is
     the line's only zero value (no "-0", "00", blank line or trailing
-    space); no saturated value.  A line " 0" reads as it does per line, as
-    a clause of no literals whose weight is its terminator."""
+    space); no saturated value; no line " 0", whose one value the per-line
+    reader takes for a soft weight 0."""
     lines = block.count("\n")
     if not (block.endswith("\n") and not block.translate(_CLAUSE_LINE_CHARS)
             and block.count(" 0\n") == lines
@@ -598,9 +575,12 @@ def _read_clause_block(block, top):
         except (ValueError, DeprecationWarning):
             return None
     ends = np.flatnonzero(values == 0)
-    if len(ends) != lines or values.max() == _INT64_MAX or values.min() == -_INT64_MAX - 1:
+    if len(ends) != lines or values.max() == _INT64_MAX or values.min() == _INT64_MIN:
         return None
     starts = np.concatenate(([0], ends[:-1] + 1))
+    lengths = ends - starts - 1
+    if lengths.min(initial=0) < 0:
+        return None
     is_literal = np.ones(len(values), dtype=bool)
     is_literal[starts] = False
     is_literal[ends] = False
@@ -608,5 +588,4 @@ def _read_clause_block(block, top):
     if top is not None:
         # no value read here reaches int64's max, so min() keeps the test exact
         weights[weights >= min(top, _INT64_MAX)] = 0
-    lengths = np.maximum(ends - starts - 1, 0)
     return ClauseView(values[is_literal], _offsets(lengths), weights)

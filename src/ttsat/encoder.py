@@ -20,8 +20,10 @@ the three pair-clash families over (session pair, timeslot), through
 ``_pair_clash_clauses``; and the two exactly-one families from one clause
 template per row shape, made by ``cardinality.exactly_one`` over
 placeholder variables and broadcast over every session of that shape
-(``_exactly_one_rows``).  The link and soft unit families, small at any
-size, build one literal tuple per clause.
+(``_exactly_one_rows``).  The link families, small at any size, build
+one literal tuple per clause, and the soft unit families one literal per
+clause.  Every soft weight becomes int64 through
+``cnf.soft_weight_array``, so a weight past int64 is a ``CnfError``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cardinality import exactly_one
-from .cnf import ClauseView, WcnfFormula, clause_block, concat_clauses
+from .cnf import ClauseView, WcnfFormula, clause_block, concat_clauses, soft_weight_array
 from .model import Instance, SessionKind, cross_curriculum_pairs
 
 
@@ -204,7 +206,7 @@ def _pair_clash_clauses(instance, varmap, pairs, weights=None) -> ClauseView:
     lits = -varmap.ct(pairs[:, None, :], np.arange(T)[:, None])
     n = len(pairs) * T
     if weights is not None:
-        weights = np.repeat(np.array(weights, dtype=np.int64), T)
+        weights = np.repeat(soft_weight_array(weights), T)
     return ClauseView(lits.reshape(-1), np.arange(0, 2 * n + 1, 2, dtype=np.int64), weights)
 
 
@@ -252,10 +254,16 @@ def room_clashes(instance: Instance, varmap: VarMap) -> ClauseView:
     return ClauseView(lits.reshape(-1), np.arange(0, 4 * n + 1, 4, dtype=np.int64))
 
 
+def _soft_units(literals, weights) -> ClauseView:
+    """One soft unit clause per literal, ``weights`` giving their weights."""
+    return ClauseView(np.array(literals, dtype=np.int64),
+                      np.arange(len(literals) + 1, dtype=np.int64), soft_weight_array(weights))
+
+
 def timeslot_unavailability(instance: Instance, varmap: VarMap, opts: EncodeOptions) -> ClauseView:
     """Soft unit against each forbidden (session, timeslot) placement."""
-    out = [(-varmap.ct(s.id, t),) for s in instance.sessions for t in sorted(s.forbidden_timeslots)]
-    return clause_block(out, [opts.unavailability_soft_weight()] * len(out))
+    out = [-varmap.ct(s.id, t) for s in instance.sessions for t in sorted(s.forbidden_timeslots)]
+    return _soft_units(out, [opts.unavailability_soft_weight()] * len(out))
 
 
 def room_capacity(instance: Instance, varmap: VarMap, opts: EncodeOptions) -> ClauseView:
@@ -264,9 +272,9 @@ def room_capacity(instance: Instance, varmap: VarMap, opts: EncodeOptions) -> Cl
     for s in instance.sessions:
         for r in instance.rooms:
             if r.capacity < s.enrollment:
-                out.append((-varmap.cr(s.id, r.id),))
+                out.append(-varmap.cr(s.id, r.id))
                 weights.append(opts.capacity_weight(s.enrollment - r.capacity))
-    return clause_block(out, weights)
+    return _soft_units(out, weights)
 
 
 def _template(n, exactly):

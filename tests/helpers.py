@@ -1,4 +1,5 @@
-"""Shared test utilities: random formulas, the Max-SAT enumeration oracle
+"""Shared test utilities: formulas from ``Clause`` records and the
+clause-by-clause check, random formulas, the Max-SAT enumeration oracle
 and a clause's truth under an assignment, the clause-by-clause room clash
 family, the line-by-line WCNF writer, an independent extension checker,
 cardinality bounds on a totalizer, the semantic enumeration oracle,
@@ -12,10 +13,41 @@ import itertools
 
 import numpy as np
 
-from ttsat.cardinality import totalizer
-from ttsat.cnf import Clause, WcnfFormula
+from ttsat.cardinality import Totalizer
+from ttsat.cnf import Clause, CnfError, WcnfFormula, clause_block
 from ttsat.decode import Timetable, check_hard, compute_cost
 from ttsat.solver import CdclSolver, MaxSatResult, MaxSatStatus, SatResult, SatStatus
+
+
+def view_of(clauses):
+    """``clause_block`` of ``Clause`` records: their literals and weights."""
+    clauses = tuple(clauses)
+    return clause_block([c.literals for c in clauses], [c.weight for c in clauses])
+
+
+def wcnf(num_vars, clauses, top=None):
+    """The ``WcnfFormula`` of ``Clause`` records, through ``view_of``."""
+    return WcnfFormula(num_vars, view_of(clauses), top)
+
+
+def clause_check(clauses, num_vars):
+    """The clause-by-clause check: raise the ``CnfError`` of the first of
+    ``clauses`` (``Clause`` records of integer literals) that is empty,
+    holds 0, repeats a variable or passes ``num_vars``.  The oracle that
+    ``WcnfFormula``'s numpy check must agree with."""
+    for c in clauses:
+        lits = c.literals
+        if not lits:
+            raise CnfError("clause must contain at least one literal")
+        variables = set(map(abs, lits))
+        if 0 in variables:
+            raise CnfError(f"0 is the clause terminator, not a literal, in {lits}")
+        if len(variables) != len(lits):
+            raise CnfError(f"a variable occurs twice in clause {lits}")
+        if max(variables) > num_vars:
+            raise CnfError(
+                f"variable {max(variables)} in clause {lits} exceeds num_vars={num_vars}"
+            )
 
 
 def random_wcnf(rng, max_vars=18, max_clauses=60, max_weight=9, hard_fraction=0.4):
@@ -28,7 +60,7 @@ def random_wcnf(rng, max_vars=18, max_clauses=60, max_weight=9, hard_fraction=0.
         lits = tuple(v if rng.random() < 0.5 else -v for v in variables)
         weight = None if rng.random() < hard_fraction else rng.randint(1, max_weight)
         clauses.append(Clause(lits, weight))
-    return WcnfFormula(n, tuple(clauses))
+    return wcnf(n, clauses)
 
 
 def brute_force_maxsat(formula: WcnfFormula) -> MaxSatResult:
@@ -175,7 +207,9 @@ def totalizer_bound(lits, k, kind):
     """Clauses of "at most" / "at least" / "exactly" k of ``lits``: a
     totalizer over them plus the bound's unit clauses on its outputs.  A
     bound with no output to constrain (at most n, at least 0) adds none."""
-    clauses, outs = totalizer(lits, itertools.count(max(abs(l) for l in lits) + 1).__next__)
+    counter = Totalizer(lits)
+    clauses = counter.count_to(None, itertools.count(max(abs(l) for l in lits) + 1).__next__)
+    outs = counter.outputs
     if kind in ("at_most", "exactly") and k < len(outs):
         clauses.append((-outs[k],))
     if kind in ("at_least", "exactly") and k > 0:
@@ -261,7 +295,7 @@ def interrupt_after_first_model(monkeypatch):
 
 # hard (-1), (-2), (1 2 3); soft (-3 4):2, (-4):1.  The optimum is 1, and
 # the all-false assignment costs 0 but falsifies the hard clause (1 2 3).
-HARD_VIOLATED_BY_ALL_FALSE = WcnfFormula(4, (
+HARD_VIOLATED_BY_ALL_FALSE = wcnf(4, (
     Clause((-1,)), Clause((-2,)), Clause((1, 2, 3)), Clause((-3, 4), 2), Clause((-4,), 1),
 ))
 

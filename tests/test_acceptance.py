@@ -17,10 +17,11 @@ from helpers import (
     satisfied_by,
     semantic_optimum,
     totalizer_bound,
+    wcnf,
 )
 from ttsat.cardinality import exactly_one
 from ttsat.cli import main
-from ttsat.cnf import Clause, WcnfFormula, parse_dimacs, write_dimacs
+from ttsat.cnf import Clause, parse_dimacs, write_dimacs
 from ttsat.decode import check_hard, compute_cost, decode_timetable
 from ttsat.encoder import EncodeOptions, encode, encode_with_families
 from ttsat.model import cross_curriculum_pairs, gen_random_instance
@@ -66,12 +67,12 @@ class TestAcceptance:
         hard = (Clause((1, -2)), Clause((-1, 3)))
         cases = [
             # all four clauses soft, unit weights: three of four satisfiable
-            (WcnfFormula(3, (Clause((1, -2), 1), Clause((-1, 3), 1),
+            (wcnf(3, (Clause((1, -2), 1), Clause((-1, 3), 1),
                              Clause((2, 3), 1), Clause((-3,), 1))), 1),
             # partial: optimum leaves only the final unit clause unsatisfied
-            (WcnfFormula(3, hard + (Clause((2, 3), 1), Clause((-3,), 1))), 1),
+            (wcnf(3, hard + (Clause((2, 3), 1), Clause((-3,), 1))), 1),
             # weighted partial: optimum cost 3
-            (WcnfFormula(3, hard + (Clause((2, 3), 3), Clause((-3,), 4))), 3),
+            (wcnf(3, hard + (Clause((2, 3), 3), Clause((-3,), 4))), 3),
         ]
         ok = True
         timings = []

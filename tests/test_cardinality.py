@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from helpers import mixed_literals, projected_models, totalizer_bound
-from ttsat.cardinality import PAIRWISE_MAX, CardinalityError, Totalizer, exactly_one, totalizer
+from ttsat.cardinality import PAIRWISE_MAX, CardinalityError, Totalizer, exactly_one
 
 BOUND_KINDS = ("at_most", "at_least", "exactly")
 
@@ -44,8 +44,9 @@ class TestDegenerateBounds:
         # and the bare counter admits every assignment
         for n in range(1, 6):
             lits = mixed_literals(n)
-            clauses, outs = totalizer(lits, fresh_after(lits))
-            assert len(outs) == n
+            counter = Totalizer(lits)
+            clauses = counter.count_to(None, fresh_after(lits))
+            assert len(counter.outputs) == n
             assert len(projected_models(clauses, [abs(l) for l in lits])) == 2 ** n
             assert totalizer_bound(lits, n, "at_most") == clauses
 
@@ -53,7 +54,7 @@ class TestDegenerateBounds:
         # "at least 0" adds no unit to the counter
         for n in range(1, 6):
             lits = mixed_literals(n)
-            clauses, _ = totalizer(lits, fresh_after(lits))
+            clauses = Totalizer(lits).count_to(None, fresh_after(lits))
             assert totalizer_bound(lits, 0, "at_least") == clauses
 
     def test_at_most_zero_is_units(self):
@@ -72,7 +73,8 @@ class TestDegenerateBounds:
     def test_at_least_all_is_units(self):
         assert exactly_one([-5], fresh_after([5])) == [(-5,)]
         # a lone literal is its own counter
-        assert totalizer([7], fresh_after([7])) == ([], [7])
+        counter = Totalizer([7])
+        assert counter.count_to(None, fresh_after([7])) == [] and counter.outputs == [7]
 
     def test_exactly_one_of_two(self):
         clauses = exactly_one([1, 2], fresh_after([1, 2]))
@@ -134,18 +136,19 @@ class TestProjection:
         # or more is the full counter
         lits = mixed_literals(n)
         base = [abs(l) for l in lits]
-        full = totalizer(lits, fresh_after(lits))
+        full = Totalizer(lits).count_to(None, fresh_after(lits))
         for cap in range(1, n + 1):
-            clauses, outs = totalizer(lits, fresh_after(lits), cap)
+            counter = Totalizer(lits)
+            clauses, outs = counter.count_to(cap, fresh_after(lits)), counter.outputs
             assert len(outs) == min(n, cap)
-            assert len(clauses) <= len(full[0])
+            assert len(clauses) <= len(full)
             assert len(projected_models(clauses, base)) == 2 ** n
             for k in range(min(n, cap)):
                 at_most = projected_models(clauses + [(-outs[k],)], base)
                 assert at_most == ground_truth(lits, bound_holds(k, "at_most")), (cap, k)
                 more = projected_models(clauses + [(outs[k],)], base)
                 assert more == ground_truth(lits, bound_holds(k + 1, "at_least")), (cap, k)
-        assert totalizer(lits, fresh_after(lits), n) == full
+        assert Totalizer(lits).count_to(n, fresh_after(lits)) == full
 
     @pytest.mark.parametrize("n", range(2, 7))
     @pytest.mark.parametrize("path", ["one_by_one", "jump"])
@@ -160,10 +163,11 @@ class TestProjection:
         clauses = []
         for cap in range(1, n + 1) if path == "one_by_one" else (2, n):
             clauses += counter.count_to(cap, alloc)
-            built, outs = totalizer(lits, fresh_after(lits), cap)
+            one_build = Totalizer(lits)
+            built = one_build.count_to(cap, fresh_after(lits))
             assert len(set(clauses)) == len(clauses) == len(built)
-            assert len(counter.outputs) == len(outs)
-            for k in range(len(outs)):
+            assert len(counter.outputs) == len(one_build.outputs)
+            for k in range(len(counter.outputs)):
                 at_most = projected_models(clauses + [(-counter.outputs[k],)], base)
                 assert at_most == ground_truth(lits, bound_holds(k, "at_most")), (cap, k)
                 more = projected_models(clauses + [(counter.outputs[k],)], base)
@@ -198,7 +202,8 @@ class TestAllocator:
     def test_deterministic_output(self):
         lits = [1, -2, 3, 4, -5, 6, 7, -8, 9, 10]
         assert exactly_one(lits, fresh_after(lits)) == exactly_one(lits, fresh_after(lits))
-        assert totalizer(lits, fresh_after(lits)) == totalizer(lits, fresh_after(lits))
+        assert (Totalizer(lits).count_to(None, fresh_after(lits))
+                == Totalizer(lits).count_to(None, fresh_after(lits)))
 
 
 class TestDefaults:

@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 import time
 import types
@@ -475,8 +476,10 @@ class TestSolveWcnf:
         "h 0\n",
         f"p wcnf 1 1 {2**65}\n{2**64} 1 0\n",
         "p wcnf 2 1 5\n-5 1 0\n",
+        f"h {2**63} 0\n",
     ], ids=["empty-clause", "weight-0", "inner-0", "repeated-variable",
-            "beyond-header", "headerless-empty", "weight-past-int64", "weight-negative"])
+            "beyond-header", "headerless-empty", "weight-past-int64", "weight-negative",
+            "literal-past-int64"])
     def test_malformed_clause_exit_2(self, capsys, tmp_path, text):
         with pytest.raises(CnfError):
             parse_dimacs(text)
@@ -486,7 +489,8 @@ class TestSolveWcnf:
         assert code == 2
         assert err.startswith("error:")
 
-    @pytest.mark.parametrize("text", [f"p wcnf {2**63} 1 5\n5 1 0\n", f"h {2**63} 0\n"],
+    # headerless: int64's least literal fits, but its variable does not
+    @pytest.mark.parametrize("text", [f"p wcnf {2**63} 1 5\n5 1 0\n", f"h -{2**63} 0\n"],
                              ids=["header", "headerless"])
     def test_num_vars_past_int64_exit_2(self, capsys, tmp_path, text):
         wcnf = tmp_path / "big.wcnf"
@@ -504,6 +508,44 @@ class TestSolveWcnf:
         assert code == 2
         assert out == ""
         assert err == f"error: cannot allocate {2**62 + 1} variables for the builtin solver\n"
+
+
+def instance_with_huge_weight(tmp_path, field):
+    """The sample with one weight source set to 10**30: the first course's
+    lecture enrollment, which prices room capacity, or the first
+    registration's students, which price its clashes."""
+    doc = json.loads(sample_text())
+    if field == "enrollment":
+        doc["courses"][0]["lecture"]["enrollment"] = 10**30
+    else:
+        doc["registrations"][0]["students"] = 10**30
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+class TestWeightPastInt64:
+    """A weight past int64 is an input error in weighted mode; partial
+    mode, every soft weight 1, still solves the instance."""
+
+    @pytest.mark.parametrize("field", ["enrollment", "students"])
+    @pytest.mark.parametrize("command", ["solve", "encode"])
+    def test_weighted_exit_2(self, capsys, tmp_path, command, field):
+        argv = [command, instance_with_huge_weight(tmp_path, field)]
+        if command == "encode":
+            argv += ["-o", str(tmp_path / "huge.wcnf")]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert re.fullmatch(r"error: soft clause weight \d+ does not fit in int64\n", err)
+        assert not (tmp_path / "huge.wcnf").exists()
+
+    @pytest.mark.parametrize("field", ["enrollment", "students"])
+    def test_partial_mode_solves(self, capsys, tmp_path, field):
+        code, out, _ = run(capsys, ["solve", instance_with_huge_weight(tmp_path, field),
+                                    "--mode", "partial"])
+        assert code == 0
+        assert out.splitlines()[:2] == ["o 2", "s OPTIMUM FOUND"]
 
 
 class TestUnwritableOutput:

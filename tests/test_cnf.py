@@ -12,12 +12,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_wcnf, reference_write_dimacs, satisfied_by
+from helpers import clause_check, random_wcnf, reference_write_dimacs, satisfied_by, view_of, wcnf
 from ttsat import cnf
 from ttsat.cnf import (
     Clause,
     CnfError,
     WcnfFormula,
+    clause_block,
     parse_dimacs,
     write_dimacs,
 )
@@ -32,7 +33,7 @@ from ttsat.solver import (
 )
 
 # the running micro example: hard (x | ~y), (~x | z); soft (y | z):3, (~z):4
-WEIGHTED_EXAMPLE = WcnfFormula(
+WEIGHTED_EXAMPLE = wcnf(
     3,
     (Clause((1, -2)), Clause((-1, 3)), Clause((2, 3), 3), Clause((-3,), 4)),
 )
@@ -45,32 +46,34 @@ class TestClause:
 
     def test_rejects_empty(self):
         with pytest.raises(CnfError):
-            WcnfFormula(2, (Clause(()),))
+            wcnf(2, (Clause(()),))
 
     def test_rejects_duplicate_variable(self):
         with pytest.raises(CnfError):
-            WcnfFormula(2, (Clause((1, 2, 1)),))
+            wcnf(2, (Clause((1, 2, 1)),))
 
     def test_rejects_tautology(self):
         with pytest.raises(CnfError):
-            WcnfFormula(2, (Clause((1, -1)),))
+            wcnf(2, (Clause((1, -1)),))
 
     def test_rejects_zero_literal(self):
         with pytest.raises(CnfError):
-            WcnfFormula(2, (Clause((1, 0)),))
+            wcnf(2, (Clause((1, 0)),))
 
     def test_rejects_nonpositive_weight(self):
-        with pytest.raises(CnfError):
-            WcnfFormula(2, (Clause((1,), 0),))
+        with pytest.raises(ValueError, match="soft clause weight below 1"):
+            clause_block([(1,)], [0])
+        with pytest.raises(CnfError, match="line 2: soft clause weight must be >= 1, got 0"):
+            parse_dimacs("p wcnf 2 1 5\n0 1 0\n")
 
     @pytest.mark.parametrize("lits", [(1, 2.5), (1.0,), ("1",)])
     def test_rejects_non_integer_literal(self, lits):
         # the solver indexes its arrays by literal: 2.5 would not read as 2
-        with pytest.raises(CnfError, match="not an integer"):
-            WcnfFormula(3, (Clause(lits),))
+        with pytest.raises(TypeError, match="integer"):
+            clause_block([lits])
 
     def test_accepts_numpy_integer_literals(self):
-        f = WcnfFormula(2, (Clause((np.int64(1), np.int32(-2))),))
+        f = wcnf(2, (Clause((np.int64(1), np.int32(-2))),))
         assert solve_maxsat(f).cost == 0
 
 
@@ -79,16 +82,25 @@ class TestFormula:
         assert WEIGHTED_EXAMPLE.top == 8
 
     def test_empty_soft_set_top_is_one(self):
-        f = WcnfFormula(2, (Clause((1, 2)),))
+        f = wcnf(2, (Clause((1, 2)),))
         assert f.top == 1
 
     def test_rejects_literal_beyond_num_vars(self):
         with pytest.raises(CnfError):
-            WcnfFormula(2, (Clause((3,)),))
+            wcnf(2, (Clause((3,)),))
+
+    @pytest.mark.parametrize("clauses", [
+        (Clause((1,)),), [Clause((1,))], iter([Clause((1,))]), ((1,),), (), None,
+    ], ids=["clause-tuple", "clause-list", "clause-iterator", "literal-tuples", "empty-tuple",
+            "none"])
+    def test_takes_only_a_clause_view(self, clauses):
+        with pytest.raises(TypeError) as err:
+            WcnfFormula(2, clauses)
+        assert str(err.value) == f"expected ClauseView, got {type(clauses).__name__}"
 
     def test_rejects_top_not_above_soft_sum(self):
         with pytest.raises(CnfError):
-            WcnfFormula(1, (Clause((1,), 3), Clause((-1,), 4)), top=7)
+            wcnf(1, (Clause((1,), 3), Clause((-1,), 4)), top=7)
 
     def test_cost_evaluation(self):
         all_false = {1: False, 2: False, 3: False}
@@ -257,15 +269,12 @@ class TestParseSolverOutput:
 
 def well_formed(entry, num_vars):
     """A clause WcnfFormula must accept, stated directly from the format."""
-    if not isinstance(entry, Clause):
-        return False
     variables = sorted(abs(l) for l in entry.literals)
     return (
         len(variables) > 0
         and variables[0] >= 1
         and variables[-1] <= num_vars
         and all(a != b for a, b in zip(variables, variables[1:]))
-        and (entry.weight is None or entry.weight >= 1)
     )
 
 
@@ -285,13 +294,17 @@ def well_formed_clauses(draw):
 
 
 def well_formed_formulas():
-    return well_formed_clauses().map(lambda args: WcnfFormula(*args))
+    return well_formed_clauses().map(lambda args: wcnf(*args))
 
 
+BIG = 2**62 + 5  # a header num_vars near 2**62: clause keys would pass int64
+# any clause clause_block takes: int64 literals, extremes included, and
+# hard or a soft weight of at least 1
 ANY_CLAUSE = st.builds(
     Clause,
-    st.lists(st.integers(-6, 6), max_size=4).map(tuple),
-    st.none() | st.integers(-1, 5),
+    st.lists(st.integers(-7, 7) | st.sampled_from([BIG, -BIG, 2**63 - 1, -2**63]),
+             max_size=4).map(tuple),
+    st.none() | st.integers(1, 5),
 )
 DIMACS_LIKE = st.text(alphabet="0123456789 -hpwcnfosv\n", max_size=80)
 ANSWER_LIKE = st.lists(
@@ -327,45 +340,35 @@ class TestProperties:
         assert write_dimacs(parse_dimacs(text)) == text
 
     @settings(deadline=None)
-    @given(st.integers(1, 6), st.lists(ANY_CLAUSE | st.tuples(st.integers(1, 6)), max_size=6))
+    @given(st.integers(1, 6), st.lists(ANY_CLAUSE, max_size=6))
     def test_formula_accepts_exactly_well_formed_clauses(self, num_vars, entries):
-        expected = all(well_formed(e, num_vars) for e in entries)
-        try:
-            formula = WcnfFormula(num_vars, tuple(entries))
-        except CnfError:
-            assert not expected
-            return
-        assert expected
-        assert tuple(formula.clauses) == tuple(entries)
-        assert formula.soft_weights == [c.weight for c in entries if not c.is_hard]
-        assert formula.soft_weight_sum == sum(formula.soft_weights)
+        # accepted, both give the entries back and their soft weight sum
+        got = formula_check(entries, num_vars)
+        assert got == reference_check(entries, num_vars)
+        assert (got[0] is not CnfError) is all(well_formed(e, num_vars) for e in entries)
 
 
 def reference_check(entries, num_vars):
-    """The per-clause check on its own: (clauses, soft sum) or the error.
-    A ``num_vars`` past int64 is rejected before any clause, since the
-    formula's literals must fit int64."""
+    """The clause-by-clause oracle on its own: (clauses, soft sum) or the
+    error.  A ``num_vars`` past int64 is rejected before any clause, since
+    the formula's literals must fit int64."""
     try:
         if num_vars >= 2**63:
             raise CnfError(f"num_vars={num_vars} does not fit in int64, as every literal must")
-        cnf._clause_check(tuple(entries), num_vars)
+        clause_check(entries, num_vars)
     except Exception as exc:
         return type(exc), str(exc)
     return tuple(entries), sum(c.weight for c in entries if not c.is_hard)
 
 
 def formula_check(entries, num_vars):
-    """What WcnfFormula makes of the same entries, in the shape of reference_check."""
+    """What WcnfFormula's numpy check makes of the same entries, made a
+    view by ``clause_block``, in the shape of reference_check."""
     try:
-        f = WcnfFormula(num_vars, tuple(entries))
+        f = wcnf(num_vars, entries)
     except Exception as exc:
         return type(exc), str(exc)
     return tuple(f.clauses), f.soft_weight_sum
-
-
-def arrays_of(clauses):
-    """The literal and offset arrays of a sequence of ``Clause``, unchecked."""
-    return cnf._clause_view(tuple(clauses)).arrays()[:2]
 
 
 BAD_LAST_CLAUSES = [
@@ -373,22 +376,17 @@ BAD_LAST_CLAUSES = [
     (Clause((4, 0)), "0 is the clause terminator, not a literal, in (4, 0)"),
     (Clause((2, 3, -2)), "a variable occurs twice in clause (2, 3, -2)"),
     (Clause((1, -9)), "variable 9 in clause (1, -9) exceeds num_vars=8"),
-    (Clause((1,), 0), "soft clause weight must be >= 1, got 0"),
-    ((1, 2), "expected Clause, got tuple"),
-    (Clause((1,), 2.5), "soft clause weight must be an integer, got 2.5"),
-    (Clause((1,), 2**63), f"soft clause weight {2**63} does not fit in int64"),
 ]
-
-BIG = 2**62 + 5  # a header num_vars near 2**62: clause keys would pass int64
+GOOD_CLAUSES = [Clause((v, -(v % 8 + 1)), v % 3 or None) for v in range(1, 8)] * 2
+GOOD_CLAUSES.append(Clause((5,), 2))
 
 
 class TestBulkCheck:
     @pytest.mark.parametrize("bad, message", BAD_LAST_CLAUSES)
     def test_bad_clause_in_last_chunk(self, bad, message):
-        good = [Clause((v, -(v % 8 + 1)), v % 3 or None) for v in range(1, 8)] * 2
         with mock.patch.object(cnf, "CLAUSE_CHUNK", 4):
             with pytest.raises(CnfError) as err:
-                WcnfFormula(8, tuple(good + [Clause((5,), 2), bad]))
+                wcnf(8, GOOD_CLAUSES + [bad])
         assert str(err.value) == message
 
     @pytest.mark.parametrize("num_vars, clauses", [
@@ -409,7 +407,17 @@ class TestBulkCheck:
         (2**63 - 1, [Clause((1, 2)), Clause((2**63 - 1, 3, 1 - 2**63))]),
     ])
     def test_unusual_values(self, num_vars, clauses):
-        assert formula_check(clauses, num_vars) == reference_check(clauses, num_vars)
+        # clause_block refuses what no int64 array holds; the numpy check
+        # and the clause-by-clause oracle judge the rest alike
+        values = list(chain.from_iterable(c.literals for c in clauses))
+        if not all(type(v) is int for v in values):
+            with pytest.raises(TypeError):
+                view_of(clauses)
+        elif not all(-2**63 <= v < 2**63 for v in values):
+            with pytest.raises(OverflowError):
+                view_of(clauses)
+        else:
+            assert formula_check(clauses, num_vars) == reference_check(clauses, num_vars)
 
     def test_keys_past_int64_are_not_wrapped(self):
         # (clause, variable) keys of these clauses together would pass
@@ -417,8 +425,8 @@ class TestBulkCheck:
         # keys to fit, and still finds a repeat
         good = (Clause((1, 2)), Clause((BIG, -(BIG - 1)), 3))
         bad = good + (Clause((1, BIG, -BIG)),)
-        assert cnf._first_bad_clause(*arrays_of(good), BIG) is None
-        assert cnf._first_bad_clause(*arrays_of(bad), BIG) == 2
+        assert cnf._first_bad_clause(*view_of(good).arrays()[:2], BIG) is None
+        assert cnf._first_bad_clause(*view_of(bad).arrays()[:2], BIG) == 2
         assert formula_check(good, BIG) == reference_check(good, BIG)
         assert formula_check(bad, BIG) == reference_check(bad, BIG)
 
@@ -431,18 +439,13 @@ class TestBulkCheck:
     @settings(deadline=None)
     @given(
         st.integers(1, 6) | st.sampled_from([BIG, 2**63 - 1, 2**63, 10**20]),
-        st.lists(
-            st.builds(
-                Clause,
-                st.lists(st.integers(-7, 7) | st.sampled_from([BIG, -BIG, 2**63 - 1, -2**63,
-                                                                10**20]),
-                         max_size=4).map(tuple),
-                st.none() | st.integers(-1, 5),
-            ) | st.tuples(st.integers(1, 6)),
-            max_size=12,
-        ),
+        st.lists(ANY_CLAUSE, max_size=12),
         st.integers(1, 5),
     )
+    # clauses with two faults: the message names the first in the check's order
+    @example(5, [Clause((2, 1)), Clause((1, 0, -1))], 1)
+    @example(5, [Clause((9, -9))], 1)
+    @example(5, [Clause((0, 9))], 1)
     def test_bulk_and_per_clause_checks_agree(self, num_vars, entries, chunk):
         with mock.patch.object(cnf, "CLAUSE_CHUNK", chunk):
             assert formula_check(entries, num_vars) == reference_check(entries, num_vars)
@@ -450,10 +453,50 @@ class TestBulkCheck:
     @settings(deadline=None)
     @given(well_formed_formulas())
     def test_well_formed_chunks_stay_in_numpy(self, formula):
-        # the per-clause check runs only on a clause the array check rejects
+        # a message is built only for a clause the array check rejects
         assert cnf._first_bad_clause(*formula.clauses.arrays()[:2], formula.num_vars) is None
-        with mock.patch.object(cnf, "_clause_check", side_effect=AssertionError):
-            assert WcnfFormula(formula.num_vars, tuple(formula.clauses), formula.top) == formula
+        with mock.patch.object(cnf, "_bad_clause_message", side_effect=AssertionError):
+            assert wcnf(formula.num_vars, formula.clauses, formula.top) == formula
+
+
+class TestClauseBlock:
+    # a value no int64 array holds, or a soft weight below 1, in the last
+    # of several clauses: clause_block refuses it
+    @pytest.mark.parametrize("weight, error, message", [
+        (0, ValueError, "soft clause weight below 1"),
+        (-1, ValueError, "soft clause weight below 1"),
+        (2.5, TypeError, "cannot be interpreted as an integer"),
+        ("1", TypeError, "cannot be interpreted as an integer"),
+        (2**63, OverflowError, None),
+        (-2**63 - 1, OverflowError, None),
+    ], ids=["weight-0", "weight-negative", "weight-float", "weight-str", "weight-2-63",
+            "weight-below-int64"])
+    def test_rejects_bad_weight(self, weight, error, message):
+        with pytest.raises(error, match=message):
+            view_of(GOOD_CLAUSES + [Clause((1,), weight)])
+
+    @pytest.mark.parametrize("literal, error", [
+        ((1, 2), TypeError), (2.5, TypeError), ("1", TypeError),
+        (2**63, OverflowError), (-2**63 - 1, OverflowError),
+    ], ids=["tuple", "float", "str", "2-63", "below-int64"])
+    def test_rejects_bad_literal(self, literal, error):
+        with pytest.raises(error):
+            view_of(GOOD_CLAUSES + [Clause((1, literal))])
+
+    def test_takes_int64_extremes_and_numpy_integers(self):
+        clauses = [Clause((2**63 - 1, -2**63), 2**63 - 1), Clause((np.int32(-3),), np.int64(2)),
+                   Clause((1,))]
+        literals, offsets, weights = view_of(clauses).arrays()
+        assert literals.tolist() == [2**63 - 1, -2**63, -3, 1]
+        assert offsets.tolist() == [0, 2, 3, 4]
+        assert weights.tolist() == [2**63 - 1, 2, 0]
+
+    def test_soft_weight_array_names_a_weight_past_int64(self):
+        assert cnf.soft_weight_array([1, 2**63 - 1]).tolist() == [1, 2**63 - 1]
+        assert cnf.soft_weight_array([]).dtype == np.int64
+        with pytest.raises(CnfError) as err:
+            cnf.soft_weight_array([3, 10**30, 2**64])
+        assert str(err.value) == f"soft clause weight {10**30} does not fit in int64"
 
 
 class TestGcPaused:
@@ -497,10 +540,10 @@ class TestBulkWriter:
         assert text == reference_write_dimacs(formula, CLI_COMMENTS)
 
     @pytest.mark.parametrize("formula", [
-        WcnfFormula(10**6, (Clause((1, -2)), Clause((-3,), 4), Clause((999_999, 2)))),
-        WcnfFormula(BIG, (Clause((1, 2)), Clause((BIG, -(BIG - 1)), 3))),
-        WcnfFormula(2, (Clause((np.int64(1), np.int32(-2)), np.int64(3)), Clause((2,)))),
-        WcnfFormula(1, ()),
+        wcnf(10**6, (Clause((1, -2)), Clause((-3,), 4), Clause((999_999, 2)))),
+        wcnf(BIG, (Clause((1, 2)), Clause((BIG, -(BIG - 1)), 3))),
+        wcnf(2, (Clause((np.int64(1), np.int32(-2)), np.int64(3)), Clause((2,)))),
+        wcnf(1, ()),
     ], ids=["num-vars-1e6", "num-vars-near-2-62", "numpy-integers", "no-clauses"])
     def test_sparse_and_unusual_formulas(self, formula):
         # a literal table over 2**62 variables would not fit in memory
@@ -655,7 +698,7 @@ class TestBlockReader:
         assert parse_dimacs(text).soft_weights == [5, 6]
 
     def test_per_line_reader_builds_no_clause_objects(self):
-        want = WcnfFormula(2, (Clause((1, 2)), Clause((-1,), 3)))
+        want = wcnf(2, (Clause((1, 2)), Clause((-1,), 3)))
         with mock.patch.object(cnf, "Clause", side_effect=AssertionError("Clause built")):
             assert parse_dimacs("h 1 2 0\n3 -1 0\n") == want
 
@@ -739,7 +782,7 @@ class TestClauseView:
     def test_iteration_in_chunks(self, args, chunk):
         n, clauses, top = args
         with mock.patch.object(cnf, "CLAUSE_CHUNK", chunk):
-            f = WcnfFormula(n, clauses, top)
+            f = wcnf(n, clauses, top)
             assert tuple(f.clauses) == clauses
             assert f.soft_weights == [c.weight for c in clauses if not c.is_hard]
             assert_exact_weights(f.clauses)
@@ -752,7 +795,7 @@ class TestClauseView:
     @example((2**62, (Clause((2**62, -1)), Clause((1,), 2)), None), 1)
     def test_lists_walk_the_clauses(self, args, chunk):
         n, clauses, top = args
-        view = WcnfFormula(n, clauses, top).clauses
+        view = wcnf(n, clauses, top).clauses
         with mock.patch.object(cnf, "CLAUSE_CHUNK", chunk):
             lists = list(view.lists())
             assert lists == [list(c.literals) for c in view]
@@ -768,7 +811,7 @@ class TestClauseView:
     @example((1, (), None), 1)
     def test_clause_chunks_visit_every_clause_once_in_order(self, args, step):
         n, clauses, top = args
-        literals, offsets, _ = WcnfFormula(n, clauses, top).clauses.arrays()
+        literals, offsets, _ = wcnf(n, clauses, top).clauses.arrays()
         walked = []
         for start, chunk, bounds in cnf.clause_chunks(literals, offsets, step):
             assert start == len(walked) and len(bounds) - 1 == min(step, len(clauses) - start)
@@ -782,7 +825,7 @@ class TestClauseView:
     @example((3, tuple(Clause((v,), 2**62) for v in (1, 2, 3)), None), [False] * 12)
     def test_evaluation_matches_per_clause_reference(self, args, values):
         n, clauses, top = args
-        formula = WcnfFormula(n, clauses, top)
+        formula = wcnf(n, clauses, top)
         assignment = dict(enumerate(values[:n], start=1))  # n <= 12
         assert formula.hard_satisfied(assignment) == all(
             satisfied_by(c, assignment) for c in clauses if c.is_hard)
@@ -796,9 +839,9 @@ class TestClauseView:
     @given(well_formed_clauses(), well_formed_clauses(), st.data())
     def test_equality_agrees_with_tuples(self, args, other_args, data):
         n, clauses, top = args
-        f = WcnfFormula(n, clauses, top)
+        f = wcnf(n, clauses, top)
         assert parse_dimacs(write_dimacs(f)) == f
-        formulas = [f, WcnfFormula(*other_args)]
+        formulas = [f, wcnf(*other_args)]
         for name, text in per_line_texts(f).items():
             if not clauses and name == "h-lines":
                 continue  # an empty text holds no formula
@@ -810,7 +853,7 @@ class TestClauseView:
         if clauses:
             i = data.draw(st.integers(0, len(clauses) - 1))
             changed = (clauses[:i] + (other_weight(clauses[i]),) + clauses[i + 1:], clauses[:i])
-            formulas += [WcnfFormula(n, c) for c in changed]
+            formulas += [wcnf(n, c) for c in changed]
         for x in formulas:
             for y in formulas:
                 a, b = x.clauses, y.clauses
@@ -822,7 +865,7 @@ class TestInt64Limit:
     @pytest.mark.parametrize("num_vars", [2**63, 10**20])
     def test_num_vars_past_int64_rejected(self, num_vars):
         with pytest.raises(CnfError) as err:
-            WcnfFormula(num_vars, (Clause((1, 2)),))
+            wcnf(num_vars, (Clause((1, 2)),))
         assert str(err.value) == f"num_vars={num_vars} does not fit in int64, as every literal must"
 
     @pytest.mark.parametrize("text", [
@@ -836,10 +879,71 @@ class TestInt64Limit:
             parse_dimacs(text)
 
     def test_literal_past_int64_keeps_its_error(self):
-        # read per line, it cannot join the arrays; the clause check names it
+        # the per-line reader names the line of a value past int64 itself,
+        # before the formula's check could name an earlier bad clause
         with pytest.raises(CnfError) as err:
             parse_dimacs(f"p wcnf 5 2 9\n9 1 -1 0\nh {10**20} 0\n")
-        assert str(err.value) == "a variable occurs twice in clause (1, -1)"
+        assert str(err.value) == f"line 3: literal {10**20} does not fit in int64"
         with pytest.raises(CnfError) as err:
-            parse_dimacs(f"p wcnf 5 2 9\n9 1 0\nh {10**20} 0\n")
-        assert str(err.value) == f"variable {10**20} in clause ({10**20},) exceeds num_vars=5"
+            parse_dimacs(f"p wcnf 5 2 9\n9 1 0\nh 2 -{2**63 + 1} 0\n")
+        assert str(err.value) == f"line 3: literal -{2**63 + 1} does not fit in int64"
+
+
+# values a clause line may hold: small ones, 0, and ones at and past int64's ends
+LINE_VALUES = st.integers(-4, 4) | st.sampled_from([2**63 - 1, -2**63, 2**63, -2**63 - 1, 10**20])
+
+
+@st.composite
+def per_line_records(draw):
+    """``(header, lines)``: None or a header's ``(num_vars, top)``, and
+    lines, each None for a comment or ``(weight, literals)``, weight "h"
+    for an "h" line."""
+    header = draw(st.none() | st.tuples(st.integers(1, 6), st.integers(1, 12) | st.just(2**64)))
+    line = st.tuples(st.just("h") | st.integers(1, 12) | LINE_VALUES,
+                     st.lists(LINE_VALUES, max_size=3))
+    return header, draw(st.lists(st.none() | line, max_size=6))
+
+
+def per_line_text(header, lines):
+    """The WCNF text of ``per_line_records``: "c" lines for the comments."""
+    out = [] if header is None else [f"p wcnf {header[0]} {sum(map(bool, lines))} {header[1]}"]
+    out += ["c note" if line is None else " ".join(map(str, (line[0], *line[1], 0)))
+            for line in lines]
+    return "".join(f"{line}\n" for line in out)
+
+
+def expected_reading(header, lines):
+    """What ``parse_dimacs`` must make of ``per_line_text``, stated from the
+    format: the first line with a soft weight below 1 or a value past int64
+    is named; otherwise the formula is built from the oracle's expected
+    view, its ``num_vars`` the header's or the largest variable."""
+    top = None if header is None else header[1]
+    literals, weights = [], []
+    for lineno, line in enumerate(lines, start=1 if header is None else 2):
+        if line is None:
+            continue
+        weight, lits = line
+        weight = None if weight == "h" or top is not None and weight >= top else weight
+        if weight is not None and weight < 1:
+            return "error", f"line {lineno}: soft clause weight must be >= 1, got {weight}"
+        if weight is not None and weight >= 2**63:
+            return "error", f"line {lineno}: soft clause weight {weight} does not fit in int64"
+        for l in lits:
+            if not -2**63 <= l < 2**63:
+                return "error", f"line {lineno}: literal {l} does not fit in int64"
+        literals.append(tuple(lits))
+        weights.append(weight)
+    if header is None and not literals:
+        return "error", "no header and no clauses found"
+    num_vars = header[0] if header else max(map(abs, chain.from_iterable(literals)), default=0)
+    return outcome(lambda view: WcnfFormula(num_vars, view, top), clause_block(literals, weights))
+
+
+class TestPerLineReader:
+    @settings(deadline=None, max_examples=300)
+    @given(per_line_records())
+    def test_reads_like_the_oracle(self, records):
+        # comments, "h" lines, soft weights below 1 and values past int64,
+        # read per line with or without numpy blocks
+        text = per_line_text(*records)
+        assert read_per_line(text) == outcome(parse_dimacs, text) == expected_reading(*records)

@@ -20,11 +20,12 @@ from helpers import (
     random_wcnf,
     semantic_optimum,
     solve_clauses,
+    wcnf,
 )
 from ttsat import cnf
 from ttsat import solver as solver_module
-from ttsat.cardinality import Totalizer, totalizer
-from ttsat.cnf import Clause, CnfError, WcnfFormula
+from ttsat.cardinality import Totalizer
+from ttsat.cnf import Clause, CnfError
 from ttsat.encoder import EncodeOptions, encode
 from ttsat.model import gen_random_instance
 from ttsat.solver import (
@@ -44,13 +45,13 @@ from ttsat.solver import (
 
 UNSAT_4 = [(1, -2), (-1, 3), (2, 3), (-3,)]
 
-WEIGHTED = WcnfFormula(
+WEIGHTED = wcnf(
     3, (Clause((1, -2)), Clause((-1, 3)), Clause((2, 3), 3), Clause((-3,), 4))
 )
-PARTIAL = WcnfFormula(
+PARTIAL = wcnf(
     3, (Clause((1, -2)), Clause((-1, 3)), Clause((2, 3), 1), Clause((-3,), 1))
 )
-ALL_SOFT = WcnfFormula(3, tuple(Clause(c, 1) for c in UNSAT_4))
+ALL_SOFT = wcnf(3, tuple(Clause(c, 1) for c in UNSAT_4))
 
 
 def php(holes):
@@ -151,7 +152,7 @@ def loaded_clauses(formula, selectors):
 
 def brute_force_sat(num_vars, clauses):
     """SAT/UNSAT by exhaustive enumeration, through the numpy oracle."""
-    formula = WcnfFormula(num_vars, tuple(Clause(tuple(c)) for c in clauses))
+    formula = wcnf(num_vars, tuple(Clause(tuple(c)) for c in clauses))
     return brute_force_maxsat(formula).status is MaxSatStatus.OPTIMUM
 
 
@@ -486,11 +487,11 @@ class TestSolveMaxsatExamples:
         assert WEIGHTED.falsified_weight({1: False, 2: False, 3: False}) == 3
 
     def test_hard_unsat(self):
-        f = WcnfFormula(1, (Clause((1,)), Clause((-1,)), Clause((1,), 5)))
+        f = wcnf(1, (Clause((1,)), Clause((-1,)), Clause((1,), 5)))
         assert solve_maxsat(f).status is MaxSatStatus.HARD_UNSAT
 
     def test_no_soft_clauses(self):
-        f = WcnfFormula(2, (Clause((1, 2)),))
+        f = wcnf(2, (Clause((1, 2)),))
         res = solve_maxsat(f)
         assert res.status is MaxSatStatus.OPTIMUM and res.cost == 0
 
@@ -566,7 +567,7 @@ class TestSolveMaxsatExamples:
                 refs.append(weakref.ref(self))
 
         monkeypatch.setattr(solver_module, "CdclSolver", Spy)
-        formula = WcnfFormula(
+        formula = wcnf(
             9, (Clause(tuple(range(1, 10))),) + tuple(Clause((-v,), 1) for v in range(1, 10))
         )
         was = gc.isenabled()
@@ -615,7 +616,7 @@ def solves_like_brute_force(formula, seed=0):
 # x1 + x2 + x3 >= 2, soft -x1 and -x2 of weight 2 and -x3 of weight 3: the
 # first core {-x1, -x3} leaves x3 weight 1, below the stratum's threshold 2,
 # and the next core mixes "at most one of x1, x3 violated" with -x2
-MIXED = WcnfFormula(3, (
+MIXED = wcnf(3, (
     Clause((1, 2)), Clause((1, 3)), Clause((2, 3)),
     Clause((-1,), 2), Clause((-2,), 2), Clause((-3,), 3),
 ))
@@ -629,7 +630,7 @@ class TestOll:
         # most 1" is raised to "at most 2" and then "at most 3".  "At least
         # 3 of 6" is pairwise: any 4 of the variables include a true one
         hard = itertools.combinations(range(1, 7), 4)
-        formula = WcnfFormula(
+        formula = wcnf(
             6, tuple(Clause(c) for c in hard) + tuple(Clause((-v,), 1) for v in range(1, 7))
         )
         calls, sums = trace_oll(monkeypatch)
@@ -644,7 +645,7 @@ class TestOll:
         assert len(counter.outputs) == 4
         # its clauses, added over three steps, are one build's at cap 4
         added = sum(n for c, _, _, n in sums if c is counter)
-        assert added == len(totalizer(counter.lits, itertools.count(100).__next__, 4)[0])
+        assert added == len(Totalizer(counter.lits).count_to(4, itertools.count(100).__next__))
         assumed = {a for assumptions, _ in calls for a in assumptions}
         assert -counter.outputs[3] in assumed
 
@@ -654,7 +655,7 @@ class TestOll:
         # raised it to "at most 2", and a later core holds it again: that
         # raise must reuse the output the sum already has (found by random
         # search over random_wcnf formulas and shrunk by deleting clauses)
-        formula = WcnfFormula(5, (
+        formula = wcnf(5, (
             Clause((-4, -5)), Clause((-1,), 6), Clause((4,), 6), Clause((4, -2, -3), 1),
             Clause((5, -4, -3, -2), 7), Clause((-2, 3, 4), 7), Clause((-2, 1), 4),
             Clause((-4,), 6), Clause((2, 1)), Clause((3, -4)),
@@ -697,7 +698,7 @@ class TestOll:
         # core: the weight its next bound already holds must add up, or the
         # final model costs more than the lower bound (found by random search
         # over random_wcnf formulas and shrunk by deleting clauses)
-        formula = WcnfFormula(6, (
+        formula = wcnf(6, (
             Clause((-5, -2, 6)), Clause((5,), 4), Clause((3,)), Clause((6,), 1),
             Clause((-6,), 4), Clause((1, 6, -4), 4), Clause((6, -1, -3), 1),
             Clause((2, -3), 5), Clause((6,), 3), Clause((-6, -2), 3), Clause((-2,), 3),
@@ -742,12 +743,12 @@ class TestOll:
 # three soft clauses of distinct weights that any model of the hard clause
 # satisfies once its decisions, all false at first, leave at most one of
 # x2, x3, x4 true
-JOINTLY_SATISFIABLE = WcnfFormula(4, (
+JOINTLY_SATISFIABLE = wcnf(4, (
     Clause((1, 2, 3, 4)), Clause((-1,), 3), Clause((-2, -3), 2), Clause((-4, -1), 1),
 ))
 # soft x1 (weight 4, selector 4) falsifies soft -x1 (weight 1, selector 7);
 # softs -x2 and -x3 (weights 3 and 2, selectors 5 and 6) hold in the same model
-SKIPPED_STRATA = WcnfFormula(3, (
+SKIPPED_STRATA = wcnf(3, (
     Clause((1,), 4), Clause((-2,), 3), Clause((-3,), 2), Clause((-1,), 1),
 ))
 
@@ -773,7 +774,7 @@ class TestStrata:
     def test_unsound_core_is_caught(self, monkeypatch):
         # a core over the one assumption of stratum 2 that the hard unit x1
         # satisfies: the lower bound 2 exceeds the cost of every model
-        formula = WcnfFormula(2, (Clause((1,)), Clause((1,), 2), Clause((2,), 1)))
+        formula = wcnf(2, (Clause((1,)), Clause((1,), 2), Clause((2,), 1)))
         solve = CdclSolver.solve
         calls = []
 
@@ -792,7 +793,7 @@ class TestStrata:
 class TestSoftFirst:
     @pytest.mark.parametrize("seed", range(3))
     def test_selectors_outrank_formula_variables_heaviest_first(self, seed):
-        formula = WcnfFormula(4, (
+        formula = wcnf(4, (
             Clause((1, 2)), Clause((-1,), 1), Clause((3,), 100), Clause((-2, 4), 10),
             Clause((-4,), 1),
         ))
@@ -835,7 +836,7 @@ class TestLoad:
     ])
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_brute_force(self, clauses, seed):
-        solves_like_brute_force(WcnfFormula(4, tuple(clauses)), seed)
+        solves_like_brute_force(wcnf(4, tuple(clauses)), seed)
 
     @pytest.mark.parametrize("clauses", [
         [Clause((1,)), Clause((2,), 1), Clause((-1,))],
@@ -843,12 +844,12 @@ class TestLoad:
         [Clause((1, 2)), Clause((1,), 2), Clause((-1,)), Clause((-2,))],
     ])
     def test_contradictory_units(self, clauses):
-        formula = WcnfFormula(2, tuple(clauses))
+        formula = wcnf(2, tuple(clauses))
         assert brute_force_maxsat(formula).status is MaxSatStatus.HARD_UNSAT
         assert solve_maxsat(formula).status is MaxSatStatus.HARD_UNSAT
 
     def test_selectors_follow_the_formula_variables(self):
-        formula = WcnfFormula(3, (Clause((1, 2)), Clause((-1,), 2), Clause((3,), 1)))
+        formula = wcnf(3, (Clause((1, 2)), Clause((-1,), 2), Clause((3,), 1)))
         solver = CdclSolver()
         assert solver.load(formula) == [4, 5]
         assert sorted(map(sorted, watched_clauses(solver))) == [[-1, 4], [1, 2], [3, 5]]
@@ -857,7 +858,7 @@ class TestLoad:
         # one soft unit over a million declared variables: the solver holds
         # x1 and its selector, and the model sets every other variable False
         n = 10**6
-        formula = WcnfFormula(n, (Clause((1,), 1),))
+        formula = wcnf(n, (Clause((1,), 1),))
         solver = CdclSolver()
         assert solver.load(formula) == [2]
         assert solver.nvars == 2
@@ -872,7 +873,7 @@ class TestLoad:
         formula = random_wcnf(random.Random(chunk), max_vars=10, max_clauses=40)
         # the same clauses less the hard units, whose propagation at load
         # moves watches: every clause stays where load put it
-        no_units = WcnfFormula(formula.num_vars, tuple(
+        no_units = wcnf(formula.num_vars, tuple(
             c for c in formula.clauses if not c.is_hard or len(c.literals) > 1))
         default = cnf.CLAUSE_CHUNK
         for f in (formula, no_units):
@@ -922,17 +923,17 @@ class TestBruteForce:
         assert brute_force_maxsat(WEIGHTED).cost == 3
 
     def test_single_hard_unit(self):
-        f = WcnfFormula(1, (Clause((1,)),))
+        f = wcnf(1, (Clause((1,)),))
         res = brute_force_maxsat(f)
         assert res.cost == 0 and res.model[1] is True
 
     def test_cap_enforced(self):
-        f = WcnfFormula(23, (Clause((23,)),))
+        f = wcnf(23, (Clause((23,)),))
         with pytest.raises(ValueError, match="22"):
             brute_force_maxsat(f)
 
     def test_hard_unsat(self):
-        f = WcnfFormula(1, (Clause((1,)), Clause((-1,))))
+        f = wcnf(1, (Clause((1,)), Clause((-1,))))
         assert brute_force_maxsat(f).status is MaxSatStatus.HARD_UNSAT
 
 
@@ -965,12 +966,12 @@ class TestOptimizersAgree:
             length = rng.randint(1, min(3, f.num_vars))
             variables = rng.sample(range(1, f.num_vars + 1), length)
             lits = tuple(v if rng.random() < 0.5 else -v for v in variables)
-            softer = WcnfFormula(
+            softer = wcnf(
                 f.num_vars, (*f.clauses, Clause(lits, rng.randint(1, 9)))
             )
             res_soft = solve_maxsat(softer)
             assert res_soft.cost >= base.cost
-            harder = WcnfFormula(f.num_vars, (*f.clauses, Clause(lits)))
+            harder = wcnf(f.num_vars, (*f.clauses, Clause(lits)))
             res_hard = solve_maxsat(harder)
             if res_hard.status is MaxSatStatus.OPTIMUM:
                 assert res_hard.cost >= base.cost
@@ -1008,7 +1009,7 @@ class TestExternal:
         assert res.cost == solve_maxsat(WEIGHTED).cost == 3
 
     def test_unsat_passthrough(self):
-        f = WcnfFormula(1, (Clause((1,)), Clause((-1,))))
+        f = wcnf(1, (Clause((1,)), Clause((-1,))))
         res = solve_external(f, EXTERNAL_SELF, timeout=60)
         assert res.status is MaxSatStatus.HARD_UNSAT
 
