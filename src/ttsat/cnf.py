@@ -10,10 +10,10 @@ arrays: every literal in formula order, the clause offsets (clause ``i`` is
 hard.  Soft weights are at least 1 and must fit int64.  No Python object
 is kept per clause, and only this module reads or writes the hard 0.
 
-Views.  ``clauses`` is a ``ClauseView`` of those whole arrays: a
-read-only sequence of ``Clause`` that builds a ``Clause`` (weight ``None``
-or a Python int) only when indexed or iterated, takes ``len()`` from its
-weights, and compares with another view by array equality.
+Views.  ``clauses`` is a ``ClauseView`` of those whole arrays: an
+iterable of ``Clause`` records (weight ``None`` or a Python int), built
+one at a time as it is iterated, with no indexing.  It takes ``len()``
+from its weights and compares with another view by array equality.
 ``soft_weights`` lists the soft clauses' weights in formula order, as
 Python ints.  Iteration and the SAT core's loading read ``lists()``, one
 new list per clause; ``write_dimacs``, the formula's check and model
@@ -32,8 +32,8 @@ int64 or a soft weight below 1 itself.  The formula takes a view's arrays as
 they are, weights too, and checks them in numpy, in chunks; for the first
 bad clause it finds, a message is built from that clause's literals.
 ``num_vars`` must fit int64, as every literal must.  A formula's arrays
-are read-only: the formula keeps the view's very arrays, not copies, and
-makes them read-only for their other holders too.
+are read-only: the formula keeps the view it is given, its very arrays,
+not copies, and makes them read-only for their other holders too.
 
 DIMACS WCNF goes out and comes in in bulk.  ``write_dimacs`` formats the
 arrays ``CLAUSE_CHUNK`` clauses at a time, each chunk as one token array
@@ -61,7 +61,6 @@ from __future__ import annotations
 import gc
 import operator
 import warnings
-from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
@@ -141,13 +140,13 @@ def _literal_table(n, count, value=None):
     return table if value is None else np.array(list(map(value, table.tolist())), dtype=object)
 
 
-class ClauseView(Sequence):
-    """Read-only sequence of ``Clause`` over whole clause arrays.
+class ClauseView:
+    """Iterable of ``Clause`` over whole clause arrays.
 
     Clause ``i`` is ``literals[offsets[i]:offsets[i + 1]]`` with weight
     ``weights[i]`` of an int64 array, 0 for hard (no ``weights``: all
-    hard).  A ``Clause``, its weight None or a Python int, is built only
-    when the view is indexed (by an integer) or iterated; ``lists()`` gives
+    hard).  Iteration builds the ``Clause`` records, their weights None or
+    Python ints, one at a time; a view has no indexing.  ``lists()`` gives
     the literals alone.  Views compare only with views, by their arrays.
     The constructor is internal (outside code calls ``clause_block``), and
     ``WcnfFormula`` checks the clauses."""
@@ -162,15 +161,6 @@ class ClauseView(Sequence):
     def __len__(self):
         return len(self._weights)
 
-    def __getitem__(self, i):
-        n = len(self)
-        i = operator.index(i)
-        if not -n <= i < n:
-            raise IndexError("clause index out of range")
-        i %= n
-        start, end = self._offsets[i:i + 2].tolist()
-        return Clause(tuple(self._literals[start:end].tolist()), self._weights[i].item() or None)
-
     def __iter__(self):
         weights = (w or None for w in self._weights.tolist())
         return map(Clause, map(tuple, self.lists()), weights)
@@ -179,9 +169,6 @@ class ClauseView(Sequence):
         if not isinstance(other, ClauseView):
             return NotImplemented
         return all(map(np.array_equal, self.arrays(), other.arrays()))
-
-    def __repr__(self):
-        return f"ClauseView({list(self)!r})"
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(literals, offsets, weights)``: the stored arrays themselves,
@@ -260,8 +247,8 @@ class WcnfFormula:
     formula order, as Python ints, and ``max_var`` is the largest variable
     a clause holds (0 with no clauses).
 
-    The formula takes over the view's literal, offset and weight arrays: it
-    stores them as they are, not copies, and clears their ``writeable``
+    The formula keeps the view it is given, and with it the view's literal,
+    offset and weight arrays, not copies; it clears their ``writeable``
     flag, so the caller can no longer change them in place either.  A copy
     would double the memory a large formula's arrays take while it is
     built.
@@ -293,7 +280,6 @@ class WcnfFormula:
         if top <= soft_sum:
             raise CnfError(f"top weight {top} must exceed soft weight sum {soft_sum}")
         literals.flags.writeable = offsets.flags.writeable = weights.flags.writeable = False
-        object.__setattr__(self, "clauses", ClauseView(literals, offsets, weights))
         object.__setattr__(self, "top", top)
         object.__setattr__(self, "soft_weights", soft_weights)
         object.__setattr__(self, "soft_weight_sum", soft_sum)

@@ -22,8 +22,9 @@ template per row shape, made by ``cardinality.exactly_one`` over
 placeholder variables and broadcast over every session of that shape
 (``_exactly_one_rows``).  The link families, small at any size, build
 one literal tuple per clause, and the soft unit families one literal per
-clause.  Every soft weight becomes int64 through
-``cnf.soft_weight_array``, so a weight past int64 is a ``CnfError``.
+clause.  A weight past int64 is a ``CnfError``: ``registration_clashes``
+names its course pair and ``room_capacity`` its session and room, and
+every soft weight becomes int64 through ``cnf.soft_weight_array``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cardinality import exactly_one
-from .cnf import ClauseView, WcnfFormula, clause_block, concat_clauses, soft_weight_array
+from .cnf import (ClauseView, CnfError, WcnfFormula, clause_block, concat_clauses,
+                  soft_weight_array)
 from .model import Instance, SessionKind, cross_curriculum_pairs
 
 
@@ -44,6 +46,14 @@ class EncodeError(ValueError):
 
 
 UNAVAILABILITY_WEIGHT = 10  # the paper's price of a forbidden timeslot
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _int64_weight(weight: int, source: str) -> int:
+    """``weight``; a ``CnfError`` naming ``source`` when it passes int64."""
+    if weight > _INT64_MAX:
+        raise CnfError(f"soft clause weight {weight} of {source} does not fit in int64")
+    return weight
 
 
 @dataclass(frozen=True)
@@ -103,10 +113,6 @@ class VarMap:
 
     def kt(self, curriculum: int, timeslot: int) -> int:
         return self._kt0 + curriculum * self._T + timeslot
-
-    @property
-    def base_num_vars(self) -> int:
-        return self._aux0 - 1
 
     @property
     def num_vars(self) -> int:
@@ -227,10 +233,12 @@ def registration_clashes(instance: Instance, varmap: VarMap, opts: EncodeOptions
     """Soft clause per cross-curriculum registered pair, session pair, and slot."""
     pairs, weights = [], []
     for (c1, c2), students in cross_curriculum_pairs(instance).items():
-        course_pairs = list(itertools.product(instance.courses[c1].sessions,
-                                              instance.courses[c2].sessions))
+        first, second = instance.courses[c1], instance.courses[c2]
+        weight = _int64_weight(opts.registration_weight(students),
+                               f"courses {first.label} and {second.label}")
+        course_pairs = list(itertools.product(first.sessions, second.sessions))
         pairs += course_pairs
-        weights += [opts.registration_weight(students)] * len(course_pairs)
+        weights += [weight] * len(course_pairs)
     return _pair_clash_clauses(instance, varmap, pairs, weights)
 
 
@@ -272,8 +280,10 @@ def room_capacity(instance: Instance, varmap: VarMap, opts: EncodeOptions) -> Cl
     for s in instance.sessions:
         for r in instance.rooms:
             if r.capacity < s.enrollment:
+                weight = _int64_weight(opts.capacity_weight(s.enrollment - r.capacity),
+                                       f"session {instance.session_label(s.id)} in room {r.label}")
                 out.append(-varmap.cr(s.id, r.id))
-                weights.append(opts.capacity_weight(s.enrollment - r.capacity))
+                weights.append(weight)
     return _soft_units(out, weights)
 
 

@@ -358,12 +358,6 @@ class CdclSolver:
         self.qhead = qhead
         return None
 
-    def _bump(self, v: int) -> None:
-        a = self.act[v] + self.var_inc
-        self.act[v] = a
-        if a > 1e100:
-            self._rescale()
-
     def _rescale(self) -> None:
         scale = 1e-100
         for u in range(1, self.nvars + 1):
@@ -381,11 +375,14 @@ class CdclSolver:
         self.heap = heap
 
     def _analyze(self, confl):
-        # first-UIP resolution along the trail
+        # first-UIP resolution along the trail; a bump past 1e100 calls
+        # _rescale, which scales var_inc too, so inc is read again after it
         seen = self.seen
         level = self.level
         reason = self.reason
         trail = self.trail
+        act = self.act
+        inc = self.var_inc
         cur = len(self.lim)
         learnt: list[int] = []  # the literals below the conflict level
         to_clear: list[int] = []
@@ -401,7 +398,11 @@ class CdclSolver:
                 if not seen[v] and level[v] > 0:
                     seen[v] = 1
                     to_clear.append(v)
-                    self._bump(v)
+                    a = act[v] + inc
+                    act[v] = a
+                    if a > 1e100:
+                        self._rescale()
+                        inc = self.var_inc
                     if level[v] >= cur:
                         counter += 1
                     else:
@@ -421,15 +422,12 @@ class CdclSolver:
         # One walk over the other literals: drop each one whose reason the
         # clause already covers, bump the variables in each kept one's reason
         # (reason-side bumping: Liang et al., SAT 2016; CaDiCaL's bumpreason;
-        # all still assigned, as _pick_branch needs; _bump inlined, as this
-        # makes most of a conflict's bumps), and find the first kept literal
-        # of the highest level.  The bumps write only act and the covering
-        # test reads only seen and level, so neither sees the other.  That
-        # literal goes second only after the walk, so the rest keep their
-        # order, which _propagate scans.
+        # all still assigned, as _pick_branch needs), and find the first
+        # kept literal of the highest level.  The bumps write only act and
+        # the covering test reads only seen and level, so neither sees the
+        # other.  That literal goes second only after the walk, so the rest
+        # keep their order, which _propagate scans.
         out = [-skip]
-        act = self.act
-        inc = self.var_inc
         mi = bt = 0
         for l in learnt:
             v = abs(l)
@@ -723,12 +721,14 @@ def solve_external(formula: WcnfFormula, command: str,
                    timeout: float | None = None) -> MaxSatResult:
     """Run an external Max-SAT solver over DIMACS WCNF and re-validate its answer.
 
-    ``command`` is split like a shell command line; each ``{input}`` in it
-    becomes the path of a WCNF file in a temporary directory, which is
-    appended when no token names it and removed once the solver exits.  An
-    empty or blank command raises ExternalSolverError.  ``timeout`` bounds
-    the solver process in wall-clock seconds; a timeout is INDETERMINATE,
-    at once (no file, no process) when ``timeout`` is 0 or less.
+    ``command`` is split like a shell command line; each ``{input}`` in it,
+    a whole token or part of one, becomes the path of a WCNF file in a
+    temporary directory.  The path is appended as a last argument only when
+    no token holds ``{input}``, and the file is removed once the solver
+    exits.  An empty or blank command raises ExternalSolverError.
+    ``timeout`` bounds the solver process in wall-clock seconds; a timeout
+    is INDETERMINATE, at once (no file, no process) when ``timeout`` is 0
+    or less.
     The solver's stdout goes to a file in the same directory and its stderr
     is discarded, and the call waits for the solver process to exit, not
     for its output to close: a child that outlives it and keeps the output
@@ -747,7 +747,7 @@ def solve_external(formula: WcnfFormula, command: str,
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(write_dimacs(formula))
         argv = [t.replace("{input}", path) for t in tokens]
-        if path not in argv:
+        if not any("{input}" in t for t in tokens):
             argv.append(path)
         out_path = os.path.join(tmp, "stdout")
         with open(out_path, "wb") as out:

@@ -1,5 +1,6 @@
 """Shared test utilities: formulas from ``Clause`` records and the
-clause-by-clause check, random formulas, the Max-SAT enumeration oracle
+clause-by-clause check, an encoder family's clauses and the count of
+base variables, random formulas, the Max-SAT enumeration oracle
 and a clause's truth under an assignment, the clause-by-clause room clash
 family, the line-by-line WCNF writer, an independent extension checker,
 cardinality bounds on a totalizer, the semantic enumeration oracle,
@@ -28,6 +29,20 @@ def view_of(clauses):
 def wcnf(num_vars, clauses, top=None):
     """The ``WcnfFormula`` of ``Clause`` records, through ``view_of``."""
     return WcnfFormula(num_vars, view_of(clauses), top)
+
+
+def family_clauses(formula, indices):
+    """The ``Clause`` records of ``formula`` at ``indices`` (a family's
+    clause numbers), in that order."""
+    clauses = list(formula.clauses)
+    return [clauses[i] for i in indices]
+
+
+def base_num_vars(varmap):
+    """The number of ct, cd, cr and kt variables, which come before every
+    auxiliary one: the last kt variable's number."""
+    instance = varmap.instance
+    return varmap.kt(len(instance.curricula) - 1, len(instance.timeslots) - 1)
 
 
 def clause_check(clauses, num_vars):
@@ -248,7 +263,7 @@ def assignment_for_placement(instance, varmap, placements):
 
     Only valid when the encoding allocated no auxiliary variables.
     """
-    assignment = {v: False for v in range(1, varmap.base_num_vars + 1)}
+    assignment = {v: False for v in range(1, base_num_vars(varmap) + 1)}
     for sid, (t, r) in placements.items():
         assignment[varmap.ct(sid, t)] = True
         assignment[varmap.cr(sid, r)] = True

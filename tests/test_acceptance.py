@@ -11,6 +11,7 @@ import time
 
 from helpers import (
     brute_force_maxsat,
+    family_clauses,
     mixed_literals,
     projected_models,
     random_wcnf,
@@ -145,20 +146,20 @@ class TestAcceptance:
         # timeslot/day linking: one clause per (session, slot) + (session, day)
         ok = ok and len(families["link_ct_cd"]) == S * (T + D) == 112
         # curriculum linking: S*T forward implications + K*T reverse covers
-        kt = [formula.clauses[i] for i in families["link_ct_kt"]]
+        kt = family_clauses(formula, families["link_ct_kt"])
         ok = ok and len([c for c in kt if len(c.literals) == 2]) == S * T == 70
         ok = ok and len([c for c in kt if len(c.literals) > 2]) == K * T == 20
         # room clashes: every room, slot, and unordered session pair
         ok = ok and len(families["room_clashes"]) == R * T * (S * (S - 1) // 2) == 1820
         # capacity: M271's sessions each pay 40 for both 50-seat rooms
         m271 = next(c for c in instance.courses if c.label == "M271")
-        cap = [formula.clauses[i] for i in families["room_capacity"]]
+        cap = family_clauses(formula, families["room_capacity"])
         for sid in m271.sessions:
             hits = [c for c in cap
                     if abs(c.literals[0]) in {vm.cr(sid, r.id) for r in instance.rooms}]
             ok = ok and len(hits) == 2 and all(c.weight == 40 for c in hits)
         # registration softs: exactly the 4 cross-curriculum pairs
-        reg = [formula.clauses[i] for i in families["registration_clashes"]]
+        reg = family_clauses(formula, families["registration_clashes"])
         ok = ok and len(reg) == 4 * (2 * 2) * T == 80
         ok = ok and sorted({c.weight for c in reg}) == [5, 10, 15, 20]
         pair_weights = {

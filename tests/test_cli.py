@@ -537,7 +537,10 @@ class TestWeightPastInt64:
         code, out, err = run(capsys, argv)
         assert code == 2
         assert out == ""
-        assert re.fullmatch(r"error: soft clause weight \d+ does not fit in int64\n", err)
+        source = {"enrollment": r"session CS101/lecture in room r\d+",
+                  "students": r"courses \S+ and \S+"}[field]
+        assert re.fullmatch(rf"error: soft clause weight \d+ of {source} does not fit in int64\n",
+                            err)
         assert not (tmp_path / "huge.wcnf").exists()
 
     @pytest.mark.parametrize("field", ["enrollment", "students"])

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from helpers import (
     all_placements,
     assignment_for_placement,
+    base_num_vars,
+    family_clauses,
     reference_room_clashes,
     semantic_optimum,
     solve_clauses,
@@ -49,7 +51,7 @@ class TestVarMap:
     def test_base_variable_count(self, sample_weighted):
         formula, varmap, _ = sample_weighted
         # |S|*|T| + |S|*|D| + |S|*|R| + |K|*|T| = 14*5 + 14*3 + 14*4 + 4*5
-        assert varmap.base_num_vars == 14 * 5 + 14 * 3 + 14 * 4 + 4 * 5 == 188
+        assert base_num_vars(varmap) == 14 * 5 + 14 * 3 + 14 * 4 + 4 * 5 == 188
         # pairwise exactly-one allocates no auxiliaries on this instance
         assert formula.num_vars == 188
 
@@ -61,13 +63,13 @@ class TestVarMap:
     def test_explain_aux_names_origin(self, sample_instance):
         vm = VarMap(sample_instance)
         (first,) = vm.aux_blocks(["room_assignment/CS202/lab/totalizer"], [2])
-        assert first == vm.base_num_vars + 1 and vm.num_vars == first + 1
+        assert first == base_num_vars(vm) + 1 and vm.num_vars == first + 1
         assert vm.explain(first) == "aux(room_assignment/CS202/lab/totalizer #1)"
         assert vm.explain(first + 1) == "aux(room_assignment/CS202/lab/totalizer #2)"
 
     def test_aux_blocks_skip_empty_blocks(self, sample_instance):
         vm = VarMap(sample_instance)
-        base = vm.base_num_vars
+        base = base_num_vars(vm)
         # an empty block allocates nothing and starts where the next one does
         starts = vm.aux_blocks(["a", "b", "c"], [2, 0, 3])
         assert starts.tolist() == [base + 1, base + 3, base + 3]
@@ -127,7 +129,7 @@ class TestClashFamilies:
         cs202_lec = courses["CS202"].sessions[0]
         m271_lec = courses["M271"].sessions[0]
         formula = sample_weighted[0]
-        cur_clauses = {formula.clauses[i].literals for i in families["curriculum_clashes"]}
+        cur_clauses = {c.literals for c in family_clauses(formula, families["curriculum_clashes"])}
         for t in range(5):
             assert (-vm.ct(cs202_lec, t), -vm.ct(m271_lec, t)) in cur_clauses
         # 19 same-curriculum session pairs, 5 slots each
@@ -137,7 +139,7 @@ class TestClashFamilies:
         formula, vm, families = sample_weighted
         courses, _, _ = by_label(sample_instance)
         lec, lab = courses["CS101"].sessions
-        cur_clauses = {formula.clauses[i].literals for i in families["curriculum_clashes"]}
+        cur_clauses = {c.literals for c in family_clauses(formula, families["curriculum_clashes"])}
         assert sum(
             1 for t in range(5) if (-vm.ct(lec, t), -vm.ct(lab, t)) in cur_clauses
         ) == 5
@@ -163,7 +165,7 @@ class TestClashFamilies:
         assert len(teach) == 10
         # shared clauses appear once in the formula
         lits = [c.literals for c in formula.clauses]
-        assert all(lits.count(formula.clauses[i].literals) == 1 for i in shared)
+        assert all(lits.count(c.literals) == 1 for c in family_clauses(formula, shared))
 
     def test_three_sessions_one_teacher(self):
         text = json.dumps({
@@ -192,7 +194,7 @@ class TestClashFamilies:
         courses, _, rooms = by_label(sample_instance)
         cs101_lec = courses["CS101"].sessions[0]
         cs202_lec = courses["CS202"].sessions[0]
-        family = {formula.clauses[i].literals for i in families["room_clashes"]}
+        family = {c.literals for c in family_clauses(formula, families["room_clashes"])}
         assert (
             -vm.ct(cs101_lec, 0), -vm.ct(cs202_lec, 0),
             -vm.cr(cs101_lec, rooms["r1"]), -vm.cr(cs202_lec, rooms["r1"]),
@@ -400,9 +402,9 @@ class TestExactlyOneTemplate:
         got = _exactly_one_rows(got_vm, tags, groups)
         assert [c.literals for c in got] == want
         assert all(c.is_hard for c in got)
-        assert got_vm.num_vars == got_vm.base_num_vars + len(want_explain)
-        assert [got_vm.explain(v) for v in range(got_vm.base_num_vars + 1,
-                                                 got_vm.num_vars + 1)] == want_explain
+        base = base_num_vars(got_vm)
+        assert got_vm.num_vars == base + len(want_explain)
+        assert [got_vm.explain(v) for v in range(base + 1, got_vm.num_vars + 1)] == want_explain
 
 
 class TestMeetingCount:
@@ -546,6 +548,12 @@ class TestEncodeWhole:
         assert (hashlib.sha256(explain.encode()).hexdigest()
                 == "a888bc5ce9eb3f495ec7e85cc3a3dff965e342713466483e55799771c7daa4c9")
 
+    def test_formula_repr_stays_short(self):
+        # the repr names the clause view, not each of its 530,908 clauses
+        formula, _ = encode(gen_random_instance(5, days=5, slots_per_day=5, rooms=10,
+                                                courses=30, curricula=6))
+        assert len(repr(formula)) < 1000
+
     def test_deterministic_bytes(self, sample_instance):
         first, _ = encode(sample_instance, EncodeOptions(weighted=True))
         second, _ = encode(sample_instance, EncodeOptions(weighted=True))
@@ -558,7 +566,7 @@ class TestCostFaithfulness:
                                        courses=2, curricula=2, overlap_density=1.0)
         opts = EncodeOptions(weighted=True)
         formula, vm = encode(instance, opts)
-        assert formula.num_vars == vm.base_num_vars  # no auxiliaries
+        assert formula.num_vars == base_num_vars(vm)  # no auxiliaries
         hard = [c.literals for c in formula.clauses if c.is_hard]
         feasible = 0
         for timetable in all_placements(instance):

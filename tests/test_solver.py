@@ -209,14 +209,17 @@ def checked_picks(monkeypatch):
 
 class TestCdclSolver:
     def test_rescale_reranks_heap(self):
+        # the heap's entries rank the variables at their tiny initial
+        # activities, so without the rebuild the pick would not be ``low``
         solver = CdclSolver()
         solver.ensure_vars(3)
+        low = min((1, 2, 3), key=solver.act.__getitem__)
+        solver.act[low] = 2e100
         solver.var_inc = 5e99
-        solver._bump(2)
-        solver.var_inc = 2e100
-        solver._bump(1)  # passes 1e100: every activity is scaled by 1e-100
-        assert solver.act[1:3] == [2.0, 0.5]
-        assert solver._pick_branch() == 1
+        solver._rescale()  # every activity and the increment scaled by 1e-100
+        assert solver.act[low] == 2.0 and solver.var_inc == 0.5
+        assert sum(a > 1e-100 for a in solver.act[1:4]) == 1
+        assert solver._pick_branch() == low
 
     def test_pick_is_argmax_and_heap_stays_bounded(self, monkeypatch):
         picks = checked_picks(monkeypatch)
@@ -1007,6 +1010,21 @@ class TestExternal:
         res = solve_external(WEIGHTED, EXTERNAL_SELF, timeout=60)
         assert res.status is MaxSatStatus.OPTIMUM
         assert res.cost == solve_maxsat(WEIGHTED).cost == 3
+
+    @pytest.mark.parametrize("arg", ["{input}", "--in={input}", ""],
+                             ids=["whole-token", "inside-token", "absent"])
+    def test_path_passed_once(self, tmp_path, arg):
+        # the stub exits 3 unless it gets exactly one argument
+        stub = tmp_path / "stub.py"
+        stub.write_text(
+            "import sys\n"
+            "from ttsat.cli import main\n"
+            "if len(sys.argv) != 2:\n"
+            "    sys.exit(3)\n"
+            "sys.exit(main(['solve-wcnf', sys.argv[1].removeprefix('--in=')]))\n"
+        )
+        res = solve_external(WEIGHTED, f"{sys.executable} {stub} {arg}", timeout=60)
+        assert res.status is MaxSatStatus.OPTIMUM and res.cost == 3
 
     def test_unsat_passthrough(self):
         f = wcnf(1, (Clause((1,)), Clause((-1,))))
