@@ -42,12 +42,18 @@ separator ("<weight> ", "<literal> ", "0\n"), so a chunk's text is one
 ``"".join`` of its tokens, with no pass that mends separators.
 ``parse_dimacs`` reads each text one way.  When numpy provably reads
 every clause line as the per-line reader would, it reads them in blocks
-of about ``PARSE_CHUNK`` characters, each with one ``np.fromstring``
-whose values become the block's arrays.  Any oddity (a line end other
-than "\n", comments among the clauses, "h" lines, odd tokens) sends the
-whole text to the per-line reader instead, so the clauses and the ``line
-N: ...`` errors are the same either way.  A file read in text mode, as
-the CLI reads one, has had its CRLF and CR line ends made "\n" already.
+of about ``PARSE_CHUNK`` characters.  A first pass proves each block on
+its ASCII bytes (its characters, where its "-" and line ends stand) and
+counts its clauses and literals, holding one block's bytes at a time.
+The formula's literal, offset and weight arrays are then made once, at
+their final size, and each block's one ``np.fromstring`` fills its own
+slices of them, once its values number exactly its spaces and newlines:
+one value per token, no lone "-" and no doubled separator.  Any oddity (a
+line end other than "\n", comments among the clauses, "h" lines, odd
+tokens) sends the whole text to the per-line reader instead, so the
+clauses and the ``line N: ...`` errors are the same either way.  A file
+read in text mode, as the CLI reads one, has had its CRLF and CR line
+ends made "\n" already.
 
 ``gc_paused`` switches the cyclic garbage collector off around the code
 that builds one Python object per clause: the per-line reader, which
@@ -270,7 +276,8 @@ class WcnfFormula:
         if not isinstance(self.clauses, ClauseView):
             raise TypeError(f"expected ClauseView, got {type(self.clauses).__name__}")
         literals, offsets, weights = self.clauses.arrays()
-        bad = _first_bad_clause(literals, offsets, num_vars)
+        max_var = _largest_variable(literals)
+        bad = _first_bad_clause(literals, offsets, num_vars, max_var)
         if bad is not None:
             lits = tuple(literals[offsets[bad]:offsets[bad + 1]].tolist())
             raise CnfError(_bad_clause_message(lits, num_vars))
@@ -283,7 +290,7 @@ class WcnfFormula:
         object.__setattr__(self, "top", top)
         object.__setattr__(self, "soft_weights", soft_weights)
         object.__setattr__(self, "soft_weight_sum", soft_sum)
-        object.__setattr__(self, "max_var", _largest_variable(literals))
+        object.__setattr__(self, "max_var", max_var)
 
     def hard_satisfied(self, assignment) -> bool:
         """Whether a total assignment satisfies every hard clause."""
@@ -312,15 +319,16 @@ class WcnfFormula:
         return np.logical_or.reduceat(truth[literals], offsets[:-1])
 
 
-def _first_bad_clause(literals, offsets, num_vars):
+def _first_bad_clause(literals, offsets, num_vars, max_var):
     """The number of the first clause that is empty, holds a variable
     outside 1..num_vars (literal 0 included) or repeats a variable; None
-    when every clause is sound.  ``num_vars`` fits int64.  The clauses are
+    when every clause is sound.  ``num_vars`` fits int64, and ``max_var``
+    is the literals' ``_largest_variable``.  The clauses are
     checked ``CLAUSE_CHUNK`` at a time, or fewer when the chunk's (clause,
     variable) keys would pass int64: only where variables pass about
     2**63 / CLAUSE_CHUNK, down to one clause a chunk near 2**63."""
     # the keys hold no variable above this: one outside 1..num_vars becomes 0
-    largest = min(num_vars, _largest_variable(literals))
+    largest = min(num_vars, max_var)
     step = max(1, min(CLAUSE_CHUNK, _INT64_MAX // (largest + 1)))
     for start, chunk, bounds in clause_chunks(literals, offsets, step):
         bad = _first_bad_in_chunk(chunk, bounds, num_vars)
@@ -428,28 +436,21 @@ def parse_dimacs(text: str) -> WcnfFormula:
 
     Each text is read one way.  The leading comment and header lines go to
     the per-line reader; the rest is cut at newlines into blocks of about
-    ``PARSE_CHUNK`` characters, and when numpy provably reads every block
-    as the per-line reader would (``_read_clause_block``), the blocks'
-    arrays are joined.  Otherwise, or when the leading lines already hold
-    a clause (a line end other than "\n" among them), the whole text is
-    read line by line, so the clauses and the ``line N: ...`` errors are
-    always those of the per-line reader.  Either way the clauses are one
-    view."""
-    blocks = _blocks(text)
-    lead = next(blocks)
+    ``PARSE_CHUNK`` characters, which ``_read_clause_blocks`` reads in
+    numpy when it can prove that numpy reads every block as the per-line
+    reader would.  Otherwise, or when the leading lines already hold a
+    clause (a line end other than "\n" among them), the whole text is read
+    line by line, so the clauses and the ``line N: ...`` errors are always
+    those of the per-line reader.  Either way the clauses are one view."""
+    cuts = _cuts(text)
+    lead = text[:cuts[0]]
     header, literals, weights = _read_lines(lead.splitlines())
     top = None if header is None else header[2]
-    views = []
-    for block in () if weights else blocks:
-        views.append(_read_clause_block(block, top))
-        if views[-1] is None:
-            break
-    if weights or None in views:
+    clauses = None if weights else _read_clause_blocks(text, cuts, top)
+    if clauses is None:
         if len(lead) < len(text):
             header, literals, weights = _read_lines(text.splitlines())
         clauses = clause_block(literals, weights)
-    else:
-        clauses = concat_clauses(views)
     num_vars, num_clauses, top = header or (None, None, None)
     if not clauses and num_vars is None:
         raise CnfError("no header and no clauses found")
@@ -462,22 +463,24 @@ def parse_dimacs(text: str) -> WcnfFormula:
     return WcnfFormula(num_vars, clauses, top)
 
 
-def _blocks(text):
-    """Cut ``text`` after newlines: first the leading comment and header
-    lines ("" when there are none), then blocks of about ``PARSE_CHUNK``
-    characters (a longer line makes a longer block).  Any text after the
+def _cuts(text):
+    """Where ``text`` is cut, each time after a newline: first the end of
+    the leading comment and header lines (0 when there are none), then the
+    end of each block of about ``PARSE_CHUNK`` characters (a longer line
+    makes a longer block), the last at ``len(text)``.  Any text after the
     last newline is a block of its own, so every other block ends with a
     newline."""
     pos, n = 0, len(text)
     while text.startswith(("c", "p"), pos):
         pos = text.find("\n", pos) + 1 or n
-    yield text[:pos]
+    cuts = [pos]
     while pos < n:
         end = text.rfind("\n", pos, pos + PARSE_CHUNK) + 1
         if end <= pos:
             end = text.find("\n", pos + PARSE_CHUNK) + 1 or n
-        yield text[pos:end]
+        cuts.append(end)
         pos = end
+    return cuts
 
 
 @gc_paused()
@@ -531,28 +534,78 @@ def _read_lines(lines):
     return header, literals, weights
 
 
-# deleting these leaves nothing of a block of plain clause lines
-_CLAUSE_LINE_CHARS = str.maketrans("", "", "0123456789 -\n")
+# deleting these bytes leaves nothing of a block of plain clause lines
+_CLAUSE_LINE_BYTES = b"0123456789 -\n"
 
 
-def _read_clause_block(block, top):
-    """The clauses of a block of "<weight> <literal>... 0" lines, read with
-    one ``np.fromstring`` whose values become the view's arrays; None when
-    the per-line reader might read the block otherwise.
+def _read_clause_blocks(text, cuts, top):
+    """The clauses of ``text[cuts[0]:]``, the blocks between successive
+    ``cuts``, read in numpy as one view; None when the per-line reader
+    might read a block otherwise.
 
-    The checks leave only tokens of an optional "-" and digits, on which
-    numpy and ``int`` agree unless the token passes int64, where numpy
-    saturates: only digits, spaces, "-" and newlines (no other line
-    separator, no "c", "p" or "h" line); every "-" after a space and before
-    a digit; every line, the last included, ends in " 0\n", and that 0 is
-    the line's only zero value (no "-0", "00", blank line or trailing
-    space); no saturated value; no line " 0", whose one value the per-line
-    reader takes for a soft weight 0."""
-    lines = block.count("\n")
-    if not (block.endswith("\n") and not block.translate(_CLAUSE_LINE_CHARS)
-            and block.count(" 0\n") == lines
-            and block.count("-") == block.count(" -") and "- " not in block):
+    A first pass checks and measures each block on its bytes
+    (``_clause_block_shape``), holding one block's bytes at a time.  The
+    literal, offset and weight arrays are then made once, at their final
+    size, and ``_read_clause_block`` reads each block into its own slices
+    of them.  The clause lengths go into the offset array, which one
+    running sum then makes offsets."""
+    bounds = list(zip(cuts, cuts[1:]))
+    shapes = []
+    for start, end in bounds:
+        shapes.append(_clause_block_shape(text[start:end]))
+        if shapes[-1] is None:
+            return None
+    num_clauses = sum(clauses for clauses, _ in shapes)
+    literals = np.empty(sum(lits for _, lits in shapes), dtype=np.int64)
+    offsets = np.zeros(num_clauses + 1, dtype=np.int64)
+    weights = np.empty(num_clauses, dtype=np.int64)
+    clause = literal = 0
+    for (start, end), (clauses, lits) in zip(bounds, shapes):
+        if _read_clause_block(text[start:end], top, literals[literal:literal + lits],
+                              offsets[clause + 1:clause + 1 + clauses],
+                              weights[clause:clause + clauses]) is None:
+            return None
+        clause += clauses
+        literal += lits
+    np.cumsum(offsets, out=offsets)
+    return ClauseView(literals, offsets, weights)
+
+
+def _clause_block_shape(block):
+    """``(clauses, literals)``, the counts of a block of "<weight>
+    <literal>... 0" lines, when its bytes pass the checks numpy's reading
+    rests on; None otherwise.
+
+    The block holds only ASCII digits, spaces, "-" and newlines (no other
+    line separator, no "c", "p" or "h" line); every "-" follows a space;
+    every line, the last included, ends in " 0\n".  What is left to prove,
+    ``_read_clause_block`` proves from the counts: a line of ``k`` literals
+    holds ``k + 2`` values, one per space and newline."""
+    if not block.isascii():
         return None
+    raw = block.encode("ascii")
+    lines = raw.count(b"\n")
+    if not (raw.endswith(b"\n") and not raw.translate(None, _CLAUSE_LINE_BYTES)
+            and raw.count(b" 0\n") == lines and raw.count(b"-") == raw.count(b" -")):
+        return None
+    return lines, raw.count(b" ") - lines
+
+
+def _read_clause_block(block, top, literals, lengths, weights):
+    """Read ``block``, which ``_clause_block_shape`` has passed, with one
+    ``np.fromstring`` of its text into the slices it measured: its
+    literals, the literal count of each clause and each clause's weight (0
+    for hard).  True when numpy provably read it as the per-line reader
+    would; None otherwise, with the slices in an unknown state.
+
+    numpy makes at most one value of a token those checks pass.  So the
+    block holds exactly one value per separator only when it has no lone
+    "-" (numpy reads "- 2" as -2) and no doubled, leading or trailing
+    separator.  Its tokens are then an optional "-" and digits, on which
+    numpy and ``int`` agree unless the token passes int64, where numpy
+    saturates.  Also ruled out: a second zero value on a line ("-0", "00",
+    blank line); a saturated value; a line " 0", whose one value the
+    per-line reader takes for a soft weight 0."""
     with warnings.catch_warnings():
         # numpy 1.x reports unparsed text with a warning, 2.x with ValueError
         warnings.simplefilter("error", DeprecationWarning)
@@ -560,18 +613,21 @@ def _read_clause_block(block, top):
             values = np.fromstring(block, dtype=np.int64, sep=" ")
         except (ValueError, DeprecationWarning):
             return None
+    if len(values) != len(literals) + 2 * len(weights):
+        return None
     ends = np.flatnonzero(values == 0)
-    if len(ends) != lines or values.max() == _INT64_MAX or values.min() == _INT64_MIN:
+    if len(ends) != len(weights) or values.max() == _INT64_MAX or values.min() == _INT64_MIN:
         return None
     starts = np.concatenate(([0], ends[:-1] + 1))
-    lengths = ends - starts - 1
+    np.subtract(ends, starts + 1, out=lengths)
     if lengths.min(initial=0) < 0:
         return None
     is_literal = np.ones(len(values), dtype=bool)
     is_literal[starts] = False
     is_literal[ends] = False
-    weights = values[starts]
+    literals[:] = values[is_literal]
+    weights[:] = values[starts]
     if top is not None:
         # no value read here reaches int64's max, so min() keeps the test exact
         weights[weights >= min(top, _INT64_MAX)] = 0
-    return ClauseView(values[is_literal], _offsets(lengths), weights)
+    return True

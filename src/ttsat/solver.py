@@ -48,8 +48,11 @@ deadline from ``SolverConfig.timeout``.
 A ``CdclSolver`` is filled in two ways only: ``load`` puts a whole checked
 ``WcnfFormula`` into a fresh solver in one pass, with no per-literal checks,
 and ``add_clause`` keeps its full checks for everything added one clause at
-a time (the cores' totalizers).  A clause given lives only in its watch
-lists, and the selectors come after the largest variable a clause holds.
+a time (the cores' totalizers).  A clause given lives in its watch
+lists, and ``load`` also keeps its clauses in one list, in load order, so
+that a finished solver frees them in that order and not in the order
+search has shuffled the watch lists into.  The selectors come after the
+largest variable a clause holds.
 
 Every Max-SAT answer is one ``MaxSatResult``: a status, the model as a plain
 ``{var: bool}`` dict, that model's cost, and a proven lower bound.
@@ -153,7 +156,8 @@ class CdclSolver:
     """Incremental CDCL solver over hard clauses.
 
     Clauses may be added between solve() calls; learned clauses persist.
-    A clause given lives only in the watch lists of its first two literals.
+    A clause given lives in the watch lists of its first two literals;
+    the clauses ``load`` gives are also kept in ``clauses``, in load order.
     Everything is deterministic for a fixed seed and call sequence.
     """
 
@@ -176,6 +180,9 @@ class CdclSolver:
         self.heap: list[tuple[float, int]] = []
         self.var_inc = 1.0
         self.total_conflicts = 0
+        # the clauses load gave, in load order; set after the watch lists,
+        # which are freed first, so a finished solver frees them in this order
+        self.clauses: list[list[int]] = []
         self.learned: list[list[int]] = []
         self.max_learned = 8000
         self._rng = random.Random(seed)
@@ -228,7 +235,8 @@ class CdclSolver:
         Each soft clause becomes the hard clause ``(lits v sel)``.  The
         clauses come from ``formula.clauses.lists()``, one new list each,
         and are loaded hard clauses first and then soft ones, each in
-        formula order.  ``WcnfFormula`` has already ruled out non-integer
+        formula order; ``clauses`` keeps them in that order, so that they
+        are freed in it.  ``WcnfFormula`` has already ruled out non-integer
         literals, literal 0, repeated variables and variables past
         ``num_vars``, so each clause of two or more literals is watched as
         given, unassigned at level 0.  The hard units go last, through
@@ -254,6 +262,7 @@ class CdclSolver:
         for cl, sel in zip(softs, selectors):
             cl.append(sel)
         clauses += softs
+        self.clauses = clauses
         for cl in clauses:
             if len(cl) == 1:
                 units.append(cl)

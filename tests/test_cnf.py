@@ -369,6 +369,12 @@ def formula_check(entries, num_vars):
     return tuple(f.clauses), f.soft_weight_sum
 
 
+def first_bad_clause(view, num_vars):
+    """``cnf._first_bad_clause`` of a view's clauses."""
+    literals, offsets, _ = view.arrays()
+    return cnf._first_bad_clause(literals, offsets, num_vars, cnf._largest_variable(literals))
+
+
 BAD_LAST_CLAUSES = [
     (Clause(()), "clause must contain at least one literal"),
     (Clause((4, 0)), "0 is the clause terminator, not a literal, in (4, 0)"),
@@ -423,8 +429,8 @@ class TestBulkCheck:
         # keys to fit, and still finds a repeat
         good = (Clause((1, 2)), Clause((BIG, -(BIG - 1)), 3))
         bad = good + (Clause((1, BIG, -BIG)),)
-        assert cnf._first_bad_clause(*view_of(good).arrays()[:2], BIG) is None
-        assert cnf._first_bad_clause(*view_of(bad).arrays()[:2], BIG) == 2
+        assert first_bad_clause(view_of(good), BIG) is None
+        assert first_bad_clause(view_of(bad), BIG) == 2
         assert formula_check(good, BIG) == reference_check(good, BIG)
         assert formula_check(bad, BIG) == reference_check(bad, BIG)
 
@@ -452,7 +458,7 @@ class TestBulkCheck:
     @given(well_formed_formulas())
     def test_well_formed_chunks_stay_in_numpy(self, formula):
         # a message is built only for a clause the array check rejects
-        assert cnf._first_bad_clause(*formula.clauses.arrays()[:2], formula.num_vars) is None
+        assert first_bad_clause(formula.clauses, formula.num_vars) is None
         with mock.patch.object(cnf, "_bad_clause_message", side_effect=AssertionError):
             assert wcnf(formula.num_vars, formula.clauses, formula.top) == formula
 
@@ -568,7 +574,7 @@ def assert_exact_weights(view):
 def read_per_line(text):
     """What ``parse_dimacs`` makes of ``text`` read by the per-line reader
     alone: the block reader declines every block."""
-    with mock.patch.object(cnf, "_read_clause_block", lambda block, top: None):
+    with mock.patch.object(cnf, "_read_clause_block", lambda *block_and_slices: None):
         return outcome(parse_dimacs, text)
 
 
@@ -590,6 +596,7 @@ ODD_TOKENS = [
 ODD_LINES = [
     "", " ", "0", " 0", "5 0", "c comment", "c", "p wcnf 6 3 13", "p cnf 6 3", "h 1 2 0",
     "h -3 0", "-5 1 0", "5 1", "5 1 -0", "5 1 00", "5 1 0 ", " 5 1 0", "5 1 0\r", "5\t1 0",
+    "5  1 0", "5 1  0",
 ]
 ODD_LINE_ENDS = ["\r\n", "\r", "\x0b", "\x0c", "\x85", "\u2028"]
 
@@ -624,6 +631,14 @@ def strtoll_fromstring(string, dtype, sep):
     return np.array([min(max(int(t), -2**63), 2**63 - 1) for t in tokens], dtype)
 
 
+def read_block(block):
+    """What ``cnf._read_clause_block`` returns for ``block``, which
+    ``cnf._clause_block_shape`` passes, read into slices of that shape."""
+    clauses, literals = cnf._clause_block_shape(block)
+    return cnf._read_clause_block(block, None, np.empty(literals, np.int64),
+                                  np.empty(clauses, np.int64), np.empty(clauses, np.int64))
+
+
 @contextmanager
 def spy_read_lines():
     """Record the lines of each ``cnf._read_lines`` call, in order."""
@@ -653,6 +668,17 @@ class TestBlockReader:
             for text in texts:
                 for chunk in range(1, len(text) + 2):
                     read_like_per_line(text, chunk)
+
+    @pytest.mark.parametrize("fromstring", [np.fromstring, strtoll_fromstring],
+                             ids=["numpy", "strtoll"])
+    @pytest.mark.parametrize("block", ["5 - 2 0\n", "5 1  0\n", "5  1 0\n", "3 1 0\n5 1  0\n"],
+                             ids=["lone-minus", "doubled-before-0", "doubled-after-weight",
+                                  "doubled-in-second-line"])
+    def test_one_value_per_separator(self, block, fromstring):
+        # the bytes pass these blocks: the count of values is what rejects them
+        with mock.patch.object(np, "fromstring", fromstring):
+            assert read_block(block) is None
+            assert read_block(block.replace("  ", " ").replace("- ", "-")) is True
 
     def test_top_beyond_int64(self):
         text = f"p wcnf 2 3 {2**64}\n5 1 0\n{2**64} 2 0\n{2**63 - 2} -1 2 0\n"

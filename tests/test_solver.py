@@ -899,6 +899,14 @@ class TestLoad:
             if l:
                 assert whole.watches[l] == [c for c in expected if l in c[:2]]
 
+    def test_keeps_its_clauses_in_load_order(self):
+        # hard clauses, units too, then each soft clause with its selector:
+        # the order a finished solver frees them in
+        formula = wcnf(3, (Clause((1, 2), 2), Clause((-1, 3)), Clause((2,)), Clause((-3,), 1)))
+        solver = CdclSolver()
+        assert solver.load(formula) == [4, 5]
+        assert solver.clauses == [[-1, 3], [2], [1, 2, 4], [-3, 5]]
+
     def test_failed_allocation_raises_solver_error(self):
         class Full(list):
             def extend(self, items):
@@ -919,6 +927,28 @@ class TestLoad:
         used(solver)
         with pytest.raises(ValueError, match="fresh solver"):
             solver.load(WEIGHTED)
+
+
+class TestSearchCounts:
+    # the sample's conflicts per solve_maxsat run: a change to how the SAT
+    # core holds its clauses must leave the search, and these counts, alone
+    @pytest.mark.parametrize("mode, seed, cost, conflicts", [
+        ("weighted", 0, 10, 1029), ("weighted", 1, 10, 1117), ("weighted", 2, 10, 1095),
+        ("partial", 0, 2, 3507),
+    ])
+    def test_sample_conflicts(self, request, monkeypatch, mode, seed, cost, conflicts):
+        formula = request.getfixturevalue(f"sample_{mode}")[0]
+        solvers = []
+
+        class Recorded(CdclSolver):
+            def __init__(self, **kwargs):
+                super().__init__(**kwargs)
+                solvers.append(self)
+
+        monkeypatch.setattr(solver_module, "CdclSolver", Recorded)
+        res = solve_maxsat(formula, SolverConfig(seed=seed))
+        assert (res.status, res.cost) == (MaxSatStatus.OPTIMUM, cost)
+        assert [s.total_conflicts for s in solvers] == [conflicts]
 
 
 class TestBruteForce:
