@@ -24,16 +24,18 @@ the encoder's families.
 
 Checking.  ``Clause`` and ``ClauseView`` are unchecked; ``WcnfFormula``
 takes a view and nothing else, and checks every clause once, when it is
-built.  Python-side clauses become a view through ``clause_block``: it
-raises TypeError on a value that is no integer, OverflowError on one past
-int64 and ValueError on a soft weight below 1.  The per-line reader of
-``parse_dimacs`` raises the ``CnfError`` "line N: ..." of a value past
-int64 or a soft weight below 1 itself.  The formula takes a view's arrays as
-they are, weights too, and checks them in numpy, in chunks; for the first
-bad clause it finds, a message is built from that clause's literals.
-``num_vars`` must fit int64, as every literal must.  A formula's arrays
-are read-only: the formula keeps the view it is given, its very arrays,
-not copies, and makes them read-only for their other holders too.
+built.  Every clause value takes its int64 form once, where it enters, and
+is checked there.  ``clause_block`` raises TypeError on a Python-side
+value that is no integer, OverflowError on one past int64 and ValueError
+on a soft weight below 1; the per-line reader of ``parse_dimacs`` raises
+the ``CnfError`` "line N: ..." of a soft weight below 1 or a value past
+int64; the encoder names a soft weight past int64.  The formula takes a
+view's arrays as they are, weights too, and checks the clauses in numpy,
+in chunks; for the first bad clause it finds, a message is built from
+that clause's literals.  ``num_vars`` must fit int64, as every literal
+must.  A formula's arrays are read-only: the formula keeps the view it is
+given, its very arrays, not copies, and makes them read-only for their
+other holders too.
 
 DIMACS WCNF goes out and comes in in bulk.  ``write_dimacs`` formats the
 arrays ``CLAUSE_CHUNK`` clauses at a time, each chunk as one token array
@@ -54,20 +56,12 @@ tokens) sends the whole text to the per-line reader instead, so the
 clauses and the ``line N: ...`` errors are the same either way.  A file
 read in text mode, as the CLI reads one, has had its CRLF and CR line
 ends made "\n" already.
-
-``gc_paused`` switches the cyclic garbage collector off around the code
-that builds one Python object per clause: the per-line reader, which
-keeps a literal tuple per clause, and the builtin Max-SAT solve, whose
-solver keeps a list per clause to its end.  Those objects form no cycles,
-so the collector's passes find nothing to free.
 """
 
 from __future__ import annotations
 
-import gc
 import operator
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -85,19 +79,6 @@ _INT64_MIN = np.iinfo(np.int64).min
 
 class CnfError(ValueError):
     """Malformed clause, formula, DIMACS text, or solver output."""
-
-
-@contextmanager
-def gc_paused():
-    """Switch the cyclic garbage collector off for the block (or, used as
-    ``@gc_paused()``, the decorated call), then restore the caller's state."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
 
 
 @dataclass(frozen=True, slots=True)
@@ -227,16 +208,6 @@ def concat_clauses(blocks) -> ClauseView:
     return ClauseView(np.concatenate(literals), _offsets(lengths), np.concatenate(weights))
 
 
-def soft_weight_array(weights) -> np.ndarray:
-    """The int64 array of a list of integer soft weights, made by one
-    ``np.array`` call; a weight past int64 raises ``CnfError``."""
-    try:
-        return np.array(weights, dtype=np.int64)
-    except OverflowError:
-        big = next(w for w in weights if not _INT64_MIN <= w <= _INT64_MAX)
-        raise CnfError(f"soft clause weight {big} does not fit in int64") from None
-
-
 @dataclass(frozen=True)
 class WcnfFormula:
     """Ordered weighted clause set.
@@ -248,10 +219,10 @@ class WcnfFormula:
     that sum plus one.  Construction checks every clause: nonempty, no
     literal 0, no variable twice, every variable within ``num_vars``.  A
     bad formula raises the ``CnfError`` of its first bad clause.  The
-    view's weights are taken as they are: ``clause_block`` and the readers
-    have checked them.  ``soft_weights`` lists the soft clauses' weights in
-    formula order, as Python ints, and ``max_var`` is the largest variable
-    a clause holds (0 with no clauses).
+    view's weights are taken as they are: ``clause_block``, the readers
+    and the encoder have checked them.  ``soft_weights`` lists the soft
+    clauses' weights in formula order, as Python ints, and ``max_var`` is
+    the largest variable a clause holds (0 with no clauses).
 
     The formula keeps the view it is given, and with it the view's literal,
     offset and weight arrays, not copies; it clears their ``writeable``
@@ -441,16 +412,17 @@ def parse_dimacs(text: str) -> WcnfFormula:
     reader would.  Otherwise, or when the leading lines already hold a
     clause (a line end other than "\n" among them), the whole text is read
     line by line, so the clauses and the ``line N: ...`` errors are always
-    those of the per-line reader.  Either way the clauses are one view."""
+    those of the per-line reader.  Either reader returns the clauses as one
+    view over int64 arrays."""
     cuts = _cuts(text)
     lead = text[:cuts[0]]
-    header, literals, weights = _read_lines(lead.splitlines())
+    header, clauses = _read_lines(lead.splitlines())
     top = None if header is None else header[2]
-    clauses = None if weights else _read_clause_blocks(text, cuts, top)
-    if clauses is None:
-        if len(lead) < len(text):
-            header, literals, weights = _read_lines(text.splitlines())
-        clauses = clause_block(literals, weights)
+    blocks = None if clauses else _read_clause_blocks(text, cuts, top)
+    if blocks is not None:
+        clauses = blocks
+    elif len(lead) < len(text):
+        header, clauses = _read_lines(text.splitlines())
     num_vars, num_clauses, top = header or (None, None, None)
     if not clauses and num_vars is None:
         raise CnfError("no header and no clauses found")
@@ -483,17 +455,18 @@ def _cuts(text):
     return cuts
 
 
-@gc_paused()
 def _read_lines(lines):
-    """The per-line reader: ``(header, literals, weights)`` of ``lines``,
-    the first of which is line 1.  ``header`` is ``(num_vars, num_clauses,
-    top)``, or None; ``literals`` holds one tuple per clause and
-    ``weights`` its weight, None for hard.  A soft weight below 1 and a
-    value past int64 raise the ``CnfError`` of their line."""
+    """The per-line reader: ``(header, clauses)`` of ``lines``, the first
+    of which is line 1.  ``header`` is ``(num_vars, num_clauses, top)``, or
+    None; ``clauses`` is a view over new int64 arrays, weight 0 for hard.
+    A soft weight below 1 and a value past int64 raise the ``CnfError`` of
+    their line.  It keeps a flat list each of literals, clause lengths and
+    weights, and no object per clause."""
     header = top = None
-    literals: list[tuple[int, ...]] = []
-    weights: list[int | None] = []
-    add_literals, add_weight = literals.append, weights.append
+    literals: list[int] = []
+    lengths: list[int] = []
+    weights: list[int] = []
+    add_length, add_weight = lengths.append, weights.append
     for lineno, line in enumerate(lines, start=1):
         s = line.strip()
         if not s or s.startswith("c"):
@@ -516,22 +489,26 @@ def _read_lines(lines):
         if tokens[-1] != "0":
             raise CnfError(f"line {lineno}: clause missing terminating 0")
         try:
-            weight = None if tokens[0] == "h" else int(tokens[0])
+            weight = 0 if tokens[0] == "h" else int(tokens[0])
             lits = tuple(map(int, tokens[1:-1]))
         except ValueError:
             raise CnfError(f"line {lineno}: bad token in clause {s!r}") from None
-        if weight is not None and top is not None and weight >= top:
-            weight = None
-        if weight is not None and weight < 1:
+        if top is not None and weight >= top:
+            weight = 0
+        elif weight < 1 and tokens[0] != "h":
             raise CnfError(f"line {lineno}: soft clause weight must be >= 1, got {weight}")
-        if weight is not None and weight > _INT64_MAX:
+        if weight > _INT64_MAX:
             raise CnfError(f"line {lineno}: soft clause weight {weight} does not fit in int64")
         if lits and (min(lits) < _INT64_MIN or max(lits) > _INT64_MAX):
             big = next(l for l in lits if not _INT64_MIN <= l <= _INT64_MAX)
             raise CnfError(f"line {lineno}: literal {big} does not fit in int64")
-        add_literals(lits)
+        literals += lits
+        add_length(len(lits))
         add_weight(weight)
-    return header, literals, weights
+    clauses = ClauseView(np.array(literals, dtype=np.int64),
+                         _offsets(np.array(lengths, dtype=np.int64)),
+                         np.array(weights, dtype=np.int64))
+    return header, clauses
 
 
 # deleting these bytes leaves nothing of a block of plain clause lines
@@ -580,7 +557,9 @@ def _clause_block_shape(block):
     line separator, no "c", "p" or "h" line); every "-" follows a space;
     every line, the last included, ends in " 0\n".  What is left to prove,
     ``_read_clause_block`` proves from the counts: a line of ``k`` literals
-    holds ``k + 2`` values, one per space and newline."""
+    holds ``k + 2`` values, one per space and newline, a count that needs
+    the final "\n": without it a trailing space or a lone "-" ("5 1 ",
+    "5 - 2") balances the count of a line with no terminating 0."""
     if not block.isascii():
         return None
     raw = block.encode("ascii")
@@ -604,8 +583,9 @@ def _read_clause_block(block, top, literals, lengths, weights):
     separator.  Its tokens are then an optional "-" and digits, on which
     numpy and ``int`` agree unless the token passes int64, where numpy
     saturates.  Also ruled out: a second zero value on a line ("-0", "00",
-    blank line); a saturated value; a line " 0", whose one value the
-    per-line reader takes for a soft weight 0."""
+    blank line); a saturated value.  A line " 0" (a soft weight 0 to the
+    per-line reader) needs no rule: its space is a leading or doubled
+    separator, so the block holds fewer values than separators."""
     with warnings.catch_warnings():
         # numpy 1.x reports unparsed text with a warning, 2.x with ValueError
         warnings.simplefilter("error", DeprecationWarning)
@@ -620,8 +600,6 @@ def _read_clause_block(block, top, literals, lengths, weights):
         return None
     starts = np.concatenate(([0], ends[:-1] + 1))
     np.subtract(ends, starts + 1, out=lengths)
-    if lengths.min(initial=0) < 0:
-        return None
     is_literal = np.ones(len(values), dtype=bool)
     is_literal[starts] = False
     is_literal[ends] = False

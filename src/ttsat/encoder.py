@@ -23,8 +23,9 @@ placeholder variables and broadcast over every session of that shape
 (``_exactly_one_rows``).  The link families, small at any size, build
 one literal tuple per clause, and the soft unit families one literal per
 clause.  A weight past int64 is a ``CnfError``: ``registration_clashes``
-names its course pair and ``room_capacity`` its session and room, and
-every soft weight becomes int64 through ``cnf.soft_weight_array``.
+names its course pair and ``room_capacity`` its session and room, so
+every soft weight is in range when one ``np.array`` call makes the
+family's int64 weights.
 """
 
 from __future__ import annotations
@@ -36,8 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cardinality import exactly_one
-from .cnf import (ClauseView, CnfError, WcnfFormula, clause_block, concat_clauses,
-                  soft_weight_array)
+from .cnf import ClauseView, CnfError, WcnfFormula, clause_block, concat_clauses
 from .model import Instance, SessionKind, cross_curriculum_pairs
 
 
@@ -212,7 +212,7 @@ def _pair_clash_clauses(instance, varmap, pairs, weights=None) -> ClauseView:
     lits = -varmap.ct(pairs[:, None, :], np.arange(T)[:, None])
     n = len(pairs) * T
     if weights is not None:
-        weights = np.repeat(soft_weight_array(weights), T)
+        weights = np.repeat(np.array(weights, dtype=np.int64), T)
     return ClauseView(lits.reshape(-1), np.arange(0, 2 * n + 1, 2, dtype=np.int64), weights)
 
 
@@ -265,7 +265,8 @@ def room_clashes(instance: Instance, varmap: VarMap) -> ClauseView:
 def _soft_units(literals, weights) -> ClauseView:
     """One soft unit clause per literal, ``weights`` giving their weights."""
     return ClauseView(np.array(literals, dtype=np.int64),
-                      np.arange(len(literals) + 1, dtype=np.int64), soft_weight_array(weights))
+                      np.arange(len(literals) + 1, dtype=np.int64),
+                      np.array(weights, dtype=np.int64))
 
 
 def timeslot_unavailability(instance: Instance, varmap: VarMap, opts: EncodeOptions) -> ClauseView:

@@ -63,6 +63,7 @@ WCNF and Max-SAT evaluation output, re-validating whatever it returns.
 
 from __future__ import annotations
 
+import gc
 import heapq
 import os
 import random
@@ -71,12 +72,13 @@ import signal
 import subprocess
 import tempfile
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
 
 from .cardinality import Totalizer
-from .cnf import CnfError, WcnfFormula, gc_paused, write_dimacs
+from .cnf import CnfError, WcnfFormula, write_dimacs
 
 
 class SolverError(RuntimeError):
@@ -618,6 +620,20 @@ def _checked(formula: WcnfFormula, model: dict[int, bool]) -> dict[int, bool]:
     if not formula.hard_satisfied(model):
         raise SolverInternalError("optimizer model violates a hard clause")
     return model
+
+
+@contextmanager
+def gc_paused():
+    """Switch the cyclic garbage collector off for the decorated call, then
+    restore the caller's state: the solver keeps a list per clause to its
+    end, and those lists form no cycles for the collector to free."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @gc_paused()

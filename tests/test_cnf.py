@@ -495,13 +495,6 @@ class TestClauseBlock:
         assert offsets.tolist() == [0, 2, 3, 4]
         assert weights.tolist() == [2**63 - 1, 2, 0]
 
-    def test_soft_weight_array_names_a_weight_past_int64(self):
-        assert cnf.soft_weight_array([1, 2**63 - 1]).tolist() == [1, 2**63 - 1]
-        assert cnf.soft_weight_array([]).dtype == np.int64
-        with pytest.raises(CnfError) as err:
-            cnf.soft_weight_array([3, 10**30, 2**64])
-        assert str(err.value) == f"soft clause weight {10**30} does not fit in int64"
-
 
 class TestGcPaused:
     @pytest.mark.parametrize("enabled", [True, False])
@@ -596,7 +589,7 @@ ODD_TOKENS = [
 ODD_LINES = [
     "", " ", "0", " 0", "5 0", "c comment", "c", "p wcnf 6 3 13", "p cnf 6 3", "h 1 2 0",
     "h -3 0", "-5 1 0", "5 1", "5 1 -0", "5 1 00", "5 1 0 ", " 5 1 0", "5 1 0\r", "5\t1 0",
-    "5  1 0", "5 1  0",
+    "5  1 0", "5 1  0", "5 1 ", "5 - 2",
 ]
 ODD_LINE_ENDS = ["\r\n", "\r", "\x0b", "\x0c", "\x85", "\u2028"]
 
@@ -632,9 +625,13 @@ def strtoll_fromstring(string, dtype, sep):
 
 
 def read_block(block):
-    """What ``cnf._read_clause_block`` returns for ``block``, which
-    ``cnf._clause_block_shape`` passes, read into slices of that shape."""
-    clauses, literals = cnf._clause_block_shape(block)
+    """None when ``cnf._clause_block_shape`` declines ``block``; otherwise
+    what ``cnf._read_clause_block`` returns for it, read into slices of
+    the shape it measured."""
+    shape = cnf._clause_block_shape(block)
+    if shape is None:
+        return None
+    clauses, literals = shape
     return cnf._read_clause_block(block, None, np.empty(literals, np.int64),
                                   np.empty(clauses, np.int64), np.empty(clauses, np.int64))
 
@@ -676,9 +673,23 @@ class TestBlockReader:
                                   "doubled-in-second-line"])
     def test_one_value_per_separator(self, block, fromstring):
         # the bytes pass these blocks: the count of values is what rejects them
+        assert cnf._clause_block_shape(block) is not None
         with mock.patch.object(np, "fromstring", fromstring):
             assert read_block(block) is None
             assert read_block(block.replace("  ", " ").replace("- ", "-")) is True
+
+    @pytest.mark.parametrize("fromstring", [np.fromstring, strtoll_fromstring],
+                             ids=["numpy", "strtoll"])
+    @pytest.mark.parametrize("block", [" 0\n", "3 1 0\n 0\n", "5 1 0", "3 1 0\n5 1 0", " ", "0",
+                                       "5 1 ", "5 - 2"])
+    def test_zero_weight_line_and_last_line_with_no_newline(self, block, fromstring):
+        # a " 0" line starts the block or follows a "\n": its space is a
+        # leading or doubled separator, which the count of values rejects.
+        # With no final "\n" a block may hold one token more than its
+        # separators, so a trailing space or a lone "-" ("5 1 ", "5 - 2")
+        # balances that count: the shape's final "\n" rule rejects these.
+        with mock.patch.object(np, "fromstring", fromstring):
+            assert read_block(block) is None
 
     def test_top_beyond_int64(self):
         text = f"p wcnf 2 3 {2**64}\n5 1 0\n{2**64} 2 0\n{2**63 - 2} -1 2 0\n"
@@ -723,9 +734,18 @@ class TestBlockReader:
         assert parse_dimacs(text).soft_weights == [5, 6]
 
     def test_per_line_reader_builds_no_clause_objects(self):
-        want = wcnf(2, (Clause((1, 2)), Clause((-1,), 3)))
-        with mock.patch.object(cnf, "Clause", side_effect=AssertionError("Clause built")):
-            assert parse_dimacs("h 1 2 0\n3 -1 0\n") == want
+        # "h" and a weight >= top (7 >= 5, its text read per line for the
+        # comment among its clauses) both come out as the int64 weight 0
+        texts = {"h 1 2 0\n3 -1 0\n": None, "p wcnf 2 2 5\n7 1 2 0\nc mid\n3 -1 0\n": 5}
+        for text, top in texts.items():
+            want = wcnf(2, (Clause((1, 2)), Clause((-1,), 3)), top)
+            with mock.patch.object(cnf, "Clause", side_effect=AssertionError("Clause built")), \
+                    mock.patch.object(cnf, "clause_block", side_effect=AssertionError("clause_block")):
+                got = parse_dimacs(text)
+            assert got == want
+            arrays = got.clauses.arrays()
+            assert [a.dtype for a in arrays] == [np.int64] * 3
+            assert [a.tolist() for a in arrays] == [[1, 2, -1], [0, 2, 3], [0, 3]]
 
     def test_numpy_1_parse_warning_reads_per_line(self):
         # numpy 1.x warns, where 2.x raises, and returns what it could read
