@@ -205,6 +205,14 @@ def _add_common_encode_flags(p) -> None:
                    help="soft-clause weighting (default: weighted)")
 
 
+def _add_solver_flags(p) -> None:
+    p.add_argument("--seed", type=int, default=0,
+                   help="random seed of the builtin solver (default: 0)")
+    p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
+                   help="wall-clock budget counted from the command's start; "
+                        "a spent budget prints 's UNKNOWN' and exits 3")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ttsat",
@@ -226,8 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--external-cmd", dest="external_command", metavar="CMD", default=None,
                    help="solve with this external Max-SAT solver command "
                         "instead of the builtin one; {input} is the WCNF path")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--timeout", type=float, default=None, help="wall-clock seconds")
+    _add_solver_flags(p)
     p.add_argument("--format", choices=("text", "csv"), default="text")
     p.set_defaults(fn=cmd_solve)
 
@@ -250,8 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-wcnf", help="solve a DIMACS WCNF file with the builtin solver")
     p.add_argument("wcnf", help="WCNF file")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--timeout", type=float, default=None)
+    _add_solver_flags(p)
     p.set_defaults(fn=cmd_solve_wcnf)
 
     p = sub.add_parser("sample", help="print the bundled demonstration instance")

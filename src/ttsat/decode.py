@@ -112,45 +112,44 @@ def decode_timetable(model: dict[int, bool], varmap: VarMap, instance: Instance)
 
 def check_hard(timetable: Timetable, instance: Instance) -> list[HardViolation]:
     """Empty iff the timetable satisfies every hard scheduling rule."""
-    out: list[HardViolation] = []
     pl = timetable.placements
 
     def name(sid):
         return instance.session_short(sid)
 
+    # one pass over the pairs meeting in a slot, reported room clashes first
+    room_clashes: list[HardViolation] = []
+    pair_clashes: list[HardViolation] = []
     placed = sorted(pl)
     for a, b in itertools.combinations(placed, 2):
-        if pl[a] == pl[b]:
-            t, r = pl[a]
-            out.append(
-                HardViolation(
-                    HardViolationKind.ROOM_CLASH,
-                    f"{name(a)} and {name(b)} both in {instance.rooms[r].label} "
-                    f"at {instance.timeslots[t].label}",
-                )
-            )
-
-    for a, b in itertools.combinations(placed, 2):
-        if pl[a][0] != pl[b][0]:
+        t, r = pl[a]
+        if pl[b][0] != t:
             continue
         sa, sb = instance.sessions[a], instance.sessions[b]
-        slot = instance.timeslots[pl[a][0]].label
+        slot = instance.timeslots[t].label
+        if pl[b][1] == r:
+            room_clashes.append(
+                HardViolation(
+                    HardViolationKind.ROOM_CLASH,
+                    f"{name(a)} and {name(b)} both in {instance.rooms[r].label} at {slot}",
+                )
+            )
         if sa.course == sb.course:
-            out.append(
+            pair_clashes.append(
                 HardViolation(
                     HardViolationKind.COURSE_OVERLAP,
                     f"{name(a)} and {name(b)} of the same course both at {slot}",
                 )
             )
         elif instance.courses[sa.course].curriculum == instance.courses[sb.course].curriculum:
-            out.append(
+            pair_clashes.append(
                 HardViolation(
                     HardViolationKind.CURRICULUM_CLASH,
                     f"{name(a)} and {name(b)} share a curriculum and meet at {slot}",
                 )
             )
         if sa.staff == sb.staff:
-            out.append(
+            pair_clashes.append(
                 HardViolation(
                     HardViolationKind.TEACHER_CLASH,
                     f"{name(a)} and {name(b)} share staff "
@@ -158,6 +157,7 @@ def check_hard(timetable: Timetable, instance: Instance) -> list[HardViolation]:
                 )
             )
 
+    out = room_clashes + pair_clashes
     for sid in placed:
         s = instance.sessions[sid]
         room = instance.rooms[pl[sid][1]]

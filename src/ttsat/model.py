@@ -1,9 +1,11 @@
 """Timetabling instance model: types, JSON parsing, warnings, generation.
 
-An instance file is a UTF-8 JSON document with label-based cross references;
-parsing assigns dense integer ids in file order.  ``instance_from_doc`` is
-the one place where an instance is checked: it raises ``ParseError`` for
-every invalid instance, so the rest of the package never re-validates one.
+An instance file is a UTF-8 JSON document with label-based cross references:
+every label and every reference is a JSON string, and no other value is
+read as one.  Parsing assigns dense integer ids in file order.
+``instance_from_doc`` is the one place where an instance is checked: it
+raises ``ParseError`` for every invalid instance, so the rest of the
+package never re-validates one.
 ``validate_instance`` only reports warnings about a valid instance.
 Instances are immutable after construction and safe to share across threads.
 """
@@ -19,11 +21,7 @@ from enum import Enum
 from functools import cached_property
 
 
-class InstanceError(ValueError):
-    """Semantic problem in an instance."""
-
-
-class ParseError(InstanceError):
+class ParseError(ValueError):
     """Syntactically or referentially invalid instance file."""
 
 
@@ -169,12 +167,23 @@ def _get(obj, key, where, types, optional=False, default=None):
 
 
 def _label_index(labels, what):
+    """Each label's position; a label is a JSON string unique in its section."""
     index = {}
     for i, label in enumerate(labels):
+        if not isinstance(label, str):
+            raise ParseError(f"{what} #{i}: label must be a string")
         if label in index:
             raise ParseError(f"duplicate {what} label '{label}'")
         index[label] = i
     return index
+
+
+def _ref(index, value, unknown):
+    """The position of the label ``value`` names; any other value is an
+    ``unknown`` reference."""
+    if not isinstance(value, str) or value not in index:
+        raise ParseError(f"{unknown} '{value}'")
+    return index[value]
 
 
 def parse_instance(text: str) -> Instance:
@@ -197,118 +206,91 @@ def instance_from_doc(doc) -> Instance:
     for key in ("days", "timeslots", "rooms", "staff", "courses", "curricula", "registrations"):
         _get(doc, key, "instance", list)
 
-    day_labels = [str(x) for x in doc["days"]]
-    day_index = _label_index(day_labels, "day")
-    days = tuple(Day(i, lab) for i, lab in enumerate(day_labels))
+    day_index = _label_index(doc["days"], "day")
+    days = tuple(Day(i, lab) for i, lab in enumerate(doc["days"]))
     if not days:
         raise ParseError("at least one day is required")
 
     timeslots = []
-    slot_labels = []
     for i, raw in enumerate(doc["timeslots"]):
         obj = _as_obj(raw, f"timeslot #{i}")
-        label = str(_get(obj, "label", f"timeslot #{i}", str))
-        day_label = str(_get(obj, "day", f"timeslot '{label}'", str))
-        if day_label not in day_index:
-            raise ParseError(f"timeslot '{label}' references unknown day '{day_label}'")
-        slot_labels.append(label)
-        timeslots.append(Timeslot(i, day_index[day_label], label))
-    slot_index = _label_index(slot_labels, "timeslot")
+        label = _get(obj, "label", f"timeslot #{i}", str)
+        where = f"timeslot '{label}'"
+        day = _ref(day_index, _get(obj, "day", where, str), f"{where} references unknown day")
+        timeslots.append(Timeslot(i, day, label))
+    slot_index = _label_index([t.label for t in timeslots], "timeslot")
     if not timeslots:
         raise ParseError("at least one timeslot is required")
 
     rooms = []
-    room_labels = []
     for i, raw in enumerate(doc["rooms"]):
         obj = _as_obj(raw, f"room #{i}")
-        label = str(_get(obj, "label", f"room #{i}", str))
+        label = _get(obj, "label", f"room #{i}", str)
         capacity = _get(obj, "capacity", f"room '{label}'", int)
         if capacity < 0:
             raise ParseError(f"room '{label}': capacity must be nonnegative")
-        is_lab = bool(_get(obj, "lab", f"room '{label}'", bool, optional=True, default=False))
-        room_labels.append(label)
-        rooms.append(Room(i, label, int(capacity), is_lab))
-    _label_index(room_labels, "room")
+        is_lab = _get(obj, "lab", f"room '{label}'", bool, optional=True, default=False)
+        rooms.append(Room(i, label, capacity, is_lab))
+    _label_index([r.label for r in rooms], "room")
     if not rooms:
         raise ParseError("at least one room is required")
 
-    staff_labels = [str(x) for x in doc["staff"]]
-    staff_index = _label_index(staff_labels, "staff")
-    staff = tuple(Staff(i, lab) for i, lab in enumerate(staff_labels))
+    staff_index = _label_index(doc["staff"], "staff")
+    staff = tuple(Staff(i, lab) for i, lab in enumerate(doc["staff"]))
 
-    curriculum_labels = [str(x) for x in doc["curricula"]]
-    curriculum_index = _label_index(curriculum_labels, "curriculum")
+    curriculum_index = _label_index(doc["curricula"], "curriculum")
 
     courses = []
     sessions = []
-    course_labels = []
-    curriculum_courses: dict[int, list[int]] = {i: [] for i in range(len(curriculum_labels))}
+    curriculum_courses: dict[int, list[int]] = {i: [] for i in curriculum_index.values()}
 
     def parse_session(obj, course_id, kind, where):
-        obj = _as_obj(obj, where)
-        staff_label = str(_get(obj, "staff", where, str))
-        if staff_label not in staff_index:
-            raise ParseError(f"{where}: unknown staff '{staff_label}'")
+        staff_id = _ref(staff_index, _get(obj, "staff", where, str), f"{where}: unknown staff")
         enrollment = _get(obj, "enrollment", where, int)
         if enrollment < 0:
             raise ParseError(f"{where}: enrollment must be nonnegative")
         forbidden = _get(obj, "forbidden", where, list, optional=True, default=[])
-        forbidden_ids = set()
-        for f in forbidden:
-            f = str(f)
-            if f not in slot_index:
-                raise ParseError(f"{where}: unknown forbidden timeslot '{f}'")
-            forbidden_ids.add(slot_index[f])
-        sid = len(sessions)
-        sessions.append(
-            Session(sid, course_id, kind, staff_index[staff_label], int(enrollment),
-                    frozenset(forbidden_ids))
+        forbidden_ids = frozenset(
+            _ref(slot_index, f, f"{where}: unknown forbidden timeslot") for f in forbidden
         )
+        sid = len(sessions)
+        sessions.append(Session(sid, course_id, kind, staff_id, enrollment, forbidden_ids))
         return sid
 
     for i, raw in enumerate(doc["courses"]):
         obj = _as_obj(raw, f"course #{i}")
-        label = str(_get(obj, "label", f"course #{i}", str))
-        course_labels.append(label)
-        cur_label = str(_get(obj, "curriculum", f"course '{label}'", str))
-        if cur_label not in curriculum_index:
-            raise ParseError(f"course '{label}' references unknown curriculum '{cur_label}'")
-        cur_id = curriculum_index[cur_label]
-        lecture_obj = _get(obj, "lecture", f"course '{label}'", dict)
-        second_obj = _get(obj, "second", f"course '{label}'", dict)
-        kind_label = str(_get(second_obj, "kind", f"course '{label}' second session", str))
+        label = _get(obj, "label", f"course #{i}", str)
+        where = f"course '{label}'"
+        cur_id = _ref(curriculum_index, _get(obj, "curriculum", where, str),
+                      f"{where} references unknown curriculum")
+        lecture_obj = _get(obj, "lecture", where, dict)
+        second_obj = _get(obj, "second", where, dict)
+        kind_label = _get(second_obj, "kind", f"{where} second session", str)
         if kind_label not in (SessionKind.SECTION.value, SessionKind.LAB.value):
-            raise ParseError(
-                f"course '{label}': second session kind must be 'section' or 'lab'"
-            )
+            raise ParseError(f"{where}: second session kind must be 'section' or 'lab'")
         course_id = len(courses)
-        lec = parse_session(lecture_obj, course_id, SessionKind.LECTURE, f"course '{label}' lecture")
-        snd = parse_session(second_obj, course_id, SessionKind(kind_label), f"course '{label}' second session")
+        lec = parse_session(lecture_obj, course_id, SessionKind.LECTURE, f"{where} lecture")
+        snd = parse_session(second_obj, course_id, SessionKind(kind_label), f"{where} second session")
         courses.append(Course(course_id, label, cur_id, (lec, snd)))
         curriculum_courses[cur_id].append(course_id)
-    course_index = _label_index(course_labels, "course")
+    course_index = _label_index([c.label for c in courses], "course")
 
     curricula = tuple(
         Curriculum(i, lab, tuple(curriculum_courses[i]))
-        for i, lab in enumerate(curriculum_labels)
+        for i, lab in enumerate(doc["curricula"])
     )
 
     groups = []
     for i, raw in enumerate(doc["registrations"]):
         obj = _as_obj(raw, f"registration #{i}")
         course_list = _get(obj, "courses", f"registration #{i}", list)
-        ids = []
-        for c in course_list:
-            c = str(c)
-            if c not in course_index:
-                raise ParseError(f"registration #{i}: unknown course '{c}'")
-            ids.append(course_index[c])
-        if len(set(ids)) < 2:
+        ids = {_ref(course_index, c, f"registration #{i}: unknown course") for c in course_list}
+        if len(ids) < 2:
             raise ParseError(f"registration #{i}: needs at least two distinct courses")
         students = _get(obj, "students", f"registration #{i}", int)
         if students < 1:
             raise ParseError(f"registration #{i}: students must be positive")
-        groups.append(RegistrationGroup(tuple(sorted(set(ids))), int(students)))
+        groups.append(RegistrationGroup(tuple(sorted(ids)), students))
 
     # rules over the resolved instance; the ones broken are reported together
     days_with_slots = {t.day for t in timeslots}
@@ -316,7 +298,7 @@ def instance_from_doc(doc) -> Instance:
     broken += [f"curriculum '{k.label}' contains no courses" for k in curricula if not k.courses]
     lab = next((s for s in sessions if s.kind is SessionKind.LAB), None)
     if lab is not None and not any(r.is_lab for r in rooms):
-        broken.append(f"session '{course_labels[lab.course]}/lab' is a lab but no lab room exists")
+        broken.append(f"session '{courses[lab.course].label}/lab' is a lab but no lab room exists")
     if broken:
         raise ParseError("; ".join(broken))
     if not courses:

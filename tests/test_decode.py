@@ -164,6 +164,31 @@ class TestCheckHard:
         violations = check_hard(tt, sample_instance)
         assert [v.kind for v in violations] == [HardViolationKind.TEACHER_CLASH]
 
+    def test_violation_order(self, sample_instance):
+        # room clashes first, then each same-slot pair's course overlap or
+        # curriculum clash and its teacher clash, then lab rooms
+        tt = feasible_placement(sample_instance)
+        courses, slots, rooms = label_maps(sample_instance)
+        moves = {
+            ("CS101", 1): ("t5", "r2"), ("CS202", 0): ("t5", "r1"),
+            ("CS202", 1): ("t3", "lab2"), ("CS305", 0): ("t1", "r1"),
+            ("CS402", 0): ("t5", "lab1"), ("CS408", 1): ("t1", "lab1"),
+        }
+        for (label, idx), (t, r) in moves.items():
+            tt.placements[courses[label].sessions[idx]] = (slots[t], rooms[r])
+        K = HardViolationKind
+        assert [(v.kind, v.detail) for v in check_hard(tt, sample_instance)] == [
+            (K.ROOM_CLASH, "CS101 lect. and CS101 lab both in r2 at t5"),
+            (K.ROOM_CLASH, "CS402 lab and CS408 lab both in lab1 at t1"),
+            (K.COURSE_OVERLAP, "CS101 lect. and CS101 lab of the same course both at t5"),
+            (K.TEACHER_CLASH, "CS202 lect. and CS402 lect. share staff 'I2' and meet at t5"),
+            (K.CURRICULUM_CLASH, "CS202 lab and M271 lect. share a curriculum and meet at t3"),
+            (K.CURRICULUM_CLASH, "CS304 lect. and CS305 lect. share a curriculum and meet at t1"),
+            (K.TEACHER_CLASH, "CS304 lect. and CS305 lect. share staff 'I4' and meet at t1"),
+            (K.CURRICULUM_CLASH, "CS402 lab and CS408 lab share a curriculum and meet at t1"),
+            (K.LAB_ROOM, "CS101 lab placed in non-lab room r2"),
+        ]
+
 
 class TestComputeCost:
     def test_registration_clash_entry(self, sample_instance):

@@ -1,6 +1,9 @@
+import copy
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import OVERLOADED_COUNTS
 from ttsat.model import (
@@ -8,11 +11,13 @@ from ttsat.model import (
     SessionKind,
     cross_curriculum_pairs,
     gen_random_instance,
+    instance_from_doc,
     parse_instance,
     serialize_instance,
     validate_instance,
     validation_errors,
 )
+from ttsat.sample import sample_text
 
 
 def doc_of(sample_json):
@@ -67,6 +72,13 @@ def drop_key(key):
     return change
 
 
+def forbid_number_named_like_a_timeslot(doc):
+    """Forbid the number 1 next to a timeslot labelled "1", which it must not name."""
+    doc["timeslots"].append({"label": "1", "day": "d1"})
+    doc["courses"][0]["second"]["forbidden"] = [1]
+    return doc
+
+
 # input errors raised while the document is read, each with its message
 INPUT_ERRORS = [
     pytest.param(lambda doc: [doc], "instance: expected an object", id="not-an-object"),
@@ -74,6 +86,12 @@ INPUT_ERRORS = [
     pytest.param(set_in(["days"], "d1"), "instance: key 'days' has the wrong type",
                  id="wrong-type"),
     pytest.param(set_in(["days"], []), "at least one day is required", id="no-day"),
+    pytest.param(set_in(["days", 1], 1), "day #1: label must be a string",
+                 id="numeric-day-label"),
+    pytest.param(set_in(["staff", 0], None), "staff #0: label must be a string",
+                 id="null-staff-label"),
+    pytest.param(set_in(["curricula", 2], ["k3"]), "curriculum #2: label must be a string",
+                 id="list-curriculum-label"),
     pytest.param(set_in(["timeslots"], []), "at least one timeslot is required",
                  id="no-timeslot"),
     pytest.param(set_in(["rooms", 0, "capacity"], -1),
@@ -84,12 +102,58 @@ INPUT_ERRORS = [
     pytest.param(set_in(["courses", 0, "second", "forbidden"], ["t9"]),
                  "course 'CS101' second session: unknown forbidden timeslot 't9'",
                  id="unknown-forbidden-timeslot"),
+    pytest.param(forbid_number_named_like_a_timeslot,
+                 "course 'CS101' second session: unknown forbidden timeslot '1'",
+                 id="numeric-forbidden-timeslot"),
     pytest.param(set_in(["courses", 0, "curriculum"], "k9"),
                  "course 'CS101' references unknown curriculum 'k9'",
                  id="unknown-curriculum"),
     pytest.param(set_in(["registrations", 0, "students"], 0),
                  "registration #0: students must be positive", id="no-students"),
 ]
+
+
+def node_paths(node, path=()):
+    """The path to every node of a decoded JSON document, the root first."""
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from node_paths(child, (*path, key))
+
+
+def label_lists(instance):
+    return [
+        [d.label for d in instance.days],
+        [t.label for t in instance.timeslots],
+        [r.label for r in instance.rooms],
+        [p.label for p in instance.staff],
+        [k.label for k in instance.curricula],
+        [c.label for c in instance.courses],
+    ]
+
+
+def doc_label_lists(doc):
+    return [
+        doc["days"],
+        [t["label"] for t in doc["timeslots"]],
+        [r["label"] for r in doc["rooms"]],
+        doc["staff"],
+        doc["curricula"],
+        [c["label"] for c in doc["courses"]],
+    ]
+
+
+# the sample plus a staff member that no session names, so that a label
+# no reference resolves is among the nodes replaced
+FUZZ_DOC = json.loads(sample_text())
+FUZZ_DOC["staff"].append("TA8")
+JSON_VALUES = [None, True, False, 0, 1, -1, 1.5, "", "1", "t1", [], {}, [1], [[1]], ["t1"],
+               {"label": "x"}]
 
 
 class TestParse:
@@ -99,6 +163,21 @@ class TestParse:
         with pytest.raises(ParseError) as exc:
             parse_instance(json.dumps(doc))
         assert str(exc.value) == message
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.sampled_from(list(node_paths(FUZZ_DOC))), st.sampled_from(JSON_VALUES))
+    @example(("staff", 12), 1)
+    def test_any_node_replaced(self, path, value):
+        # one node swapped for any JSON value: an input error, or an
+        # instance whose labels are the document's own strings
+        doc = set_in(path, value)(copy.deepcopy(FUZZ_DOC)) if path else value
+        try:
+            instance = instance_from_doc(doc)
+        except ParseError:
+            return
+        labels = label_lists(instance)
+        assert labels == doc_label_lists(doc)
+        assert all(type(label) is str for group in labels for label in group)
 
     def test_lab_and_forbidden_are_optional(self, sample_json):
         doc = doc_of(sample_json)
