@@ -191,8 +191,8 @@ def cmd_solve_wcnf(args) -> int:
     result = solve_maxsat(formula, _solver_config(args, started))
     code = _print_status(result)
     if result.model is not None:
-        lits = [v if result.model[v] else -v for v in sorted(result.model)]
-        print(f"v {' '.join(str(l) for l in lits)} 0")
+        lits = (v if x else -v for v, x in enumerate(result.model[1:].tolist(), start=1))
+        print(f"v {' '.join(map(str, lits))} 0")
     return code
 
 

@@ -16,11 +16,11 @@ one at a time as it is iterated, with no indexing.  It takes ``len()``
 from its weights and compares with another view by array equality.
 ``soft_weights`` lists the soft clauses' weights in formula order, as
 Python ints.  Iteration and the SAT core's loading read ``lists()``, one
-new list per clause; ``write_dimacs``, the formula's check and model
-evaluation read ``arrays()``.  Both walk the arrays
-``CLAUSE_CHUNK`` clauses at a time with ``clause_chunks``.  Only ttsat
-builds views: ``clause_block``, ``concat_clauses``, ``parse_dimacs`` and
-the encoder's families.
+new list per clause; ``write_dimacs`` and the formula's check read
+``arrays()``, and all of them walk the arrays ``CLAUSE_CHUNK`` clauses at a
+time with ``clause_chunks``; ``falsified_weight`` reads them whole.  Only
+ttsat builds views: ``clause_block``, ``concat_clauses``, ``parse_dimacs``
+and the encoder's families.
 
 Checking.  ``Clause`` and ``ClauseView`` are unchecked; ``WcnfFormula``
 takes a view and nothing else, and checks every clause once, when it is
@@ -263,31 +263,22 @@ class WcnfFormula:
         object.__setattr__(self, "soft_weight_sum", soft_sum)
         object.__setattr__(self, "max_var", max_var)
 
-    def hard_satisfied(self, assignment) -> bool:
-        """Whether a total assignment satisfies every hard clause."""
-        return bool(self._satisfied(assignment)[self.clauses.hard()].all())
-
-    def falsified_weight(self, assignment) -> int:
-        """Total weight of soft clauses falsified by a total assignment, an
-        exact Python int; a falsified hard clause adds its weight 0."""
-        weights = self.clauses.arrays()[2]
-        return sum(weights[~self._satisfied(assignment)].tolist())
-
-    def _satisfied(self, assignment) -> np.ndarray:
-        """Per clause, whether a ``{variable: bool}`` assignment makes one of
-        its literals true."""
-        # literal l is true iff truth[l]: -v indexes from the end, and a
-        # variable the assignment leaves out makes neither literal true
-        truth = np.zeros(2 * self.num_vars + 1, dtype=bool)
-        variables = np.fromiter(assignment, dtype=np.int64, count=len(assignment))
-        values = np.fromiter(assignment.values(), dtype=bool, count=len(assignment))
-        known = (variables >= 1) & (variables <= self.num_vars)
-        truth[variables[known]] = values[known]
-        truth[-variables[known]] = ~values[known]
-        literals, offsets, _ = self.clauses.arrays()
+    def falsified_weight(self, model) -> int | None:
+        """The weight of the soft clauses ``model`` falsifies, an exact Python
+        int, or None when it falsifies a hard clause: one pass prices and
+        checks it.  ``model[v]`` is variable v's value in a bool array of
+        ``num_vars + 1`` slots, else ValueError; ``model[0]`` is not read."""
+        model = np.asarray(model, dtype=bool)
+        if model.shape != (self.num_vars + 1,):
+            raise ValueError(f"model of shape {model.shape} for num_vars={self.num_vars}")
+        literals, offsets, weights = self.clauses.arrays()
         if not len(literals):
-            return np.zeros(0, dtype=bool)
-        return np.logical_or.reduceat(truth[literals], offsets[:-1])
+            return 0
+        # literal l is true iff truth[l], -v from the end, over 1..max_var only
+        truth = np.concatenate((model[:self.max_var + 1], ~model[self.max_var:0:-1]))
+        falsified = weights[~np.logical_or.reduceat(truth[literals], offsets[:-1])]
+        # a falsified hard clause shows as its weight 0
+        return sum(falsified.tolist()) if falsified.all() else None
 
 
 def _first_bad_clause(literals, offsets, num_vars, max_var):

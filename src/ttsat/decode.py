@@ -14,6 +14,8 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .encoder import EncodeOptions, VarMap
 from .model import Instance, SessionKind, cross_curriculum_pairs
 
@@ -70,8 +72,9 @@ class ViolationReport:
         return sum(e.weight for e in self.entries)
 
 
-def decode_timetable(model: dict[int, bool], varmap: VarMap, instance: Instance) -> Timetable:
-    """Read each session's unique true ct and cr variable off the model.
+def decode_timetable(model: np.ndarray, varmap: VarMap, instance: Instance) -> Timetable:
+    """Read each session's unique true ct and cr variable off the model, a
+    bool array indexed by variable.
 
     The model must satisfy the hard clauses; zero or multiple true ct/cr
     variables per session, or day/curriculum variables inconsistent with the

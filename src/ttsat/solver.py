@@ -54,8 +54,10 @@ that a finished solver frees them in that order and not in the order
 search has shuffled the watch lists into.  The selectors come after the
 largest variable a clause holds.
 
-Every Max-SAT answer is one ``MaxSatResult``: a status, the model as a plain
-``{var: bool}`` dict, that model's cost, and a proven lower bound.
+A model is one numpy bool array indexed by variable, ``model[v]`` for v in
+1..n, with ``model[0]`` False.  Every Max-SAT answer is one ``MaxSatResult``:
+a status, a model, its cost, and a proven lower bound.  ``falsified_weight``
+prices and checks each model the optimizer sees in one pass.
 
 ``solve_external`` runs a given command line, any solver speaking DIMACS
 WCNF and Max-SAT evaluation output, re-validating whatever it returns.
@@ -76,6 +78,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
+
+import numpy as np
 
 from .cardinality import Totalizer
 from .cnf import CnfError, WcnfFormula, write_dimacs
@@ -117,14 +121,17 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SatResult:
+    """SAT: ``model[v]`` for v in 1..nvars.  UNSAT: ``core``, the failed assumptions."""
+
     status: SatStatus
-    model: dict[int, bool] | None = None
+    model: np.ndarray | None = None
     core: tuple[int, ...] | None = None
 
 
 @dataclass(frozen=True)
 class MaxSatResult:
-    """``model`` is a total assignment over the formula's variables, or None;
+    """``model`` is a bool array of ``num_vars + 1`` slots, ``model[v]``
+    variable v's value, that satisfies every hard clause; or None.
     ``cost`` is its falsified soft weight, None exactly when there is no
     model.  ``lower`` is a proven lower bound on the optimum: at OPTIMUM it
     equals ``cost``, and an INDETERMINATE result reports it with ``cost`` as
@@ -132,7 +139,7 @@ class MaxSatResult:
 
     status: MaxSatStatus
     cost: int | None = None
-    model: dict[int, bool] | None = None
+    model: np.ndarray | None = None
     lower: int = 0
 
 
@@ -607,19 +614,13 @@ class CdclSolver:
                 else:
                     v = self._pick_branch()
                     if v == 0:
-                        model = {u: self.vals[u] == 1 for u in range(1, self.nvars + 1)}
+                        # vals[0] is unassigned, so slot 0 reads False
+                        model = np.array(self.vals[:self.nvars + 1]) == 1
                         self._backtrack(0)
                         return SatResult(SatStatus.SAT, model=model)
                     lit = v if self.phase[v] else -v
                     self.lim.append(len(self.trail))
                     self._enqueue(lit, None)
-
-
-def _checked(formula: WcnfFormula, model: dict[int, bool]) -> dict[int, bool]:
-    """The optimizer's model, once it satisfies every hard clause."""
-    if not formula.hard_satisfied(model):
-        raise SolverInternalError("optimizer model violates a hard clause")
-    return model
 
 
 @contextmanager
@@ -648,10 +649,9 @@ def solve_maxsat(formula: WcnfFormula, cfg: SolverConfig | None = None) -> MaxSa
     the best model and ends the stratum.  The next threshold is the heaviest
     weight left on an assumption the whole model (selectors and sum outputs
     included) makes false; when it makes none false it is optimal, its cost
-    equal to the lower bound.  A model cheaper than the lower bound, or an
-    optimum whose cost differs from it, raises ``SolverInternalError``; so
-    does a returned model, optimal or best so far, that violates a hard
-    clause.
+    equal to the lower bound.  Any model that violates a hard clause or costs
+    less than the lower bound, and an optimum whose cost differs from it,
+    raise ``SolverInternalError``, so every model returned is checked.
     Thresholds fall strictly between models and every core raises the lower
     bound, so the search ends.  When ``cfg.timeout`` runs out the result
     is INDETERMINATE, carrying the lower bound reached and the best model
@@ -664,9 +664,9 @@ def solve_maxsat(formula: WcnfFormula, cfg: SolverConfig | None = None) -> MaxSa
     solver = CdclSolver(seed=cfg.seed)
     deadline = time.monotonic() + cfg.timeout if cfg.timeout is not None else None
     used, n = formula.max_var, formula.num_vars
-    try:  # the declared variables no clause holds, False in every model
-        unused = dict(zip(range(used + 1, n + 1), [False] * (n - used)))
-    except (MemoryError, OverflowError):
+    try:  # the declared variables no clause holds stay False in every model
+        model = np.zeros(n + 1, dtype=bool)
+    except (MemoryError, ValueError):  # ValueError: past numpy's largest size
         raise SolverError(f"cannot allocate {n + len(formula.soft_weights)} variables "
                           "for the builtin solver") from None
 
@@ -680,8 +680,7 @@ def solve_maxsat(formula: WcnfFormula, cfg: SolverConfig | None = None) -> MaxSa
     sums: dict[int, tuple[Totalizer, int]] = {}
 
     lower = 0
-    best_cost: int | None = None
-    best_model: dict[int, bool] | None = None
+    best_cost = best_model = None
     threshold = max(weight.values(), default=0)
 
     while True:
@@ -689,28 +688,30 @@ def solve_maxsat(formula: WcnfFormula, cfg: SolverConfig | None = None) -> MaxSa
                              key=lambda a: (-weight[a], -a))
         res = solver.solve(assumptions, deadline)
         if res.status is SatStatus.INDETERMINATE:
-            model = None if best_model is None else _checked(formula, best_model)
-            return MaxSatResult(MaxSatStatus.INDETERMINATE, best_cost, model, lower)
+            return MaxSatResult(MaxSatStatus.INDETERMINATE, best_cost, best_model, lower)
         if res.status is SatStatus.SAT:
-            model = {v: res.model[v] for v in range(1, used + 1)} | unused
+            model[:used + 1] = res.model[:used + 1]
             true_cost = formula.falsified_weight(model)
+            if true_cost is None:
+                raise SolverInternalError("optimizer model violates a hard clause")
             if true_cost < lower:
                 raise SolverInternalError(
                     f"model cost {true_cost} is below the lower bound {lower}: unsound core"
                 )
             if best_cost is None or true_cost < best_cost:
-                best_cost, best_model = true_cost, model
+                best_cost, best_model = true_cost, model.copy()
             # the next stratum is the heaviest weight left on an assumption
             # this model makes false: the strata between are satisfied
             # already.  Cores leave weights below the threshold, so this
             # reads the current weights, not the original ones
-            pending = [w for a, w in weight.items() if res.model[abs(a)] != (a > 0)]
+            values = res.model.tolist()
+            pending = [w for a, w in weight.items() if values[abs(a)] != (a > 0)]
             if not pending:
                 if true_cost != lower:
                     raise SolverInternalError(
                         f"core-guided accounting drifted: model cost {true_cost}, bound {lower}"
                     )
-                return MaxSatResult(MaxSatStatus.OPTIMUM, lower, _checked(formula, model), lower)
+                return MaxSatResult(MaxSatStatus.OPTIMUM, lower, model, lower)
             threshold = max(pending)
             continue
 
@@ -803,13 +804,14 @@ def _read_answer(text: str, formula: WcnfFormula, returncode: int) -> MaxSatResu
     The last "o" line wins, and so does the last "s" line: its tag is
     OPTIMUM FOUND, SAT..., UNSAT... or UNKNOWN, and any other tag states no
     status.  "v" lines carry signed literals (classic) or one 0/1 string; a
-    variable beyond the formula's is a CnfError, and unmentioned variables
-    are false.  No status raises ExternalSolverError.  UNSAT is HARD_UNSAT,
-    and UNKNOWN without a model INDETERMINATE; any other answer needs a
-    model that satisfies every hard clause and costs what an "o" line
-    claims, else UntrustedSolverError.  Such a model is the OPTIMUM when
-    the tag is OPTIMUM FOUND, else INDETERMINATE with its cost as the upper
-    bound.
+    variable beyond the formula's is a CnfError, a repeated variable keeps
+    its last literal, and unmentioned variables are false.  No status raises
+    ExternalSolverError.  UNSAT is HARD_UNSAT, and UNKNOWN without a model
+    INDETERMINATE; any other answer needs a model that satisfies every hard
+    clause and costs what an "o" line claims, else UntrustedSolverError:
+    one ``falsified_weight`` call checks both.  Such a model is the OPTIMUM
+    when the tag is OPTIMUM FOUND, else INDETERMINATE with its cost as the
+    upper bound.
     """
     tag = None
     cost = None
@@ -833,21 +835,22 @@ def _read_answer(text: str, formula: WcnfFormula, returncode: int) -> MaxSatResu
     if vtokens:
         bits = vtokens[0]
         if len(vtokens) == 1 and len(bits) > 1 and set(bits) <= {"0", "1"}:
-            model = {v: b == "1" for v, b in enumerate(bits, start=1)}
+            lits = [v if b == "1" else -v for v, b in enumerate(bits, start=1)]
         else:
-            model = {}
+            lits = []
             for tok in vtokens:
                 try:
-                    lit = int(tok)
+                    lits.append(int(tok))
                 except ValueError:
                     raise CnfError(f"bad literal {tok!r} in model line") from None
-                if lit:
-                    model[abs(lit)] = lit > 0
         n = formula.num_vars
-        beyond = next((v for v in model if v > n), None)
+        # on the Python ints, before a literal past int64 can index the array
+        beyond = next((abs(l) for l in lits if abs(l) > n), None)
         if beyond is not None:
             raise CnfError(f"model mentions variable {beyond} beyond num_vars={n}")
-        model = {v: model.get(v, False) for v in range(1, n + 1)}
+        model = np.zeros(n + 1, dtype=bool)
+        for lit in lits:  # a literal 0 sets slot 0 False
+            model[abs(lit)] = lit > 0
     if tag is None:
         raise ExternalSolverError(f"external solver gave no status (exit code {returncode})")
     if tag == "UNSAT":
@@ -856,9 +859,9 @@ def _read_answer(text: str, formula: WcnfFormula, returncode: int) -> MaxSatResu
         if tag == "UNKNOWN":
             return MaxSatResult(MaxSatStatus.INDETERMINATE)
         raise UntrustedSolverError("external solver reported SAT without a model")
-    if not formula.hard_satisfied(model):
-        raise UntrustedSolverError("external model violates a hard clause")
     recomputed = formula.falsified_weight(model)
+    if recomputed is None:
+        raise UntrustedSolverError("external model violates a hard clause")
     if cost is not None and cost != recomputed:
         raise UntrustedSolverError(
             f"external solver claimed cost {cost}, model costs {recomputed}"

@@ -1,12 +1,16 @@
 """Shared test utilities: formulas from ``Clause`` records and the
 clause-by-clause check, an encoder family's clauses and the count of
 base variables, random formulas, the Max-SAT enumeration oracle
-and a clause's truth under an assignment, the clause-by-clause room clash
+and a clause's truth under a model, the clause-by-clause room clash
 family, the line-by-line WCNF writer, an independent extension checker,
 cardinality bounds on a totalizer, the semantic enumeration oracle,
 hand-built model construction, a checked SAT call on a fresh solver, a SAT
-budget that runs out after the first model, a SAT core that answers with a
-model violating a hard clause, and micro instances that overload a count."""
+budget that runs out after the first model, SAT cores that answer with a
+model violating a hard clause (every time, or once before solving as usual),
+and micro instances that overload a count.
+
+A model is what ttsat's own are: a bool array indexed by variable,
+``model[v]`` for v in 1..n, with slot 0 False."""
 
 from __future__ import annotations
 
@@ -102,13 +106,14 @@ def brute_force_maxsat(formula: WcnfFormula) -> MaxSatResult:
     cost[~hard_ok] = big
     best = int(np.argmin(cost))
     best_cost = int(cost[best])
-    assignment = {v: bool((best >> (v - 1)) & 1) for v in range(1, n + 1)}
-    return MaxSatResult(MaxSatStatus.OPTIMUM, best_cost, assignment, best_cost)
+    model = np.array([False] + [bool((best >> (v - 1)) & 1) for v in range(1, n + 1)])
+    return MaxSatResult(MaxSatStatus.OPTIMUM, best_cost, model, best_cost)
 
 
-def satisfied_by(clause: Clause, assignment) -> bool:
-    """Whether some literal of ``clause`` is true under ``{var: bool}``."""
-    return any(assignment[abs(l)] == (l > 0) for l in clause.literals)
+def satisfied_by(clause: Clause, model) -> bool:
+    """Whether some literal of ``clause`` is true under ``model``, indexed
+    by variable."""
+    return any(model[abs(l)] == (l > 0) for l in clause.literals)
 
 
 def reference_room_clashes(instance, varmap):
@@ -259,11 +264,11 @@ def semantic_optimum(instance, opts):
 
 
 def assignment_for_placement(instance, varmap, placements):
-    """Total assignment over the base variables matching a placement map.
+    """The model over the base variables matching a placement map.
 
     Only valid when the encoding allocated no auxiliary variables.
     """
-    assignment = {v: False for v in range(1, base_num_vars(varmap) + 1)}
+    assignment = np.zeros(base_num_vars(varmap) + 1, dtype=bool)
     for sid, (t, r) in placements.items():
         assignment[varmap.ct(sid, t)] = True
         assignment[varmap.cr(sid, r)] = True
@@ -318,9 +323,26 @@ HARD_VIOLATED_BY_ALL_FALSE = wcnf(4, (
 def answer_all_false(monkeypatch):
     """Make every SAT call return the all-false model, satisfied or not."""
     def solve(self, assumptions=(), deadline=None):
-        return SatResult(SatStatus.SAT, {v: False for v in range(1, self.nvars + 1)})
+        return SatResult(SatStatus.SAT, np.zeros(self.nvars + 1, dtype=bool))
 
     monkeypatch.setattr(CdclSolver, "solve", solve)
+
+
+def answer_first_with(monkeypatch, values):
+    """Make the first SAT call return the model ``values(nvars)``, over the
+    solver's variables, satisfied or not, and every later call solve as
+    before; returns the list of the calls' assumptions."""
+    original = CdclSolver.solve
+    calls = []
+
+    def solve(self, assumptions=(), deadline=None):
+        calls.append(assumptions)
+        if len(calls) == 1:
+            return SatResult(SatStatus.SAT, values(self.nvars))
+        return original(self, assumptions, deadline)
+
+    monkeypatch.setattr(CdclSolver, "solve", solve)
+    return calls
 
 
 def micro_doc(n_slots, rooms, courses):

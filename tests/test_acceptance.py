@@ -9,6 +9,8 @@ import random
 import sys
 import time
 
+import numpy as np
+
 from helpers import (
     brute_force_maxsat,
     family_clauses,
@@ -86,14 +88,15 @@ class TestAcceptance:
             timings.append(best)
             ok = ok and res.status is MaxSatStatus.OPTIMUM and res.cost == want
         # the partial optimum violates exactly one soft clause; the witness
-        # x=y=0, z=1 satisfies the hard clauses and falsifies only (~z)
+        # x=y=0, z=1 satisfies the hard clauses (a falsified one would make
+        # the weight None) and falsifies only (~z)
         partial = cases[1][0]
-        witness = {1: False, 2: False, 3: True}
-        ok = ok and partial.hard_satisfied(witness)
+        witness = np.array([False, False, False, True])
+        ok = ok and partial.falsified_weight(witness) == 1
         falsified = [c for c in partial.clauses if not (c.is_hard or satisfied_by(c, witness))]
         ok = ok and [c.literals for c in falsified] == [(-3,)]
         # all-false is a witness of the weighted optimum
-        ok = ok and cases[2][0].falsified_weight({1: False, 2: False, 3: False}) == 3
+        ok = ok and cases[2][0].falsified_weight(np.zeros(4, dtype=bool)) == 3
         ok = ok and all(t < 0.001 for t in timings)
         report(1, desc, ok, max(timings))
         assert ok, f"timings={timings}"

@@ -4,6 +4,7 @@ import sys
 import time
 import types
 
+import numpy as np
 import pytest
 
 from helpers import (
@@ -436,9 +437,10 @@ class TestSolveWcnf:
         assert bounds.split()[3] == o_line.split()[1]
         formula = parse_dimacs(wcnf.read_text(encoding="utf-8"))
         lits = [int(t) for t in v_line.split()[1:-1]]
-        assignment = {abs(l): l > 0 for l in lits}
-        assert formula.hard_satisfied(assignment)
-        assert o_line == f"o {formula.falsified_weight(assignment)}"
+        assert [abs(l) for l in lits] == [1, 2, 3]
+        model = np.array([False] + [l > 0 for l in lits])
+        cost = formula.falsified_weight(model)
+        assert cost is not None and o_line == f"o {cost}"
 
     def test_hard_violating_model_exit_4(self, capsys, tmp_path, monkeypatch):
         wcnf = tmp_path / "f.wcnf"

@@ -103,19 +103,19 @@ class TestFormula:
             wcnf(1, (Clause((1,), 3), Clause((-1,), 4)), top=7)
 
     def test_cost_evaluation(self):
-        all_false = {1: False, 2: False, 3: False}
-        assert WEIGHTED_EXAMPLE.hard_satisfied(all_false)
-        assert WEIGHTED_EXAMPLE.falsified_weight(all_false) == 3
+        assert WEIGHTED_EXAMPLE.falsified_weight(np.zeros(4, dtype=bool)) == 3
+        # x1 alone falsifies the hard (-1 3)
+        assert WEIGHTED_EXAMPLE.falsified_weight(np.array([False, True, False, False])) is None
 
     def test_evaluation_matches_clause_by_clause(self):
         rng = random.Random(11)
         for _ in range(200):
             f = random_wcnf(rng, max_vars=8, max_clauses=20)
-            assignment = {v: rng.random() < 0.5 for v in range(1, f.num_vars + 1)}
-            assert f.hard_satisfied(assignment) == all(
-                satisfied_by(c, assignment) for c in f.clauses if c.is_hard)
-            assert f.falsified_weight(assignment) == sum(
-                c.weight for c in f.clauses if not (c.is_hard or satisfied_by(c, assignment)))
+            model = np.array([False] + [rng.random() < 0.5 for _ in range(f.num_vars)])
+            falsified = [c for c in f.clauses if not satisfied_by(c, model)]
+            expected = (None if any(c.is_hard for c in falsified)
+                        else sum(c.weight for c in falsified))
+            assert f.falsified_weight(model) == expected
 
 
 class TestWriteDimacs:
@@ -220,7 +220,7 @@ class TestParseSolverOutput:
         res = read_answer("o 3\ns OPTIMUM FOUND\nv -1 -2 -3 0\n")
         assert res.status is MaxSatStatus.OPTIMUM
         assert res.cost == res.lower == 3
-        assert res.model == {1: False, 2: False, 3: False}
+        assert res.model.tolist() == [False, False, False, False]
 
     def test_unsat_has_no_model(self):
         res = read_answer("s UNSATISFIABLE\nv -1 -2 -3 0\n")
@@ -233,7 +233,7 @@ class TestParseSolverOutput:
 
     def test_binary_model_string(self):
         res = read_answer("s SATISFIABLE\no 4\nv 001\n")
-        assert res.model == {1: False, 2: False, 3: True}
+        assert res.model.tolist() == [False, False, False, True]
         with pytest.raises(CnfError, match="variable 4 beyond num_vars=3"):
             read_answer("s SATISFIABLE\nv 0010\n")
 
@@ -257,11 +257,11 @@ class TestParseSolverOutput:
 
     def test_unmentioned_vars_default_false(self):
         res = read_answer("s SATISFIABLE\nv 3 0\n")
-        assert res.model == {1: False, 2: False, 3: True}
+        assert res.model.tolist() == [False, False, False, True]
 
     def test_multiline_model(self):
         res = read_answer("s SATISFIABLE\nv 1 -2\nv 3 0\n")
-        assert res.model == {1: True, 2: False, 3: True}
+        assert res.model.tolist() == [False, True, False, True]
         assert res.cost == 4
 
 
@@ -870,17 +870,23 @@ class TestClauseView:
     @given(well_formed_clauses(), st.lists(st.booleans(), min_size=12, max_size=12))
     # soft weights whose falsified sum passes int64: the sum stays exact
     @example((3, tuple(Clause((v,), 2**62) for v in (1, 2, 3)), None), [False] * 12)
+    # a falsified hard clause among falsified soft ones
+    @example((2, (Clause((1,), 3), Clause((2,)), Clause((-1, -2), 5)), None), [False] * 12)
     def test_evaluation_matches_per_clause_reference(self, args, values):
         n, clauses, top = args
         formula = wcnf(n, clauses, top)
-        assignment = dict(enumerate(values[:n], start=1))  # n <= 12
-        assert formula.hard_satisfied(assignment) == all(
-            satisfied_by(c, assignment) for c in clauses if c.is_hard)
-        falsified = formula.falsified_weight(assignment)
-        assert type(falsified) is int and falsified == sum(
-            c.weight for c in clauses if not c.is_hard and not satisfied_by(c, assignment))
-        if not any(satisfied_by(c, assignment) for c in clauses):
-            assert falsified == formula.soft_weight_sum
+        model = np.array([False] + values[:n])  # n <= 12
+        falsified = formula.falsified_weight(model)
+        if any(c.is_hard and not satisfied_by(c, model) for c in clauses):
+            assert falsified is None
+        else:
+            assert type(falsified) is int and falsified == sum(
+                c.weight for c in clauses if not satisfied_by(c, model))
+            if not any(satisfied_by(c, model) for c in clauses):
+                assert falsified == formula.soft_weight_sum
+        for wrong in (model[:-1], np.append(model, False)):
+            with pytest.raises(ValueError):
+                formula.falsified_weight(wrong)
 
     @settings(deadline=None)
     @given(well_formed_clauses(), well_formed_clauses(), st.data())

@@ -573,10 +573,11 @@ class TestCostFaithfulness:
             assignment = assignment_for_placement(instance, vm, timetable.placements)
             hard_ok = all(any(assignment[abs(l)] == (l > 0) for l in c) for c in hard)
             assert hard_ok == (not check_hard(timetable, instance))
+            cost = formula.falsified_weight(assignment)
+            assert (cost is not None) == hard_ok
             if hard_ok:
                 feasible += 1
-                report = compute_cost(timetable, instance, opts)
-                assert formula.falsified_weight(assignment) == report.total_cost
+                assert cost == compute_cost(timetable, instance, opts).total_cost
         assert feasible > 0
 
     def test_micro_optimum_matches_semantic_enumeration(self):

@@ -8,6 +8,7 @@ import time
 import types
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from helpers import (
     HARD_VIOLATED_BY_ALL_FALSE,
     answer_all_false,
+    answer_first_with,
     brute_force_maxsat,
     interrupt_after_first_model,
     random_wcnf,
@@ -73,7 +75,7 @@ class TestSolveSat:
     def test_empty_clause_set_sat(self):
         res = solve_clauses([])
         assert res.status is SatStatus.SAT
-        assert res.model == {}
+        assert res.model.tolist() == [False]
 
     def test_assumption_conflict_core(self):
         res = solve_clauses([(1,)], assumptions=[-1])
@@ -96,7 +98,7 @@ class TestSolveSat:
         clauses = [(1, 2, 3), (-1, -2), (-2, -3), (3, 1)]
         a = solve_clauses(clauses, seed=5)
         b = solve_clauses(clauses, seed=5)
-        assert a.model == b.model
+        assert a.model.tolist() == b.model.tolist()
 
     def test_core_is_subset_and_unsat(self):
         rng = random.Random(99)
@@ -480,14 +482,14 @@ class TestSolveMaxsatExamples:
     def test_partial_cost_one(self):
         res = solve_maxsat(PARTIAL)
         assert res.cost == 1
-        # the model must satisfy both hard clauses
-        assert PARTIAL.hard_satisfied(res.model)
+        # the model must satisfy both hard clauses, else its weight is None
+        assert PARTIAL.falsified_weight(res.model) == 1
 
     def test_weighted_cost_three(self):
         res = solve_maxsat(WEIGHTED)
         assert res.cost == 3
         # all-false achieves the optimum
-        assert WEIGHTED.falsified_weight({1: False, 2: False, 3: False}) == 3
+        assert WEIGHTED.falsified_weight(np.zeros(4, dtype=bool)) == 3
 
     def test_hard_unsat(self):
         f = wcnf(1, (Clause((1,)), Clause((-1,)), Clause((1,), 5)))
@@ -533,19 +535,25 @@ class TestSolveMaxsatExamples:
 
     def test_hard_violating_best_model_raises(self, monkeypatch):
         # a model false on the four base variables and true on the selectors
-        # ends no search; the budget runs out next, so it is the best model
-        calls = []
-
-        def solve(self, assumptions=(), deadline=None):
-            calls.append(assumptions)
-            if len(calls) > 1:
-                return SatResult(SatStatus.INDETERMINATE)
-            return SatResult(SatStatus.SAT, {v: v > 4 for v in range(1, self.nvars + 1)})
-
-        monkeypatch.setattr(CdclSolver, "solve", solve)
+        # ends no search, and the budget runs out next: the best model so far
+        # is refused
+        calls = answer_first_with(monkeypatch, lambda nvars: np.arange(nvars + 1) > 4)
+        interrupt_after_first_model(monkeypatch)
         with pytest.raises(SolverInternalError, match="violates a hard clause"):
             solve_maxsat(HARD_VIOLATED_BY_ALL_FALSE)
-        assert len(calls) == 2
+        assert len(calls) == 1
+
+    def test_superseded_hard_violating_model_raises(self, monkeypatch):
+        # hard (1 2), soft (1):1.  False on x1, x2 and true on the selector,
+        # the first model breaks the hard clause, costs 1 and leaves the
+        # stratum open; the search then finds x1 true, a sound model of cost
+        # 0 that would supersede it.  Every model is checked, not only the
+        # one returned
+        formula = wcnf(2, (Clause((1, 2)), Clause((1,), 1)))
+        calls = answer_first_with(monkeypatch, lambda nvars: np.arange(nvars + 1) > 2)
+        with pytest.raises(SolverInternalError, match="optimizer model violates a hard clause"):
+            solve_maxsat(formula)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("timeout", [None, 0.05])
     def test_solve_leaves_no_cyclic_garbage(self, sample_weighted, timeout):
@@ -867,9 +875,8 @@ class TestLoad:
         assert solver.nvars == 2
         res = solve_maxsat(formula)
         assert (res.status, res.cost, res.lower) == (MaxSatStatus.OPTIMUM, 0, 0)
-        assert len(res.model) == n
-        assert res.model[1] is True
-        assert not any(res.model[v] for v in range(2, n + 1))
+        assert res.model.dtype == bool and len(res.model) == n + 1
+        assert np.flatnonzero(res.model).tolist() == [1]
 
     @pytest.mark.parametrize("chunk", [1, 2, 5])
     def test_loads_in_chunks_like_all_at_once(self, monkeypatch, chunk):
@@ -958,7 +965,7 @@ class TestBruteForce:
     def test_single_hard_unit(self):
         f = wcnf(1, (Clause((1,)),))
         res = brute_force_maxsat(f)
-        assert res.cost == 0 and res.model[1] is True
+        assert res.cost == 0 and res.model.tolist() == [False, True]
 
     def test_cap_enforced(self):
         f = wcnf(23, (Clause((23,)),))
@@ -1107,7 +1114,7 @@ class TestExternal:
         res = solve_external(WEIGHTED, f"{sys.executable} {stub} {{input}}", timeout=60)
         assert res.status is MaxSatStatus.INDETERMINATE
         assert res.lower == 0 and res.cost == 4
-        assert res.model == {1: False, 2: False, 3: True}
+        assert res.model.tolist() == [False, False, False, True]
 
     @pytest.mark.parametrize("answer, expected", [
         ("print('o 3')\nprint('s OPTIMUM FOUND')\nprint('v -1 -2 -3 0')\n", MaxSatStatus.OPTIMUM),
@@ -1173,13 +1180,16 @@ class TestExternal:
 
 NO_STATUS = "external solver gave no status (exit code 0)"
 NO_MODEL = "external solver reported SAT without a model"
-ALL_FALSE = {1: False, 2: False, 3: False}
-ONLY_3 = {1: False, 2: False, 3: True}
+# a model's values of x1, x2, x3
+ALL_FALSE = (False, False, False)
+ONLY_3 = (False, False, True)
+ALL_TRUE = (True, True, True)
 
 
 class TestAnswerMapping:
     """How each Max-SAT evaluation answer maps to a result or an error, for
-    WEIGHTED: all false costs 3, the optimum; only x3 true costs 4."""
+    WEIGHTED: all false costs 3, the optimum; only x3 true costs 4, and so
+    does all true."""
 
     @pytest.mark.parametrize("answer, expected", [
         ("o 3\ns OPTIMUM FOUND\nv -1 -2 -3 0\n", (MaxSatStatus.OPTIMUM, 3, ALL_FALSE, 3)),
@@ -1201,6 +1211,15 @@ class TestAnswerMapping:
          (UntrustedSolverError, "external model violates a hard clause")),
         ("o 2\ns OPTIMUM FOUND\nv -1 -2 -3 0\n",
          (UntrustedSolverError, "external solver claimed cost 2, model costs 3")),
+        ("s OPTIMUM FOUND\nv 1101\n", (CnfError, "model mentions variable 4 beyond num_vars=3")),
+        # "beyond" is found on the Python ints, before any value meets int64
+        ("s OPTIMUM FOUND\nv 1 2 -99999999999999999999 0\n",
+         (CnfError, "model mentions variable 99999999999999999999 beyond num_vars=3")),
+        # a repeated variable keeps its last literal
+        ("o 4\ns SATISFIABLE\nv -1 1 2 3 0\n", (MaxSatStatus.INDETERMINATE, 4, ALL_TRUE, 0)),
+        # unmentioned variables are false: x1 alone breaks the hard (-1 3)
+        ("s OPTIMUM FOUND\nv 1\n", (UntrustedSolverError, "external model violates a hard clause")),
+        ("o 3\ns OPTIMUM FOUND\nv 00\n", (MaxSatStatus.OPTIMUM, 3, ALL_FALSE, 3)),
     ])
     def test_answer(self, tmp_path, answer, expected):
         stub = tmp_path / "stub.py"
@@ -1208,7 +1227,8 @@ class TestAnswerMapping:
         command = f"{sys.executable} {stub} {{input}}"
         if isinstance(expected[0], MaxSatStatus):
             res = solve_external(WEIGHTED, command, timeout=60)
-            assert (res.status, res.cost, res.model, res.lower) == expected
+            model = None if res.model is None else tuple(bool(res.model[v]) for v in (1, 2, 3))
+            assert (res.status, res.cost, model, res.lower) == expected
         else:
             error, message = expected
             with pytest.raises(error) as exc:
