@@ -64,7 +64,7 @@ def _solver_config(args, started: float) -> SolverConfig:
     command's entry), so reading, encoding and loading use it up too."""
     timeout = args.timeout
     if timeout is not None:
-        timeout = max(0.0, timeout - (time.monotonic() - started))
+        timeout -= time.monotonic() - started
     return SolverConfig(seed=args.seed, timeout=timeout)
 
 

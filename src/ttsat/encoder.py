@@ -17,15 +17,17 @@ Each family returns its clauses as one ``cnf.ClauseView`` block, and the
 formula is those blocks joined.  The families with many clauses build
 them by numpy broadcasting: ``room_clashes`` over (room, timeslot, pair);
 the three pair-clash families over (session pair, timeslot), through
-``_pair_clash_clauses``; and the two exactly-one families from one clause
-template per row shape, made by ``cardinality.exactly_one`` over
-placeholder variables and broadcast over every session of that shape
-(``_exactly_one_rows``).  The link families, small at any size, build
-one literal tuple per clause, and the soft unit families one literal per
-clause.  A weight past int64 is a ``CnfError``: ``registration_clashes``
-names its course pair and ``room_capacity`` its session and room, so
-every soft weight is in range when one ``np.array`` call makes the
-family's int64 weights.
+``_pair_clash_clauses``.  The two exactly-one families make one row per
+session (``_exactly_one_rows``): each row fills its share of preallocated
+literal and offset arrays from a clause template, made once per row shape
+by ``cardinality.exactly_one`` over placeholder variables, with the leaves
+and the row's own aux block (``VarMap.aux_block``) in place of the
+placeholders.  The link families, small at any size, build one literal
+tuple per clause, and the soft unit families one literal per clause.  A
+weight past int64 is a ``CnfError``: ``registration_clashes`` names its
+course pair and ``room_capacity`` its session and room, so every soft
+weight is in range when one ``np.array`` call makes the family's int64
+weights.
 """
 
 from __future__ import annotations
@@ -118,19 +120,17 @@ class VarMap:
     def num_vars(self) -> int:
         return self._aux0 - 1 + self._num_aux
 
-    def aux_blocks(self, tags, sizes) -> np.ndarray:
-        """Allocate one block of ``sizes[i]`` consecutive auxiliary variables
-        per tag ``tags[i]``, in order; returns each block's first variable.
-        ``explain`` numbers a block's variables #1, #2, ..., so each tag
-        names one block."""
-        starts = np.empty(len(tags), dtype=np.int64)
-        for i, (tag, size) in enumerate(zip(tags, sizes)):
-            starts[i] = start = self._aux0 + self._num_aux
-            if size:
-                self._aux_starts.append(start)
-                self._aux_tags.append(tag)
-                self._num_aux += size
-        return starts
+    def aux_block(self, tag: str, size: int) -> int:
+        """Allocate ``size`` consecutive auxiliary variables tagged ``tag``
+        and return the first.  ``explain`` numbers a block's variables #1,
+        #2, ..., so each tag names one block.  A block of size 0 records
+        nothing and returns the start of the next block."""
+        start = self._aux0 + self._num_aux
+        if size:
+            self._aux_starts.append(start)
+            self._aux_tags.append(tag)
+            self._num_aux += size
+        return start
 
     def explain(self, var: int) -> str:
         """Semantic description of a variable index."""
@@ -300,33 +300,30 @@ def _template(n, exactly):
     return literals, offsets, next(fresh) - n - 1
 
 
-def _exactly_one_rows(varmap, tags, shapes) -> ClauseView:
-    """Hard clauses for rows 0..len(tags)-1, row by row, each from the
-    template of its shape.  ``shapes`` lists ``(rows, leaves, exactly)``:
-    the row numbers of one shape, their ``(len(rows), n)`` array of leaf
-    literals, and how many leading leaves take the exactly-one (each later
-    leaf takes a negative unit).  Each row gets its own block of
-    auxiliary variables tagged ``tags[row]``, in row order, so the clauses,
-    numbering and tags are those of one ``exactly_one`` call per row."""
-    templates = [_template(leaves.shape[1], exactly) for rows, leaves, exactly in shapes]
-    lit_counts = np.zeros(len(tags), dtype=np.int64)
-    clause_counts = np.zeros(len(tags), dtype=np.int64)
-    sizes = np.zeros(len(tags), dtype=np.int64)
-    for (rows, _, _), (literals, offsets, m) in zip(shapes, templates):
-        lit_counts[rows], clause_counts[rows], sizes[rows] = len(literals), len(offsets) - 1, m
-    starts = varmap.aux_blocks(tags, sizes.tolist())
-    lit_at = np.cumsum(lit_counts) - lit_counts
-    clause_at = np.cumsum(clause_counts) - clause_counts
-    flat = np.empty(int(lit_counts.sum()), dtype=np.int64)
-    lengths = np.empty(int(clause_counts.sum()), dtype=np.int64)
-    for (rows, leaves, _), (literals, offsets, m) in zip(shapes, templates):
-        # placeholder v is column v-1: the leaves, then the row's aux block
-        values = np.concatenate([leaves, starts[rows, None] + np.arange(m)], axis=1)
-        flat[lit_at[rows, None] + np.arange(len(literals))] = (
-            np.sign(literals) * values[:, np.abs(literals) - 1])
-        lengths[clause_at[rows, None] + np.arange(len(offsets) - 1)] = np.diff(offsets)
-    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
+def _exactly_one_rows(varmap, tags, rows) -> ClauseView:
+    """Hard clauses for ``rows``, row by row.  Each row is ``(leaves,
+    exactly)``: its leaf literals, and how many leading leaves take the
+    exactly-one (each later leaf takes a negative unit).  Row i gets its
+    own block of auxiliary variables tagged ``tags[i]``, so the clauses,
+    numbering and tags are those of one ``exactly_one`` call per row; the
+    clauses come from one template per ``(len(leaves), exactly)``."""
+    templates, row_templates = {}, []
+    for leaves, exactly in rows:
+        shape = (len(leaves), exactly)
+        if shape not in templates:
+            templates[shape] = _template(*shape)
+        row_templates.append(templates[shape])
+    flat = np.empty(sum(len(t[0]) for t in row_templates), dtype=np.int64)
+    offsets = np.zeros(sum(len(t[1]) - 1 for t in row_templates) + 1, dtype=np.int64)
+    lit_at = clause_at = 0
+    for tag, (leaves, _), (literals, row_offsets, m) in zip(tags, rows, row_templates):
+        start = varmap.aux_block(tag, m)
+        # placeholder v is values[v - 1]: the leaves, then the row's aux block
+        values = np.concatenate([leaves, np.arange(start, start + m)])
+        flat[lit_at:lit_at + len(literals)] = np.sign(literals) * values[np.abs(literals) - 1]
+        offsets[clause_at + 1:clause_at + len(row_offsets)] = lit_at + row_offsets[1:]
+        lit_at += len(literals)
+        clause_at += len(row_offsets) - 1
     return ClauseView(flat, offsets)
 
 
@@ -338,26 +335,20 @@ def room_assignment(instance: Instance, varmap: VarMap) -> ClauseView:
     """Exactly one room per session; labs restricted to lab rooms: a lab's
     exactly-one ranges over the lab rooms, then a negative unit forbids each
     other room."""
-    sessions = np.arange(len(instance.sessions))
-    is_lab = np.array([s.kind is SessionKind.LAB for s in instance.sessions])
-    labs, others = sessions[is_lab], sessions[~is_lab]
+    rooms = np.arange(len(instance.rooms))
     lab_order = np.array(instance.lab_rooms + tuple(r.id for r in instance.rooms if not r.is_lab),
                          dtype=np.int64)
-    shapes = [(others, varmap.cr(others[:, None], np.arange(len(instance.rooms))),
-               len(instance.rooms)),
-              (labs, varmap.cr(labs[:, None], lab_order), len(instance.lab_rooms))]
-    return _exactly_one_rows(varmap, _session_tags(instance, "room_assignment"),
-                             [shape for shape in shapes if len(shape[0])])
+    rows = [(varmap.cr(s.id, lab_order), len(instance.lab_rooms)) if s.kind is SessionKind.LAB
+            else (varmap.cr(s.id, rooms), len(rooms)) for s in instance.sessions]
+    return _exactly_one_rows(varmap, _session_tags(instance, "room_assignment"), rows)
 
 
 def meeting_count(instance: Instance, varmap: VarMap) -> ClauseView:
     """Exactly one timeslot per session.  Together with the sibling-session
     curriculum clash this schedules each course twice a week in distinct slots."""
-    sessions = np.arange(len(instance.sessions))
-    T = len(instance.timeslots)
-    leaves = varmap.ct(sessions[:, None], np.arange(T))
-    return _exactly_one_rows(varmap, _session_tags(instance, "meeting_count"),
-                             [(sessions, leaves, T)])
+    slots = np.arange(len(instance.timeslots))
+    rows = [(varmap.ct(s.id, slots), len(slots)) for s in instance.sessions]
+    return _exactly_one_rows(varmap, _session_tags(instance, "meeting_count"), rows)
 
 
 def encode(instance: Instance, opts: EncodeOptions | None = None) -> tuple[WcnfFormula, VarMap]:

@@ -75,7 +75,7 @@ import subprocess
 import tempfile
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import compress
 
@@ -115,16 +115,25 @@ class MaxSatStatus(Enum):
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """``timeout``: the wall-clock budget in seconds, None for none; a
+    budget <= 0 is already spent, and a NaN budget is a ``ValueError``."""
+
     seed: int = 0
     timeout: float | None = None
+
+    def __post_init__(self):
+        if self.timeout is not None and self.timeout != self.timeout:
+            raise ValueError("solver timeout is NaN")
 
 
 @dataclass(frozen=True)
 class SatResult:
-    """SAT: ``model[v]`` for v in 1..nvars.  UNSAT: ``core``, the failed assumptions."""
+    """SAT: ``model[v]`` for v in 1..nvars.  UNSAT: ``core``, the failed
+    assumptions.  Results compare and hash by their other fields: the model
+    array takes no part."""
 
     status: SatStatus
-    model: np.ndarray | None = None
+    model: np.ndarray | None = field(default=None, compare=False)
     core: tuple[int, ...] | None = None
 
 
@@ -135,11 +144,12 @@ class MaxSatResult:
     ``cost`` is its falsified soft weight, None exactly when there is no
     model.  ``lower`` is a proven lower bound on the optimum: at OPTIMUM it
     equals ``cost``, and an INDETERMINATE result reports it with ``cost`` as
-    the upper bound."""
+    the upper bound.  Results compare and hash by their other fields: the
+    model array takes no part."""
 
     status: MaxSatStatus
     cost: int | None = None
-    model: np.ndarray | None = None
+    model: np.ndarray | None = field(default=None, compare=False)
     lower: int = 0
 
 

@@ -199,6 +199,23 @@ class TestSolve:
         assert "s UNKNOWN" in out
         assert "c bounds" in out
 
+    def test_negative_timeout_is_indeterminate(self, capsys, sample_path):
+        code, out, _ = run(capsys, ["solve", sample_path, "--timeout", "-1"])
+        assert code == 3
+        assert "s UNKNOWN" in out
+
+    @pytest.mark.parametrize("command", ["solve", "solve-wcnf"])
+    def test_nan_timeout_is_an_input_error(self, capsys, sample_path, tmp_path, command):
+        path = sample_path
+        if command == "solve-wcnf":
+            path = str(tmp_path / "sample.wcnf")
+            assert main(["encode", sample_path, "-o", path]) == 0
+            capsys.readouterr()
+        code, out, err = run(capsys, [command, path, "--timeout", "nan"])
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     def test_interrupted_run_prints_best_grid(self, capsys, sample_path, tmp_path, monkeypatch):
         models = interrupt_after_first_model(monkeypatch)
         code, out, _ = run(capsys, ["solve", sample_path, "--format", "csv"])

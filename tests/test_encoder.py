@@ -62,17 +62,17 @@ class TestVarMap:
 
     def test_explain_aux_names_origin(self, sample_instance):
         vm = VarMap(sample_instance)
-        (first,) = vm.aux_blocks(["room_assignment/CS202/lab/totalizer"], [2])
+        first = vm.aux_block("room_assignment/CS202/lab/totalizer", 2)
         assert first == base_num_vars(vm) + 1 and vm.num_vars == first + 1
         assert vm.explain(first) == "aux(room_assignment/CS202/lab/totalizer #1)"
         assert vm.explain(first + 1) == "aux(room_assignment/CS202/lab/totalizer #2)"
 
-    def test_aux_blocks_skip_empty_blocks(self, sample_instance):
+    def test_aux_block_skips_empty_blocks(self, sample_instance):
         vm = VarMap(sample_instance)
         base = base_num_vars(vm)
         # an empty block allocates nothing and starts where the next one does
-        starts = vm.aux_blocks(["a", "b", "c"], [2, 0, 3])
-        assert starts.tolist() == [base + 1, base + 3, base + 3]
+        starts = [vm.aux_block(tag, size) for tag, size in [("a", 2), ("b", 0), ("c", 3)]]
+        assert starts == [base + 1, base + 3, base + 3]
         assert [vm.explain(v) for v in range(base + 1, vm.num_vars + 1)] == [
             "aux(a #1)", "aux(a #2)", "aux(c #1)", "aux(c #2)", "aux(c #3)"]
 
@@ -382,7 +382,7 @@ class TestExactlyOneTemplate:
     @example(([(8, 8), (9, 9)], [0, 1, 0], 0))  # largest pairwise, smallest totalizer
     @example(([(25, 25), (10, 3)], [1, 0, 1, 1], 1))  # totalizer; lab shape with units
     @example(([(1, 1), (40, 1)], [1, 1, 0, 0, 1], 2))  # one-literal unit; 39 trailing units
-    def test_broadcast_matches_per_row(self, sample_instance, case):
+    def test_rows_match_per_row_calls(self, sample_instance, case):
         (shapes, kinds, seed) = case
         rng = np.random.default_rng(seed)
         widths = [shapes[k][0] for k in kinds]
@@ -393,13 +393,7 @@ class TestExactlyOneTemplate:
         tags = [f"family/row{i}/totalizer" for i in range(len(kinds))]
         want_vm, got_vm = VarMap(sample_instance), VarMap(sample_instance)
         want, want_explain = per_row_exactly_ones(want_vm, tags, rows)
-        groups = []
-        for k, (n, exactly) in enumerate(shapes):
-            members = np.flatnonzero(np.array(kinds) == k)
-            if len(members):
-                leaves = np.array([rows[i][0] for i in members], dtype=np.int64).reshape(-1, n)
-                groups.append((members, leaves, exactly))
-        got = _exactly_one_rows(got_vm, tags, groups)
+        got = _exactly_one_rows(got_vm, tags, rows)
         assert [c.literals for c in got] == want
         assert all(c.is_hard for c in got)
         base = base_num_vars(got_vm)

@@ -515,6 +515,24 @@ class TestSolveMaxsatExamples:
         res = solve_maxsat(WEIGHTED, SolverConfig(timeout=timeout))
         assert res == MaxSatResult(MaxSatStatus.INDETERMINATE)
 
+    def test_nan_timeout_is_an_input_error(self):
+        # monotonic() > nan is always False: a NaN budget would never run out
+        with pytest.raises(ValueError, match="NaN"):
+            SolverConfig(timeout=float("nan"))
+
+    def test_results_compare_without_their_models(self):
+        # two runs hold equal but distinct model arrays; comparing or hashing
+        # the results must not reach them
+        first, second = solve_maxsat(WEIGHTED), solve_maxsat(WEIGHTED)
+        assert first.model is not second.model
+        assert first == second and hash(first) == hash(second)
+        assert first == MaxSatResult(MaxSatStatus.OPTIMUM, 3, None, 3)
+        assert first != MaxSatResult(MaxSatStatus.OPTIMUM, 4, first.model, 3)
+        sat = CdclSolver()
+        sat.add_clause((1, 2))
+        assert sat.solve() == SatResult(SatStatus.SAT)
+        assert hash(sat.solve()) == hash(SatResult(SatStatus.SAT))
+
     def test_model_cost_is_checked(self):
         res = solve_maxsat(WEIGHTED)
         assert res.cost == res.lower == WEIGHTED.falsified_weight(res.model)
